@@ -5,7 +5,7 @@
  * interleaving without the hand-scripted trigger delays, while the
  * differential recovery oracle checks every explored schedule three
  * ways (unhardened fails-or-passes, hardened always recovers,
- * Decoded == Reference tick for tick).  See docs/EXPLORATION.md.
+ * Fused == Reference tick for tick).  See docs/EXPLORATION.md.
  *
  * Results go to stdout and to BENCH_explore.json in the working
  * directory (including per-(kernel, policy) recovery metrics — see
@@ -59,7 +59,7 @@
  *                 log (no schedule search) and differentially check
  *                 the run against the recorded fingerprint; exit 0
  *                 iff the replay is faithful.  Combines with
- *                 --engine decoded|reference|fused (cross-engine
+ *                 --engine reference|fused (cross-engine
  *                 replay; default: the recording's engine),
  *                 --timeline (time-travel interleaving timeline),
  *                 --diagnose, and --trace FILE.
@@ -545,7 +545,7 @@ runRepro(const std::string &appName, const std::string &token,
     if (o.diverged)
         std::printf("ENGINE DIVERGENCE: %s\n", o.divergenceMsg.c_str());
     else
-        std::printf("engines: Decoded == Reference (tick-identical)\n");
+        std::printf("engines: Fused == Reference (tick-identical)\n");
 
     bool profileOk = true;
     if (profile) {
@@ -614,7 +614,7 @@ runReplay(const std::string &path, const std::string &engineArg,
     if (!engineArg.empty() &&
         !obs::replay::engineFromName(engineArg, engine)) {
         std::fprintf(stderr, "unknown engine '%s' "
-                             "(decoded|reference|fused)\n",
+                             "(reference|fused)\n",
                      engineArg.c_str());
         return 2;
     }
@@ -968,7 +968,7 @@ main(int argc, char **argv)
         if (path.empty() || path[0] == '-') {
             std::fprintf(stderr,
                          "usage: bench_explore --replay LOG "
-                         "[--engine decoded|reference|fused] "
+                         "[--engine reference|fused] "
                          "[--timeline] [--diagnose] [--trace F]\n");
             return 2;
         }
@@ -1711,7 +1711,7 @@ main(int argc, char **argv)
             if (tr.hasReplayLog && !tr.replayCrossEngineVerified) {
                 std::fprintf(stderr,
                              "FAIL: %s: replay log did not verify "
-                             "under the Fused engine\n",
+                             "under the Reference engine\n",
                              tr.name.c_str());
                 rc = 1;
             }

@@ -1,8 +1,8 @@
 /**
  * @file
- * VM execution-engine throughput: pre-decoded engine (with the
- * scheduler burst fast path and the per-thread memory-handle cache)
- * versus the reference tree-walking interpreter.
+ * VM execution-engine throughput: the production Fused engine
+ * (pre-decoded arrays, superinstruction burst, per-thread
+ * memory-handle cache) versus the reference tree-walking interpreter.
  *
  * Unlike the table benches, this one measures *wall-clock* interpreter
  * speed, not virtual time: both engines execute the identical
@@ -17,7 +17,7 @@
  *               JSON output without waiting on full-size runs
  *   --profile [FILE]
  *               print the per-workload phase profile (hot-phase
- *               table) of the profiled Decoded row; with FILE, also
+ *               table) of the profiled Fused row; with FILE, also
  *               write the speedscope JSON there and folded flamegraph
  *               stacks next to it.  The profiled row itself always
  *               runs — its step-identity against the bare rows is
@@ -218,38 +218,28 @@ main(int argc, char **argv)
         {"4-thread-locks", srcThreads(scale * 2), false},
     };
 
-    // The baseline is the reference engine with every hot-path
-    // optimisation off; "decoded" is the production default.
-    vm::VmConfig base;
-    base.seed = 1;
-    base.maxSteps = 1ull << 40;
+    // The baseline is the reference engine without the scheduler
+    // burst; "fused" is the production default.
+    vm::VmConfig fused;
+    fused.seed = 1;
+    fused.maxSteps = 1ull << 40;
 
-    vm::VmConfig ref = base;
+    vm::VmConfig ref = fused;
     ref.engine = vm::ExecEngine::Reference;
     ref.schedFastPath = false;
-    ref.memHandleCache = false;
 
-    vm::VmConfig decoded = base;
-    decoded.engine = vm::ExecEngine::Decoded;
-    decoded.schedFastPath = true;
-    decoded.memHandleCache = true;
+    std::printf("=== VM engine throughput: fused vs reference "
+                "(wall clock) ===\n\n");
 
-    vm::VmConfig fused = decoded;
-    fused.engine = vm::ExecEngine::Fused;
-
-    std::printf("=== VM engine throughput: fused vs pre-decoded vs "
-                "reference (wall clock) ===\n\n");
-
-    Table t({"Workload", "Reference (steps/s)", "Decoded (steps/s)",
-             "Speedup", "Fused (steps/s)", "Fused/Dec",
-             "Decoded+trace (steps/s)", "Trace cost", "Diag cost",
-             "Prof cost"});
+    Table t({"Workload", "Reference (steps/s)", "Fused (steps/s)",
+             "Speedup", "Fused+trace (steps/s)", "Trace cost",
+             "Diag cost", "Prof cost"});
 
     struct Row
     {
         std::string name;
         bool singleThread;
-        Cell ref, dec, fus, traced, diag, prof;
+        Cell ref, fus, traced, diag, prof;
     };
     std::vector<Row> rows;
     obs::prof::ProfileDoc profDoc;
@@ -266,28 +256,27 @@ main(int argc, char **argv)
         row.name = w.name;
         row.singleThread = w.singleThread;
         row.ref = measure(*m, ref, runs);
-        row.dec = measure(*m, decoded, runs);
         row.fus = measure(*m, fused, runs);
-        // The tracing-on row: same decoded config, flight recorder
-        // attached.  Its distance from the plain decoded row is the
-        // *enabled* cost; the decoded row itself carries the
-        // disabled-mode branch, so regressions against the PR-1
-        // baseline surface in decoded_steps_per_sec.
+        // The tracing-on row: same fused config, flight recorder
+        // attached.  Its distance from the plain fused row is the
+        // *enabled* cost; the fused row itself carries the
+        // disabled-mode branch, so regressions surface in
+        // fused_steps_per_sec.
         obs::FlightRecorder recorder(4096);
-        row.traced = measure(*m, decoded, runs, &recorder);
+        row.traced = measure(*m, fused, runs, &recorder);
         // The diagnosis-mode row (recordSharedAccesses on): bounds the
         // cost of SharedLoad/SharedStore recording.  Like the trace
-        // row, its *default-mode* counterpart (the plain decoded row)
+        // row, its *default-mode* counterpart (the plain fused row)
         // must stay unchanged — the guard below checks step identity
-        // across all four cells.
+        // across all five cells.
         obs::FlightRecorder diagRecorder(4096);
-        row.diag = measure(*m, decoded, runs, &diagRecorder, true);
-        // The profiler-on row: same decoded config, phase profiler
+        row.diag = measure(*m, fused, runs, &diagRecorder, true);
+        // The profiler-on row: same fused config, phase profiler
         // attached.  Its step identity against the bare rows is the
-        // passivity check; its distance from the plain decoded row is
+        // passivity check; its distance from the plain fused row is
         // the enabled cost of profiling.
         obs::prof::PhaseProfiler profiler;
-        row.prof = measure(*m, decoded, runs, nullptr, false,
+        row.prof = measure(*m, fused, runs, nullptr, false,
                            &profiler);
         {
             obs::prof::ProfileAgg agg;
@@ -295,20 +284,16 @@ main(int argc, char **argv)
             profDoc.phaseGroups.emplace_back(w.name, agg);
         }
         if (row.ref.outcome != vm::Outcome::Success ||
-            row.dec.outcome != vm::Outcome::Success ||
             row.fus.outcome != vm::Outcome::Success ||
-            row.ref.steps != row.dec.steps ||
-            row.fus.steps != row.dec.steps ||
-            row.traced.steps != row.dec.steps ||
-            row.diag.steps != row.dec.steps ||
-            row.prof.steps != row.dec.steps) {
+            row.ref.steps != row.fus.steps ||
+            row.traced.steps != row.fus.steps ||
+            row.diag.steps != row.fus.steps ||
+            row.prof.steps != row.fus.steps) {
             std::fprintf(stderr,
                          "engine divergence on %s: steps %llu vs %llu "
-                         "(fused %llu, traced %llu, diag %llu, "
-                         "profiled %llu)\n",
+                         "(traced %llu, diag %llu, profiled %llu)\n",
                          w.name.c_str(),
                          (unsigned long long)row.ref.steps,
-                         (unsigned long long)row.dec.steps,
                          (unsigned long long)row.fus.steps,
                          (unsigned long long)row.traced.steps,
                          (unsigned long long)row.diag.steps,
@@ -316,19 +301,16 @@ main(int argc, char **argv)
             return 1;
         }
         rows.push_back(row);
-        double speedup = row.dec.stepsPerSec / row.ref.stepsPerSec;
-        double fusedSpeedup = row.fus.stepsPerSec / row.dec.stepsPerSec;
+        double speedup = row.fus.stepsPerSec / row.ref.stepsPerSec;
         double traceCost =
-            1.0 - row.traced.stepsPerSec / row.dec.stepsPerSec;
+            1.0 - row.traced.stepsPerSec / row.fus.stepsPerSec;
         double diagCost =
-            1.0 - row.diag.stepsPerSec / row.dec.stepsPerSec;
+            1.0 - row.diag.stepsPerSec / row.fus.stepsPerSec;
         double profCost =
-            1.0 - row.prof.stepsPerSec / row.dec.stepsPerSec;
+            1.0 - row.prof.stepsPerSec / row.fus.stepsPerSec;
         t.row({row.name, fmt("%.0f", row.ref.stepsPerSec),
-               fmt("%.0f", row.dec.stepsPerSec),
-               fmt("%.2fx", speedup),
                fmt("%.0f", row.fus.stepsPerSec),
-               fmt("%.2fx", fusedSpeedup),
+               fmt("%.2fx", speedup),
                fmt("%.0f", row.traced.stepsPerSec),
                fmt("%.1f%%", traceCost * 100),
                fmt("%.1f%%", diagCost * 100),
@@ -382,26 +364,23 @@ main(int argc, char **argv)
         w.key("steps").value(r.ref.steps);
         w.key("reference_steps_per_sec")
             .value(r.ref.stepsPerSec, "%.0f");
-        w.key("decoded_steps_per_sec").value(r.dec.stepsPerSec, "%.0f");
-        w.key("speedup")
-            .value(r.dec.stepsPerSec / r.ref.stepsPerSec, "%.3f");
         w.key("fused_steps_per_sec").value(r.fus.stepsPerSec, "%.0f");
-        w.key("fused_speedup")
-            .value(r.fus.stepsPerSec / r.dec.stepsPerSec, "%.3f");
-        w.key("decoded_traced_steps_per_sec")
+        w.key("speedup")
+            .value(r.fus.stepsPerSec / r.ref.stepsPerSec, "%.3f");
+        w.key("fused_traced_steps_per_sec")
             .value(r.traced.stepsPerSec, "%.0f");
         w.key("trace_overhead")
-            .value(1.0 - r.traced.stepsPerSec / r.dec.stepsPerSec,
+            .value(1.0 - r.traced.stepsPerSec / r.fus.stepsPerSec,
                    "%.3f");
-        w.key("decoded_diag_steps_per_sec")
+        w.key("fused_diag_steps_per_sec")
             .value(r.diag.stepsPerSec, "%.0f");
         w.key("diag_overhead")
-            .value(1.0 - r.diag.stepsPerSec / r.dec.stepsPerSec,
+            .value(1.0 - r.diag.stepsPerSec / r.fus.stepsPerSec,
                    "%.3f");
-        w.key("decoded_prof_steps_per_sec")
+        w.key("fused_prof_steps_per_sec")
             .value(r.prof.stepsPerSec, "%.0f");
         w.key("prof_overhead")
-            .value(1.0 - r.prof.stepsPerSec / r.dec.stepsPerSec,
+            .value(1.0 - r.prof.stepsPerSec / r.fus.stepsPerSec,
                    "%.3f");
         w.endObject();
     }
@@ -412,28 +391,20 @@ main(int argc, char **argv)
     out.close();
     std::printf("\nwrote BENCH_vm.json\n");
 
-    // The decoded engine exists to be faster; hold the single-thread
-    // dispatch workloads to the 2x floor, and the fused engine to a
-    // further 1.5x over decoded (skipped in smoke mode, where runs are
-    // too short to time meaningfully).
+    // The fused engine exists to be faster; hold the single-thread
+    // dispatch workloads to the 3x floor over the reference engine
+    // (skipped in smoke mode, where runs are too short to time
+    // meaningfully).
     if (!smoke) {
         for (const Row &r : rows) {
             if (!r.singleThread)
                 continue;
-            double speedup = r.dec.stepsPerSec / r.ref.stepsPerSec;
-            if (speedup < 2.0) {
+            double speedup = r.fus.stepsPerSec / r.ref.stepsPerSec;
+            if (speedup < 3.0) {
                 std::fprintf(stderr,
-                             "FAIL: %s speedup %.2fx below the 2x "
+                             "FAIL: %s speedup %.2fx below the 3x "
                              "floor\n",
                              r.name.c_str(), speedup);
-                return 1;
-            }
-            double fusedSpeedup = r.fus.stepsPerSec / r.dec.stepsPerSec;
-            if (fusedSpeedup < 1.5) {
-                std::fprintf(stderr,
-                             "FAIL: %s fused speedup %.2fx below the "
-                             "1.5x floor\n",
-                             r.name.c_str(), fusedSpeedup);
                 return 1;
             }
         }

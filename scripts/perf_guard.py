@@ -9,7 +9,7 @@ Usage:
 Knows both artifact shapes:
 
   * BENCH_vm.json  (bench == "vm_throughput"): per-workload
-    reference/decoded/fused/traced/diag/prof steps-per-second, matched
+    reference/fused/traced/diag/prof steps-per-second, matched
     by workload name;
   * BENCH_explore.json (bench == "explore"): campaign
     schedules-per-second.
@@ -34,11 +34,10 @@ import sys
 # Higher-is-better metrics pinned per artifact kind.
 VM_WORKLOAD_METRICS = [
     "reference_steps_per_sec",
-    "decoded_steps_per_sec",
     "fused_steps_per_sec",
-    "decoded_traced_steps_per_sec",
-    "decoded_diag_steps_per_sec",
-    "decoded_prof_steps_per_sec",
+    "fused_traced_steps_per_sec",
+    "fused_diag_steps_per_sec",
+    "fused_prof_steps_per_sec",
 ]
 EXPLORE_METRICS = ["schedules_per_sec"]
 

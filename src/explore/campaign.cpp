@@ -307,10 +307,10 @@ runOneSchedule(const Target &t, const ScheduleSpec &s,
     // Coverage rides on a private ring recorder when the caller didn't
     // attach one of its own, in diagnosis recording mode: shared
     // loads/stores are the interleaving sites (lock-free kernels emit
-    // nothing else between switches).  The Reference/Fused replicas
-    // below run bare either way, so their tick identity against this
-    // leg keeps proving — on every single schedule — that recording
-    // (and hence coverage collection) is passive.
+    // nothing else between switches).  The Reference replicas below
+    // run bare either way, so their tick identity against this leg
+    // keeps proving — on every single schedule — that recording (and
+    // hence coverage collection) is passive.
     std::optional<obs::FlightRecorder> covRec;
     if (opts.collectCoverage && !plainCfg.recorder) {
         covRec.emplace(8192);
@@ -341,18 +341,6 @@ runOneSchedule(const Target &t, const ScheduleSpec &s,
             out.divergenceMsg = "unhardened: " + d;
         }
     }
-    if (opts.fusedDifferential && !out.diverged) {
-        vm::VmConfig fusedCfg = base;
-        fusedCfg.engine = vm::ExecEngine::Fused;
-        legBegin();
-        vm::RunResult r = vm::runProgram(*t.plain, fusedCfg);
-        legEnd(out.wallDifferentialUs);
-        std::string d = tickDiff(u, r);
-        if (!d.empty()) {
-            out.diverged = true;
-            out.divergenceMsg = "unhardened-fused: " + d;
-        }
-    }
 
     if (t.hardened) {
         out.hardenedRan = true;
@@ -366,7 +354,7 @@ runOneSchedule(const Target &t, const ScheduleSpec &s,
         }
         if (opts.collectMetrics)
             hardCfg.metrics = &out.metrics;
-        // The profiler rides the instrumented Decoded leg only; the
+        // The profiler rides the instrumented Fused leg only; the
         // bare differential replicas below prove on every schedule
         // that attaching it never perturbed the run.
         std::optional<obs::prof::PhaseProfiler> prof;
@@ -406,25 +394,6 @@ runOneSchedule(const Target &t, const ScheduleSpec &s,
             if (!d.empty()) {
                 out.diverged = true;
                 out.divergenceMsg = "hardened: " + d;
-            }
-        }
-        if (opts.fusedDifferential && !out.chaos && !out.diverged) {
-            vm::VmConfig fusedCfg = hardCfg;
-            fusedCfg.engine = vm::ExecEngine::Fused;
-            // Bare like the reference replica: agreement with the
-            // instrumented leg proves both engine identity and
-            // recording passivity in one comparison.
-            fusedCfg.recorder = nullptr;
-            fusedCfg.metrics = nullptr;
-            fusedCfg.profiler = nullptr;
-            fusedCfg.recordSharedAccesses = false;
-            legBegin();
-            vm::RunResult r = vm::runProgram(*t.hardened, fusedCfg);
-            legEnd(out.wallHardenedDiffUs);
-            std::string d = tickDiff(h, r);
-            if (!d.empty()) {
-                out.diverged = true;
-                out.divergenceMsg = "hardened-fused: " + d;
             }
         }
     }
@@ -568,8 +537,7 @@ runCampaign(const std::vector<Target> &targets,
         ++tr.schedules;
         ++rep.schedules;
         tr.totalSteps += o.steps;
-        rep.vmRuns += 1 + (opts.differential ? 1 : 0) +
-                      ((opts.fusedDifferential && !o.diverged) ? 1 : 0);
+        rep.vmRuns += 1 + (opts.differential ? 1 : 0);
 
         if (opts.collectCoverage) {
             bool novel = false;
@@ -599,12 +567,11 @@ runCampaign(const std::vector<Target> &targets,
                 ++wa[j.policyIdx * 4 + leg].spans;
             };
             span(0, o.wallUnhardenedUs);
-            if (opts.differential || opts.fusedDifferential)
+            if (opts.differential)
                 span(1, o.wallDifferentialUs);
             if (o.hardenedRan) {
                 span(2, o.wallHardenedUs);
-                if (!o.chaos && !o.diverged &&
-                    (opts.differential || opts.fusedDifferential))
+                if (!o.chaos && !o.diverged && opts.differential)
                     span(3, o.wallHardenedDiffUs);
             }
             if (o.hasProfile)
@@ -645,8 +612,7 @@ runCampaign(const std::vector<Target> &targets,
             if (opts.collectMetrics)
                 tr.policyMetrics[j.policyIdx].second.merge(o.metrics);
             rep.vmRuns +=
-                1 + (opts.differential && !o.chaos && !o.diverged) +
-                (opts.fusedDifferential && !o.chaos && !o.diverged);
+                1 + (opts.differential && !o.chaos && !o.diverged);
             tr.chaosRuns += o.chaos;
             tr.chaosRollbacks += o.chaosRollbacks;
             if (o.hardenedInconclusive) {
@@ -832,10 +798,10 @@ runCampaign(const std::vector<Target> &targets,
             tr.replayMinimizedSwitches = final_.switches.size();
 
             // Cross-engine leg of the faithfulness contract: the log
-            // must replay under the Fused tier too.
+            // must replay under the Reference engine too.
             tr.replayCrossEngineVerified =
                 obs::replay::replayLog(*t.plain, final_,
-                                       vm::ExecEngine::Fused)
+                                       vm::ExecEngine::Reference)
                     .faithful;
 
             std::filesystem::create_directories(opts.replayLogDir);

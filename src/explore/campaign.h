@@ -13,7 +13,7 @@
  *     interleavings the paper forces with injected sleeps, §5);
  *  2. the hardened program must never end in an unrecovered failure on
  *     targets marked mustRecover (ConAir's whole-campaign guarantee);
- *  3. the Decoded and Reference engines must be tick-identical on the
+ *  3. the Fused and Reference engines must be tick-identical on the
  *     same schedule (clock, steps, outcome, output, exit code).
  *
  * The first violating (app, seed, policy) triple is reported as a
@@ -113,12 +113,6 @@ struct CampaignOptions
      *  the hardened leg on chaos-free schedules). */
     bool differential = true;
 
-    /** Additionally run a Fused-engine replica of each leg (same
-     *  skip rules as @ref differential plus skipping legs that already
-     *  diverged): the superinstruction tier joins the tick-identity
-     *  oracle.  Off by default — it adds one full run per leg. */
-    bool fusedDifferential = false;
-
     /** Hardened-leg chaos injection (VmConfig::chaosRollbackEveryN)
      *  on even seeds; 0 disables the chaos dimension. */
     uint64_t chaosEveryN = 128;
@@ -167,9 +161,9 @@ struct CampaignOptions
 
     /**
      * Fold an interleaving-coverage edge set out of every unhardened
-     * Decoded leg (src/obs/coverage/): the leg runs with a private
+     * Fused leg (src/obs/coverage/): the leg runs with a private
      * FlightRecorder attached — recording is passive, and the bare
-     * Reference/Fused replicas re-verify that on every schedule — and
+     * Reference replicas re-verify that on every schedule — and
      * the post-run fold lands in ScheduleOutcome::coverage.  Per-target
      * aggregates (distinct edges, novelty, digest, growth curve) are
      * computed in matrix order like every other report field.
@@ -178,11 +172,11 @@ struct CampaignOptions
 
     /**
      * Recovery-cost profiling (src/obs/profile/): attach a
-     * PhaseProfiler to every hardened Decoded leg and fold the phase
+     * PhaseProfiler to every hardened Fused leg and fold the phase
      * ticks plus per-episode recovery tax into
      * TargetReport::policyProfiles / TargetReport::profile, in matrix
      * order like the metrics — identical for any worker count.  The
-     * bare Reference/Fused replicas keep re-proving on every schedule
+     * bare Reference replicas keep re-proving on every schedule
      * that profiling is passive (tick identity against the profiled
      * leg).  Also times each leg's wall-clock span into
      * TargetReport::wall.
@@ -241,10 +235,10 @@ struct ScheduleOutcome
     bool hardenedInconclusive = false;
     uint64_t chaosRollbacks = 0;
 
-    bool diverged = false; ///< Decoded vs Reference mismatch
+    bool diverged = false; ///< Fused vs Reference mismatch
     std::string divergenceMsg;
 
-    uint64_t steps = 0; ///< unhardened Decoded-leg step count
+    uint64_t steps = 0; ///< unhardened Fused-leg step count
 
     /** Hardened-leg RunStats counters surfaced for the trace-vs-stats
      *  validation (--repro --trace cross-checks event totals). */
@@ -259,7 +253,7 @@ struct ScheduleOutcome
     /** Hardened-leg metrics (populated when opts.collectMetrics). */
     obs::MetricsRegistry metrics;
 
-    /** Interleaving-coverage edges folded from the unhardened Decoded
+    /** Interleaving-coverage edges folded from the unhardened Fused
      *  leg's trace (populated when opts.collectCoverage): deduplicated
      *  per run, each stamped with its first discovery, sorted by key. */
     std::vector<obs::cov::Edge> coverage;
@@ -270,7 +264,7 @@ struct ScheduleOutcome
     obs::prof::ProfileAgg profile;
 
     /** Wall-clock leg spans in microseconds (populated when
-     *  opts.collectProfile): the plain Decoded leg, its differential
+     *  opts.collectProfile): the plain Fused leg, its differential
      *  replicas, the hardened leg, and its differential replicas.
      *  Wall time is the only nondeterministic field in the outcome;
      *  everything else stays byte-identical run to run. */
@@ -282,7 +276,7 @@ struct ScheduleOutcome
 
 /**
  * Optional observability hooks for runOneSchedule (the --repro --trace
- * path).  Only the *Decoded* unhardened/hardened legs are instrumented;
+ * path).  Only the *Fused* unhardened/hardened legs are instrumented;
  * the Reference differential replicas always run bare — recording is
  * passive, so the tick-identity oracle doubles as a regression test
  * that instrumentation never perturbs execution.
@@ -293,7 +287,7 @@ struct ScheduleInstruments
     obs::FlightRecorder *hardened = nullptr;
 
     /** Diagnosis recording mode (VmConfig::recordSharedAccesses) on
-     *  the instrumented Decoded legs: SharedLoad/SharedStore events
+     *  the instrumented Fused legs: SharedLoad/SharedStore events
      *  feed the postmortem racy-pair reconstruction.  The Reference
      *  replicas still run bare. */
     bool recordSharedAccesses = false;
@@ -489,8 +483,8 @@ struct TargetReport
     std::string replayLogPath;            ///< DIR/<kernel>.replay
     uint64_t replayOriginalSwitches = 0;  ///< before minimisation
     uint64_t replayMinimizedSwitches = 0; ///< after minimisation
-    /** The minimised log also replayed faithfully under the Fused
-     *  engine (record-under-Decoded, replay-under-Fused oracle). */
+    /** The minimised log also replayed faithfully under the Reference
+     *  engine (record-under-Fused, replay-under-Reference oracle). */
     bool replayCrossEngineVerified = false;
     std::string replayError; ///< non-empty when the pass failed
     /** @} */
@@ -554,7 +548,7 @@ CampaignReport runCampaign(const std::vector<Target> &targets,
 
 /** Runs a single (target, schedule) cell with all its legs — the
  *  --repro path for a triple printed by a campaign.  @p ins optionally
- *  attaches flight recorders to the Decoded legs. */
+ *  attaches flight recorders to the Fused legs. */
 ScheduleOutcome runOneSchedule(const Target &t, const ScheduleSpec &s,
                                const CampaignOptions &opts,
                                const ScheduleInstruments *ins = nullptr);

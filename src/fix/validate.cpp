@@ -85,7 +85,6 @@ validatePatch(const ir::Module &patched, const explore::Target &baseline,
 
     explore::CampaignOptions copts = opts.campaign;
     copts.differential = true;
-    copts.fusedDifferential = true;
     copts.stopAfterFailures = 0;
     copts.collectMetrics = false;
     copts.diagnoseFailures = false;

@@ -7,7 +7,7 @@
  * the same passivity contract as the flight recorder: nullptr (the
  * default) disables it, every hook site is one branch on the pointer,
  * and an instrumented run is tick- and memDigest-identical to a bare
- * one on all three engines (pinned by tests/obs/vm_profile_test.cpp).
+ * one on both engines (pinned by tests/obs/vm_profile_test.cpp).
  * All mutable profiler state lives inside this object — the VM never
  * grows per-thread fields for it — so passivity holds by construction.
  *
@@ -70,7 +70,7 @@ constexpr size_t kPhaseCount = 8;
 const char *phaseName(Phase p);
 
 /** Classifies the instruction about to execute.  Engine-independent:
- *  both the reference walker and the decoded/fused tiers carry the
+ *  both the reference walker and the fused engine carry the
  *  same (opcode, builtin) pair.  CaRecovered steps are refunded by the
  *  VM and must not be attributed at all — callers skip them. */
 Phase classifyPhase(ir::Opcode op, ir::Builtin builtin);

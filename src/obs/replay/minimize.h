@@ -33,7 +33,7 @@ struct MinimizeOptions
 {
     /** Engine used for candidate evaluation, re-recording, and the
      *  final strict verification. */
-    vm::ExecEngine engine = vm::ExecEngine::Decoded;
+    vm::ExecEngine engine = vm::ExecEngine::Fused;
 
     /** Additionally require the postmortem diagnosis verdict
      *  (obs::pm::RecoveryReport::primary) to survive minimisation.

@@ -14,7 +14,6 @@ const char *
 engineName(vm::ExecEngine e)
 {
     switch (e) {
-      case vm::ExecEngine::Decoded: return "decoded";
       case vm::ExecEngine::Reference: return "reference";
       case vm::ExecEngine::Fused: return "fused";
     }
@@ -24,12 +23,12 @@ engineName(vm::ExecEngine e)
 bool
 engineFromName(const std::string &name, vm::ExecEngine &out)
 {
-    if (name == "decoded")
-        out = vm::ExecEngine::Decoded;
+    // "decoded" names the engine Fused absorbed; logs recorded under
+    // it keep loading (the engines are tick-identical).
+    if (name == "fused" || name == "decoded")
+        out = vm::ExecEngine::Fused;
     else if (name == "reference")
         out = vm::ExecEngine::Reference;
-    else if (name == "fused")
-        out = vm::ExecEngine::Fused;
     else
         return false;
     return true;

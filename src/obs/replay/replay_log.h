@@ -42,10 +42,11 @@
 
 namespace conair::obs::replay {
 
-/** Lowercase engine name ("decoded", "reference", "fused"). */
+/** Lowercase engine name ("reference", "fused"). */
 const char *engineName(vm::ExecEngine e);
 
-/** Inverse of engineName; returns false on an unknown name. */
+/** Inverse of engineName, also reading the retired name "decoded" as
+ *  Fused; returns false on an unknown name. */
 bool engineFromName(const std::string &name, vm::ExecEngine &out);
 
 /** A recorded run, self-contained enough to re-execute exactly. */
@@ -57,7 +58,7 @@ struct ReplayLog
 
     std::string program;       ///< kernel name the log was recorded from
     std::string scheduleToken; ///< originating search token ("" = none)
-    vm::ExecEngine engine = vm::ExecEngine::Decoded; ///< recorded under
+    vm::ExecEngine engine = vm::ExecEngine::Fused; ///< recorded under
 
     //
     // Config snapshot: every knob the execution depends on.  The

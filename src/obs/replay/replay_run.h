@@ -10,9 +10,9 @@
  * replay is refereed: the final clock, step count, scheduling ticks,
  * memory digest, outcome, failure tag, and exit code must all equal
  * the recording's, or the run is reported unfaithful with the first
- * diverging field named.  Because all three engines are tick-identical
- * by construction, a log recorded under one engine replays under any
- * other (record under Reference, replay under Fused) — the cross-engine
+ * diverging field named.  Because both engines are tick-identical by
+ * construction, a log recorded under one engine replays under the
+ * other (record under Fused, replay under Reference) — the cross-engine
  * differential oracle extended to recorded schedules.
  */
 #pragma once

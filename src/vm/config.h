@@ -36,19 +36,18 @@ const char *schedPolicyName(SchedPolicy p);
 bool schedPolicyFromName(const std::string &name, SchedPolicy &out);
 
 /**
- * Which execution engine interprets the program.  All three are
+ * Which execution engine interprets the program.  Both are
  * deterministic and produce tick-for-tick identical runs (enforced by
  * tests/vm/decode_diff_test.cpp and the cross-engine differential
- * fuzzer in tests/property/); Decoded is the production engine,
- * Reference exists as the differential-testing baseline and for
- * measuring the decode layer's speedup, and Fused layers decode-time
- * superinstruction fusion plus a dense-dispatch burst executor on top
- * of Decoded (fuse.h, docs/VM_ENGINE.md).
+ * fuzzer in tests/property/).  Fused is the production engine: it
+ * pre-decodes every function into flat arrays (decode.h), layers
+ * decode-time superinstruction fusion on top (fuse.h), and bursts
+ * through a dense-dispatch executor (docs/VM_ENGINE.md).  Reference
+ * walks the IR tree and exists as the differential-testing referee.
  */
 enum class ExecEngine : uint8_t {
-    Decoded,   ///< pre-decoded flat arrays (decode.h), default
     Reference, ///< original IR tree walk (hash per operand resolve)
-    Fused,     ///< Decoded + superinstruction fusion (fuse.h)
+    Fused,     ///< pre-decoded arrays + superinstructions, default
 };
 
 /**
@@ -126,19 +125,19 @@ struct VmConfig
     uint64_t seed = 1;
 
     /** Execution engine (see ExecEngine). */
-    ExecEngine engine = ExecEngine::Decoded;
+    ExecEngine engine = ExecEngine::Fused;
 
     /**
      * Scheduler fast path: when exactly one thread is runnable and no
      * sleeper can become due, execute the rest of the quantum in a
      * burst without re-consulting the scheduler.  Charges the same
      * clock ticks and RNG draws as stepwise scheduling, so seeded
-     * interleavings are unchanged; off only for engine benchmarking.
+     * interleavings are unchanged.  Turning it off steps every
+     * instruction through the scheduler loop — the engine tests use
+     * that to exercise the fused engine's per-instruction handlers
+     * without the superinstruction burst.
      */
     bool schedFastPath = true;
-
-    /** Per-thread last-block memory-handle cache (decoded engine). */
-    bool memHandleCache = true;
 
     /** Preemption quantum for RoundRobin / expected run length for
      *  Random (instructions between involuntary switches). */
@@ -291,7 +290,7 @@ struct VmConfig
      *  VM phases plus per-recovery-episode cost breakdowns
      *  (src/obs/profile/).  Same passivity contract as the recorder:
      *  a profiled run is tick- and memDigest-identical to a bare one
-     *  on all three engines (tests/obs/vm_profile_test.cpp). */
+     *  on both engines (tests/obs/vm_profile_test.cpp). */
     obs::prof::PhaseProfiler *profiler = nullptr;
 
     /**

@@ -259,10 +259,13 @@ DecodedModule::DecodedModule(
     for (const auto &fn : m.functions())
         byFn_.emplace(fn.get(), std::make_unique<DecodedFunction>());
     for (const auto &fn : m.functions()) {
-        FunctionDecoder dec(*byFn_.at(fn.get()), maps.of(fn.get()),
-                            delayRules, ruleIndex, byFn_);
+        DecodedFunction &dfn = *byFn_.at(fn.get());
+        FunctionDecoder dec(dfn, maps.of(fn.get()), delayRules, ruleIndex,
+                            byFn_);
         dec.run(*fn);
-        totalInsts_ += byFn_.at(fn.get())->insts.size();
+        fuseFunction(dfn);
+        totalInsts_ += dfn.insts.size();
+        totalFused_ += dfn.fused.fusedHeads;
     }
 }
 

@@ -110,15 +110,15 @@ struct DecodedFunction
     std::vector<OpRef> extraOps;
     std::vector<RtValue> consts;
 
-    /** Superinstruction overlay (fuse.h); built only when the run uses
-     *  ExecEngine::Fused (DecodedModule::fuseAll), null otherwise. */
-    std::unique_ptr<FusedFunction> fused;
+    /** Superinstruction overlay (fuse.h), built with the function. */
+    FusedFunction fused;
 };
 
 /**
- * All of a module's functions decoded once, up front.  Delay rules are
- * baked into SchedHint records so the hot path never consults a map;
- * @p delayRules must outlive the DecodedModule (the Interp owns both).
+ * All of a module's functions decoded and fused once, up front.  Delay
+ * rules are baked into SchedHint records so the hot path never
+ * consults a map; @p delayRules must outlive the DecodedModule (the
+ * Interp owns both).
  */
 class DecodedModule
 {
@@ -133,11 +133,7 @@ class DecodedModule
     /** Total decoded instruction records (stats reporting). */
     uint64_t totalInsts() const { return totalInsts_; }
 
-    /** Builds the superinstruction overlay of every function (fused
-     *  engine only; implemented in fuse.cpp). */
-    void fuseAll();
-
-    /** Total two-component superinstructions formed by fuseAll(). */
+    /** Total two-component superinstructions formed at construction. */
     uint64_t totalFusedInsts() const { return totalFused_; }
 
   private:

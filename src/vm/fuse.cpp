@@ -287,8 +287,8 @@ classify(const DecodedFunction &dfn, uint32_t i, uint32_t blockEnd)
 void
 fuseFunction(DecodedFunction &dfn)
 {
-    auto ff = std::make_unique<FusedFunction>();
-    ff->recs.resize(dfn.insts.size());
+    FusedFunction ff;
+    ff.recs.resize(dfn.insts.size());
 
     for (uint32_t bi = 0; bi < dfn.blocks.size(); ++bi) {
         const DecodedBlock &db = dfn.blocks[bi];
@@ -299,15 +299,15 @@ fuseFunction(DecodedFunction &dfn)
         // entered without a branch; Solo delegates to the generic path,
         // which reports that exact trap.
         for (uint32_t i = db.phiBegin; i < db.first; ++i)
-            ff->recs[i].op = FusedOp::Solo;
+            ff.recs[i].op = FusedOp::Solo;
         for (uint32_t i = db.first; i < blockEnd; ++i) {
-            FusedInst &r = ff->recs[i];
+            FusedInst &r = ff.recs[i];
             r = classify(dfn, i, blockEnd);
             switch (r.op) {
               case FusedOp::CmpBr:
               case FusedOp::LoadThenAlu:
               case FusedOp::AluThenStore:
-                ++ff->fusedHeads;
+                ++ff.fusedHeads;
                 break;
               default:
                 break;
@@ -324,16 +324,6 @@ fuseFunction(DecodedFunction &dfn)
         }
     }
     dfn.fused = std::move(ff);
-}
-
-void
-DecodedModule::fuseAll()
-{
-    totalFused_ = 0;
-    for (auto &[fn, dfn] : byFn_) {
-        fuseFunction(*dfn);
-        totalFused_ += dfn->fused->fusedHeads;
-    }
 }
 
 } // namespace conair::vm

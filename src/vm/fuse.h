@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace conair::vm {
@@ -107,7 +106,8 @@ struct FusedFunction
 };
 
 /** Builds @p dfn's fusion overlay (idempotent; replaces any previous
- *  overlay).  Called by DecodedModule::fuseAll for every function. */
+ *  overlay).  The DecodedModule constructor calls it for every
+ *  function. */
 void fuseFunction(DecodedFunction &dfn);
 
 } // namespace conair::vm

@@ -91,8 +91,6 @@ Interp::Interp(const ir::Module &m, VmConfig cfg)
       chaosRng_(cfg.seed ^ 0x5bd1e995u),
       prioRng_(cfg.seed ^ 0xda942042e4dd58b5ull)
 {
-    engineDecoded_ = cfg_.engine != ExecEngine::Reference;
-    engineFused_ = cfg_.engine == ExecEngine::Fused;
     rec_ = cfg_.recorder;
     met_ = cfg_.metrics;
     diag_ = rec_ != nullptr && cfg_.recordSharedAccesses;
@@ -172,12 +170,9 @@ Interp::Interp(const ir::Module &m, VmConfig cfg)
 
     // delayRules_ must be complete before decoding: SchedHint records
     // bake pointers into it.
-    if (engineDecoded_) {
+    if (cfg_.engine == ExecEngine::Fused)
         decoded_ = std::make_unique<DecodedModule>(m, regMaps_, delayRules_,
                                                    delayIndexByHint_);
-        if (engineFused_)
-            decoded_->fuseAll();
-    }
 }
 
 Interp::~Interp() = default;
@@ -190,8 +185,7 @@ RunResult
 Interp::run()
 {
     result_.stats.decodedInsts = decoded_ ? decoded_->totalInsts() : 0;
-    result_.stats.fusedInsts =
-        engineFused_ && decoded_ ? decoded_->totalFusedInsts() : 0;
+    result_.stats.fusedInsts = decoded_ ? decoded_->totalFusedInsts() : 0;
     result_.stats.hintRulesTracked = hintFires_.size();
 
     const ir::Function *main_fn = module_.findFunction("main");
@@ -208,8 +202,6 @@ Interp::run()
         wpNextSnapshotAt_ = cfg_.wpCheckpointInterval;
     }
 
-    const bool canBurst =
-        cfg_.schedFastPath && cfg_.chaosRollbackEveryN == 0;
     while (running_) {
         if (wpPendingRestore_) {
             wpRestore();
@@ -254,12 +246,12 @@ Interp::run()
                 }
             }
         }
-        if (canBurst && running_ && !wpPendingRestore_ && !forceSwitch_ &&
-            !schedEvent_ && quantumLeft_ > 0 &&
-            t->state == ThreadState::Runnable &&
+        if (cfg_.schedFastPath && running_ && !wpPendingRestore_ &&
+            !forceSwitch_ && !schedEvent_ && quantumLeft_ > 0 &&
+            t->state == ThreadState::Runnable && !chaosArmed(*t) &&
             result_.stats.schedTicks < nextSchedPointAt_ &&
             result_.stats.steps < replayNextSwitchAt_) {
-            if (engineFused_)
+            if (decoded_)
                 runBurstFused(*t);
             else
                 runBurst(*t);
@@ -335,22 +327,14 @@ Interp::stepThread(Thread &t)
         if (prof_)
             profStep(t, di.op, di.builtin);
         execDecoded(t, di);
-        if (cfg_.chaosRollbackEveryN > 0 && running_) {
-            if (di.dirties)
-                t.cleanSinceCkpt = false;
-            maybeChaosRollback(t);
-        }
+        chaosAfterStep(t, di.dirties);
     } else {
         const Instruction &inst = **f.pc;
         ++f.pc;
         if (prof_)
             profStep(t, inst.opcode(), inst.builtin());
         execInst(t, inst);
-        if (cfg_.chaosRollbackEveryN > 0 && running_) {
-            if (dirtiesWindow(inst))
-                t.cleanSinceCkpt = false;
-            maybeChaosRollback(t);
-        }
+        chaosAfterStep(t, dirtiesWindow(inst));
     }
 }
 
@@ -366,14 +350,18 @@ Interp::runBurst(Thread &t)
     //    deadline without also setting forceSwitch_ (sleep, back-off,
     //    timed block all park the thread itself);
     //  - snapshots, the step budget, and the hang-scan cadence are
-    //    step-counted and bounded below.
+    //    step-counted and bounded below;
+    //  - chaos injection only draws from chaosRng_ while chaosArmed(t),
+    //    and the burst stops as soon as a checkpoint or rollback arms
+    //    it (stepThread has already run that step's chaos tail).
     // So a burst retires instructions back-to-back with identical
     // clock ticks, step counts, and RNG draws as stepwise scheduling.
     const uint64_t next_wake = nextWakeDeadline();
     const bool wp = cfg_.wpCheckpointInterval > 0;
     while (quantumLeft_ > 0 && running_ && !forceSwitch_ &&
            !schedEvent_ && !wpPendingRestore_ &&
-           t.state == ThreadState::Runnable && clock_ < next_wake &&
+           t.state == ThreadState::Runnable && !chaosArmed(t) &&
+           clock_ < next_wake &&
            result_.stats.steps < cfg_.maxSteps &&
            result_.stats.schedTicks < nextSchedPointAt_ &&
            result_.stats.steps < replayNextSwitchAt_ &&
@@ -539,7 +527,10 @@ Interp::runBurstFused(Thread &t)
     // budget* (the minimum distance to any step-counted boundary); the
     // conditions that are not step-counted are re-checked exactly where
     // they can change (after stores, and on leaving the burst for any
-    // frame/scheduler-affecting instruction).
+    // frame/scheduler-affecting instruction).  Only Solo records can
+    // arm chaos injection (checkpoints and rollbacks are calls), so
+    // Solo runs stepThread's chaos tail and every other record runs
+    // with chaos provably unable to strike.
     const uint64_t next_wake = nextWakeDeadline();
     const bool wp = cfg_.wpCheckpointInterval > 0;
     constexpr uint64_t kBudgetCap = uint64_t(1) << 30;
@@ -641,7 +632,8 @@ resync:
     // The exact per-step gate of runBurst.
     if (!(quantumLeft_ > 0 && running_ && !forceSwitch_ && !schedEvent_ &&
           !wpPendingRestore_ && t.state == ThreadState::Runnable &&
-          clock_ < next_wake && result_.stats.steps < cfg_.maxSteps &&
+          !chaosArmed(t) && clock_ < next_wake &&
+          result_.stats.steps < cfg_.maxSteps &&
           result_.stats.schedTicks < nextSchedPointAt_ &&
           result_.stats.steps < replayNextSwitchAt_ &&
           (!wp || result_.stats.steps < wpNextSnapshotAt_) &&
@@ -649,12 +641,8 @@ resync:
         return;
     frp = &t.frames.back();
     dfnp = frp->dfn;
-    if (!dfnp->fused) {
-        runBurst(t); // defensive: overlay missing, burst stepwise
-        return;
-    }
     insts = dfnp->insts.data();
-    recs = dfnp->fused->recs.data();
+    recs = dfnp->fused.recs.data();
     consts = dfnp->consts.data();
     regs = frp->regs.data();
     {
@@ -713,6 +701,7 @@ resync:
             profStep(t, insts[idx].op, insts[idx].builtin);
         VM_FLUSH_ACCT();
         execDecoded(t, insts[idx]);
+        chaosAfterStep(t, insts[idx].dirties);
         goto resync; // may have changed frames, state, or scheduler
     }
     VM_CASE(SoloCont)
@@ -944,7 +933,7 @@ Interp::pushFrame(Thread &t, const ir::Function *fn, const RtValue *args,
     f.fn = fn;
     f.wantsRet = wants_ret;
     f.retReg = ret_reg;
-    if (engineDecoded_) {
+    if (decoded_) {
         f.dfn = dfn ? dfn : decoded_->of(fn);
         f.map = nullptr;
         f.regs.resize(f.dfn->regCount);
@@ -1222,8 +1211,6 @@ Interp::cellAt(Ptr p, const char *what)
 RtValue *
 Interp::cellAtCached(Thread &t, Ptr p, const char *what)
 {
-    if (!cfg_.memHandleCache)
-        return cellAt(p, what);
     switch (p.seg) {
       case Ptr::Seg::Heap: {
         HeapBlock *hb;
@@ -1773,7 +1760,7 @@ Interp::execCall(Thread &t, const Instruction &inst)
     }
     // Builtin: pre-fetch the runtime-valued operands (string/function
     // constants have none; the handlers read those through the
-    // instruction, exactly like the decoded engine).
+    // instruction, exactly like the fused engine).
     RtValue vals[4] = {};
     unsigned n = std::min(inst.numOperands(), 4u);
     for (unsigned i = 0; i < n; ++i) {
@@ -1789,7 +1776,7 @@ Interp::execCall(Thread &t, const Instruction &inst)
 }
 
 //
-// Instruction dispatch (decoded engine).
+// Instruction dispatch (fused engine, one decoded instruction).
 //
 
 void
@@ -2206,7 +2193,7 @@ namespace {
 
 /** Would executing @p inst end the current idempotent window?  The
  *  mirror of ca::destroysIdempotency, used by chaos injection (the
- *  decoded engine bakes this into DecodedInst::dirties). */
+ *  fused engine bakes this into DecodedInst::dirties). */
 bool
 dirtiesWindow(const Instruction &inst)
 {

@@ -15,9 +15,10 @@
  * Two execution engines share all of the VM's semantics (memory, locks,
  * scheduling, the ConAir runtime) and differ only in how a single
  * instruction is fetched and its operands resolved:
- *  - ExecEngine::Decoded (default) runs the pre-decoded flat arrays
- *    built at construction (see decode.h), with a per-thread last-block
- *    memory-handle cache and a single-runnable scheduler fast path;
+ *  - ExecEngine::Fused (default) runs the pre-decoded flat arrays built
+ *    at construction (see decode.h) with a per-thread last-block
+ *    memory-handle cache, and bursts a single runnable thread through
+ *    superinstruction records (see fuse.h);
  *  - ExecEngine::Reference walks the IR tree exactly like the original
  *    interpreter (hash per operand, pointer chasing per branch).
  * Both engines are deterministic and tick-for-tick identical; the
@@ -62,7 +63,7 @@ class Interp
         const ir::BasicBlock *block = nullptr;
         ir::BasicBlock::InstList::const_iterator pc;
         const ir::BasicBlock *prevBlock = nullptr;
-        // Decoded engine position (flat indices).
+        // Fused engine position (decoded flat indices).
         const DecodedFunction *dfn = nullptr;
         uint32_t dBlock = 0;
         uint32_t dPc = 0;
@@ -213,7 +214,8 @@ class Interp
     void setReg(Frame &f, const ir::Instruction *inst, RtValue v);
     void jumpTo(Thread &t, const ir::BasicBlock *target);
 
-    // Decoded engine (flat arrays).
+    // Fused engine: per-instruction handlers over the decoded arrays
+    // (stepwise steps, and the fused burst's delegated records).
     void execDecoded(Thread &t, const DecodedInst &di);
     void execCallDecoded(Thread &t, const DecodedInst &di);
     void jumpToDecoded(Thread &t, uint32_t target);
@@ -243,7 +245,7 @@ class Interp
     //
 
     RtValue *cellAt(Ptr p, const char *what);
-    /** cellAt with the per-thread block-handle cache (decoded engine). */
+    /** cellAt with the per-thread block-handle cache (fused engine). */
     RtValue *cellAtCached(Thread &t, Ptr p, const char *what);
     bool pointerValid(Ptr p) const;
     void doStore(Thread &t, const ir::Instruction &inst);
@@ -269,6 +271,35 @@ class Interp
     void runCompensation(Thread &t);
     void restoreCheckpoint(Thread &t);
     void maybeChaosRollback(Thread &t);
+
+    /** The chaos tail of every retired instruction (stepThread and the
+     *  fused Solo handler): @p dirties closes the idempotent window,
+     *  then injection may strike. */
+    void
+    chaosAfterStep(Thread &t, bool dirties)
+    {
+        if (cfg_.chaosRollbackEveryN > 0 && running_) {
+            if (dirties)
+                t.cleanSinceCkpt = false;
+            maybeChaosRollback(t);
+        }
+    }
+
+    /**
+     * The burst gate's chaos term: injection could strike @p t on its
+     * next step (the mode is on, the checkpoint is valid, the window
+     * is still clean, and injection budget is left).  While this is
+     * false no step of @p t draws from chaosRng_, so the thread may
+     * burst; only a checkpoint or a rollback (both calls) can make it
+     * true again, and both burst paths re-check it after those.
+     */
+    bool
+    chaosArmed(const Thread &t) const
+    {
+        return cfg_.chaosRollbackEveryN > 0 && t.ckpt.valid &&
+               t.cleanSinceCkpt &&
+               result_.stats.chaosRollbacks < cfg_.chaosMaxRollbacks;
+    }
 
     //
     // Failure / termination.
@@ -325,7 +356,7 @@ class Interp
     /** Cache-hit cell resolution for the fused burst: returns the cell
      *  only when the per-thread handle cache (or the globals array)
      *  proves the access in bounds and live; nullptr means "delegate"
-     *  (miss, fault, or cache disabled), never a diagnosed failure. */
+     *  (miss or fault), never a diagnosed failure. */
     RtValue *fusedCellFast(Thread &t, Ptr p);
     FastMem fusedTryLoad(Thread &t, const DecodedInst &di, RtValue *regs,
                          const RtValue *consts);
@@ -404,13 +435,9 @@ class Interp
     /** Per-rule fire counts; deliberately NOT part of WpSnapshot. */
     std::vector<uint64_t> hintFires_;
 
-    /** The pre-decoded module (built for the Decoded and Fused
-     *  engines; the reference engine simply ignores it). */
+    /** The pre-decoded, fused module (ExecEngine::Fused; null under
+     *  the reference engine, which walks the IR tree). */
     std::unique_ptr<DecodedModule> decoded_;
-    bool engineDecoded_ = true;
-    /** ExecEngine::Fused: decoded_ carries the fusion overlay and the
-     *  burst path dispatches superinstructions. */
-    bool engineFused_ = false;
 
     // Memory.
     std::vector<std::vector<RtValue>> globals_;

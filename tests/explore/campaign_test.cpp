@@ -270,8 +270,9 @@ TEST_F(CampaignFixture, OraclesHoldOnRealKernels)
 
 TEST_F(CampaignFixture, FusedDifferentialHoldsOnAllKernels)
 {
-    // The opt-in Fused replica joins the tick-identity oracle on every
-    // leg: run the whole Table 2 registry and require zero divergence.
+    // The Reference replica referees the production Fused legs on
+    // every schedule: run the whole Table 2 registry and require zero
+    // divergence.
     std::vector<apps::CampaignApp> prepared;
     for (const apps::AppSpec &spec : apps::allApps())
         prepared.push_back(apps::prepareCampaignApp(spec));
@@ -279,13 +280,18 @@ TEST_F(CampaignFixture, FusedDifferentialHoldsOnAllKernels)
 
     CampaignOptions opts = smallOptions();
     opts.seedsPerPolicy = 3;
-    opts.fusedDifferential = true;
     CampaignReport rep = runCampaign(targets, opts);
     EXPECT_EQ(rep.divergences, 0u) << rep.summary();
     EXPECT_GT(rep.schedules, 0u);
-    // Each chaos-free leg ran three engines' worth of VM runs; the
-    // aggregate must reflect the extra replicas.
-    EXPECT_GT(rep.vmRuns, 2 * rep.schedules);
+    // Every schedule ran the unhardened leg and its replica; every
+    // hardened leg ran too, with a replica unless chaos was on.
+    uint64_t hardened = 0, chaos = 0;
+    for (const TargetReport &tr : rep.targets) {
+        hardened += tr.hardenedSchedules;
+        chaos += tr.chaosRuns;
+    }
+    EXPECT_GT(chaos, 0u);
+    EXPECT_EQ(rep.vmRuns, 2 * rep.schedules + 2 * hardened - chaos);
 }
 
 TEST_F(CampaignFixture, StopAfterFailuresSkipsWork)

@@ -5,7 +5,7 @@
  * with the strict parser, worker-count independence of the whole
  * search (corpus digest, guided summary, seeds-to-first-failure), and
  * the replay obligation — every persisted corpus entry replays
- * strictly on all three engines.
+ * strictly on all three engine variants.
  */
 #include <gtest/gtest.h>
 
@@ -511,7 +511,9 @@ TEST_F(GuidedFixture, CampaignGuidedBlocksWorkerIndependentAndSaved)
 
 // The replay obligation: every corpus entry is a *pinned* schedule
 // (points materialised), so a recorded run of it must build a replay
-// log that replays faithfully on all three engines.
+// log that replays faithfully on all three engine variants: recorded
+// under Fused with and without the scheduler burst (the same log
+// either way), replayed under Fused and Reference.
 TEST_F(GuidedFixture, PersistedCorpusEntriesReplayOnAllThreeEngines)
 {
     apps::CampaignApp app = prepare("ZSNES");
@@ -533,32 +535,35 @@ TEST_F(GuidedFixture, PersistedCorpusEntriesReplayOnAllThreeEngines)
 
     size_t checked = 0;
     for (const CorpusEntry &e : corpus.entries) {
-        if (checked >= 4) // three engines each; keep tier-1 fast
+        if (checked >= 4) // three engine variants each; keep tier-1 fast
             break;
         ++checked;
         ASSERT_FALSE(e.spec.points.empty()) << e.spec.token();
 
-        vm::VmConfig cfg;
-        e.spec.applyTo(cfg);
-        cfg.pctHorizon = t.horizon;
-        cfg.quantum = t.quantum;
-        cfg.maxSteps = opts.maxSteps;
-        cfg.maxRetries = opts.maxRetries;
-        obs::FlightRecorder rec(4096, obs::RecorderMode::Grow);
-        cfg.recorder = &rec;
-        cfg.recordSharedAccesses = true;
-        vm::RunResult run = vm::runProgram(*t.plain, cfg);
-        cfg.recorder = nullptr;
-        cfg.recordSharedAccesses = false;
-
-        obs::replay::ReplayLog log;
-        ASSERT_TRUE(obs::replay::buildReplayLog(
-            t.name, e.spec.token(), cfg, rec, run, log, err))
-            << e.spec.token() << ": " << err;
+        obs::replay::ReplayLog log, stepwise;
+        for (bool burst : {true, false}) {
+            vm::VmConfig cfg;
+            e.spec.applyTo(cfg);
+            cfg.pctHorizon = t.horizon;
+            cfg.quantum = t.quantum;
+            cfg.maxSteps = opts.maxSteps;
+            cfg.maxRetries = opts.maxRetries;
+            cfg.schedFastPath = burst;
+            obs::FlightRecorder rec(4096, obs::RecorderMode::Grow);
+            cfg.recorder = &rec;
+            cfg.recordSharedAccesses = true;
+            vm::RunResult run = vm::runProgram(*t.plain, cfg);
+            cfg.recorder = nullptr;
+            cfg.recordSharedAccesses = false;
+            ASSERT_TRUE(obs::replay::buildReplayLog(
+                t.name, e.spec.token(), cfg, rec, run,
+                burst ? log : stepwise, err))
+                << e.spec.token() << ": " << err;
+        }
+        EXPECT_EQ(stepwise.serialize(), log.serialize()) << e.spec.token();
 
         for (vm::ExecEngine engine :
-             {vm::ExecEngine::Decoded, vm::ExecEngine::Reference,
-              vm::ExecEngine::Fused}) {
+             {vm::ExecEngine::Fused, vm::ExecEngine::Reference}) {
             obs::replay::ReplayRun rr =
                 obs::replay::replayLog(*t.plain, log, engine);
             EXPECT_TRUE(rr.faithful)

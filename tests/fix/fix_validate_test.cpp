@@ -2,8 +2,8 @@
  * @file
  * The exhaustive regression proof (full label): for every one of the
  * ten kernels, the synthesized fix survives the paper-scale campaign
- * matrix — 250 seeds per (policy, depth) entry, differential and
- * fused-differential oracles armed — with zero failing schedules,
+ * matrix — 250 seeds per (policy, depth) entry, the Reference
+ * differential oracle armed — with zero failing schedules,
  * zero deadlock schedules, zero cross-engine divergences, the
  * minimised failing replay no longer reproducing, and clean-run
  * overhead within the 1.3x acceptance bound.

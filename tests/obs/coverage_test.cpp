@@ -20,7 +20,7 @@
  *
  *  4. *Passivity.*  A run with coverage-grade recording attached
  *     (recorder + diagnosis mode) is tick-for-tick identical to the
- *     bare run on all three execution engines — including memDigest.
+ *     bare run on all three engine variants — including memDigest.
  */
 #include <gtest/gtest.h>
 
@@ -33,6 +33,7 @@
 #include "obs/coverage/coverage.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
+#include "tests/support/engine_variants.h"
 #include "vm/interp.h"
 
 namespace conair {
@@ -347,13 +348,11 @@ TEST(CoveragePassivity, InstrumentedRunTickIdenticalOnAllEngines)
     hopts.applyConAir = false;
     apps::PreparedApp p = apps::prepareApp(*spec, hopts);
 
-    for (vm::ExecEngine engine :
-         {vm::ExecEngine::Reference, vm::ExecEngine::Decoded,
-          vm::ExecEngine::Fused}) {
+    for (const testutil::EngineVariant &v : testutil::kEngineVariants) {
         vm::VmConfig cfg;
         cfg.policy = vm::SchedPolicy::Pct;
         cfg.seed = 7;
-        cfg.engine = engine;
+        v.applyTo(cfg);
         vm::RunResult bare = apps::runUnderSchedule(p, cfg);
 
         obs::FlightRecorder rec(65536);
@@ -374,8 +373,7 @@ TEST(CoveragePassivity, InstrumentedRunTickIdenticalOnAllEngines)
 
         // And the trace actually yields coverage (non-vacuous).
         CoverageFold fold = foldCoverage(rec);
-        EXPECT_GT(fold.edges.size(), 0u)
-            << "engine " << int(engine) << " produced no edges";
+        EXPECT_GT(fold.edges.size(), 0u) << v.name << " produced no edges";
     }
 }
 

@@ -3,7 +3,7 @@
  * Recovery-cost profiler unit tests (src/obs/profile/): step
  * classification, episode lifecycle bookkeeping, aggregate fold/merge
  * algebra, and the exporters' structural invariants.  The end-to-end
- * properties — passivity on all three engines and worker-count
+ * properties — passivity on all three engine variants and worker-count
  * independence — live in vm_profile_test.cpp and campaign_test.cpp;
  * byte-exact rendering is pinned by profile_golden_test.cpp.
  */

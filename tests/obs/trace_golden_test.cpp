@@ -4,7 +4,7 @@
  *
  * Replays one campaign repro token (ZSNES under pct:d2:s2 — a failing
  * schedule whose hardened leg recovers, the same cell bench_explore
- * --repro exercises) with flight recorders on both Decoded legs,
+ * --repro exercises) with flight recorders on both Fused legs,
  * renders the two-process Chrome trace JSON plus the recovery
  * timeline, and compares against trace.golden byte for byte.
  * Any change to event ordering, payload encoding, timestamp formatting,

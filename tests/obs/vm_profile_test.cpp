@@ -3,9 +3,10 @@
  * VM <-> recovery-cost profiler integration tests.  The load-bearing
  * property is *passivity*: attaching a PhaseProfiler through
  * VmConfig::profiler is pure observation — the profiled run is tick-
- * and memDigest-identical to a bare one on all three engines, with and
+ * and memDigest-identical to a bare one on all three engine variants
+ * (Fused with and without the scheduler burst, Reference), with and
  * without chaos injection.  This is the contract that lets the
- * campaign profile every hardened leg while the bare Reference/Fused
+ * campaign profile every hardened leg while the bare Reference
  * replicas keep the tick-identity oracle meaningful.
  *
  * Non-vacuity is asserted throughout: the runs under test really roll
@@ -19,6 +20,7 @@
 #include "obs/profile/profile.h"
 #include "obs/profile/profile_export.h"
 #include "obs/trace.h"
+#include "tests/support/engine_variants.h"
 #include "vm/interp.h"
 
 namespace conair {
@@ -27,17 +29,8 @@ namespace {
 using obs::prof::Phase;
 using obs::prof::PhaseProfiler;
 using obs::prof::ProfileAgg;
-
-const char *
-engineName(vm::ExecEngine e)
-{
-    switch (e) {
-      case vm::ExecEngine::Decoded: return "Decoded";
-      case vm::ExecEngine::Reference: return "Reference";
-      case vm::ExecEngine::Fused: return "Fused";
-    }
-    return "?";
-}
+using testutil::EngineVariant;
+using testutil::kEngineVariants;
 
 const apps::AppSpec &
 mysqlSpec()
@@ -73,18 +66,16 @@ TEST(VmProfile, ProfiledRunIsTickIdenticalOnAllThreeEngines)
     apps::PreparedApp p =
         apps::prepareApp(mysqlSpec(), apps::HardenOptions{});
 
-    for (vm::ExecEngine engine :
-         {vm::ExecEngine::Reference, vm::ExecEngine::Decoded,
-          vm::ExecEngine::Fused}) {
+    for (const EngineVariant &v : kEngineVariants) {
         vm::VmConfig cfg = mysqlSpec().buggyConfig;
         cfg.seed = 1;
-        cfg.engine = engine;
+        v.applyTo(cfg);
         vm::RunResult bare = vm::runProgram(*p.module, cfg);
 
         PhaseProfiler prof;
         cfg.profiler = &prof;
         vm::RunResult instrumented = vm::runProgram(*p.module, cfg);
-        expectIdentical(bare, instrumented, engineName(engine));
+        expectIdentical(bare, instrumented, v.name);
 
         // Not vacuous: the run recovered and the profiler saw it.
         ASSERT_GT(instrumented.stats.rollbacks, 0u);
@@ -98,20 +89,18 @@ TEST(VmProfile, ProfiledRunIsTickIdenticalOnAllThreeEngines)
 
 TEST(VmProfile, EnginesAgreeOnTheProfileItself)
 {
-    // Stronger than passivity: because all three engines retire the
-    // same steps in the same order, the *profiler contents* must be
+    // Stronger than passivity: because all three engine variants retire
+    // the same steps in the same order, the *profiler contents* must be
     // identical too — same phase ticks, same episodes, same tax.
     apps::PreparedApp p =
         apps::prepareApp(mysqlSpec(), apps::HardenOptions{});
 
-    ProfileAgg agg[3];
+    ProfileAgg agg[std::size(kEngineVariants)];
     size_t i = 0;
-    for (vm::ExecEngine engine :
-         {vm::ExecEngine::Reference, vm::ExecEngine::Decoded,
-          vm::ExecEngine::Fused}) {
+    for (const EngineVariant &v : kEngineVariants) {
         vm::VmConfig cfg = mysqlSpec().buggyConfig;
         cfg.seed = 1;
-        cfg.engine = engine;
+        v.applyTo(cfg);
         PhaseProfiler prof;
         cfg.profiler = &prof;
         vm::RunResult r = vm::runProgram(*p.module, cfg);
@@ -130,12 +119,10 @@ TEST(VmProfile, ProfiledChaosRunStaysPassive)
     apps::PreparedApp p =
         apps::prepareApp(mysqlSpec(), apps::HardenOptions{});
 
-    for (vm::ExecEngine engine :
-         {vm::ExecEngine::Reference, vm::ExecEngine::Decoded,
-          vm::ExecEngine::Fused}) {
+    for (const EngineVariant &v : kEngineVariants) {
         vm::VmConfig cfg = mysqlSpec().cleanConfig;
         cfg.seed = 11;
-        cfg.engine = engine;
+        v.applyTo(cfg);
         cfg.chaosRollbackEveryN = 32;
         vm::RunResult bare = vm::runProgram(*p.module, cfg);
         ASSERT_FALSE(bare.stats.chaosSites.empty());
@@ -143,7 +130,7 @@ TEST(VmProfile, ProfiledChaosRunStaysPassive)
         PhaseProfiler prof;
         cfg.profiler = &prof;
         vm::RunResult instrumented = vm::runProgram(*p.module, cfg);
-        expectIdentical(bare, instrumented, engineName(engine));
+        expectIdentical(bare, instrumented, v.name);
         EXPECT_EQ(instrumented.stats.chaosSites, bare.stats.chaosSites);
         EXPECT_EQ(instrumented.stats.chaosRollbacks,
                   bare.stats.chaosRollbacks);

@@ -5,11 +5,12 @@
  * Every seed generates a MiniC program (multi-threaded, shared
  * globals/heap, a variety of locks; some seeds adversarial so failure
  * paths get fuzzed too), compiles it plain and ConAir-hardened, and
- * runs both builds under a seed-derived schedule on all three
- * execution engines.  Reference, Decoded, and Fused must agree on the
- * complete observable run: outcome, output, exit code, failure
- * diagnostics, virtual clock, step and scheduling-tick counts, and
- * the final-memory digest.  Any divergence prints the generator seed
+ * runs both builds under a seed-derived schedule on both execution
+ * engines.  Fused (with and without the scheduler burst) and
+ * Reference must agree on the complete observable run: outcome,
+ * output, exit code, failure diagnostics, virtual clock, step and
+ * scheduling-tick counts, chaos injection sites, and the final-memory
+ * digest.  Any divergence prints the generator seed
  * and the source so the case can be replayed directly.
  *
  * Seed count defaults to a quick-ctest batch; CI sets
@@ -24,6 +25,7 @@
 #include "conair/driver.h"
 #include "frontend/compile.h"
 #include "tests/property/program_gen.h"
+#include "tests/support/engine_variants.h"
 #include "vm/interp.h"
 
 namespace conair::proptest {
@@ -85,53 +87,21 @@ configFor(uint64_t seed)
     return cfg;
 }
 
-/** Everything semantic a run reports, including the scheduling-tick
- *  count (engine-internal counters like decodedInsts/fusedSteps/
- *  memCache* are excluded — they describe how the engine ran). */
-void
-expectIdenticalRun(const vm::RunResult &a, const vm::RunResult &b,
-                   const std::string &ctx)
-{
-    EXPECT_EQ(a.outcome, b.outcome) << ctx;
-    EXPECT_EQ(a.exitCode, b.exitCode) << ctx;
-    EXPECT_EQ(a.output, b.output) << ctx;
-    EXPECT_EQ(a.failureMsg, b.failureMsg) << ctx;
-    EXPECT_EQ(a.failureTag, b.failureTag) << ctx;
-    EXPECT_EQ(a.clock, b.clock) << ctx;
-    EXPECT_EQ(a.memDigest, b.memDigest) << ctx;
-    EXPECT_EQ(a.stats.steps, b.stats.steps) << ctx;
-    EXPECT_EQ(a.stats.schedTicks, b.stats.schedTicks) << ctx;
-    EXPECT_EQ(a.stats.threadsSpawned, b.stats.threadsSpawned) << ctx;
-    EXPECT_EQ(a.stats.checkpointsExecuted, b.stats.checkpointsExecuted)
-        << ctx;
-    EXPECT_EQ(a.stats.rollbacks, b.stats.rollbacks) << ctx;
-    EXPECT_EQ(a.stats.backoffs, b.stats.backoffs) << ctx;
-    EXPECT_EQ(a.stats.chaosRollbacks, b.stats.chaosRollbacks) << ctx;
-    ASSERT_EQ(a.stats.recoveries.size(), b.stats.recoveries.size())
-        << ctx;
-    for (size_t i = 0; i < a.stats.recoveries.size(); ++i) {
-        EXPECT_EQ(a.stats.recoveries[i].siteTag,
-                  b.stats.recoveries[i].siteTag)
-            << ctx << " recovery " << i;
-        EXPECT_EQ(a.stats.recoveries[i].retries,
-                  b.stats.recoveries[i].retries)
-            << ctx << " recovery " << i;
-    }
-}
-
-/** Runs @p m on all three engines and requires identical runs. */
+/** Runs @p m on every engine variant (tests/support/engine_variants.h)
+ *  and requires identical runs. */
 void
 diffEngines(const ir::Module &m, vm::VmConfig cfg,
             const std::string &ctx)
 {
-    cfg.engine = vm::ExecEngine::Decoded;
-    vm::RunResult dec = vm::runProgram(m, cfg);
-    cfg.engine = vm::ExecEngine::Reference;
-    vm::RunResult ref = vm::runProgram(m, cfg);
-    cfg.engine = vm::ExecEngine::Fused;
-    vm::RunResult fus = vm::runProgram(m, cfg);
-    expectIdenticalRun(dec, ref, ctx + " [reference vs decoded]");
-    expectIdenticalRun(dec, fus, ctx + " [fused vs decoded]");
+    const auto &variants = testutil::kEngineVariants;
+    variants[0].applyTo(cfg);
+    vm::RunResult first = vm::runProgram(m, cfg);
+    for (size_t i = 1; i < std::size(variants); ++i) {
+        variants[i].applyTo(cfg);
+        testutil::expectSameRun(first, vm::runProgram(m, cfg),
+                                ctx + " [" + variants[i].name + " vs " +
+                                    variants[0].name + "]");
+    }
 }
 
 TEST(EngineFuzz, AllEnginesAgreeOnRandomPrograms)
@@ -157,8 +127,8 @@ TEST(EngineFuzz, AllEnginesAgreeOnRandomPrograms)
         diffEngines(*hardened, cfg, "hardened " + ctx);
 
         // Every third seed also fuzzes the rollback machinery: chaos
-        // injection forces checkpoint/restore traffic through all
-        // three engines on the hardened build.
+        // injection forces checkpoint/restore traffic through every
+        // engine variant on the hardened build.
         if (seed % 3 == 0) {
             vm::VmConfig chaos = cfg;
             chaos.chaosRollbackEveryN = 64;

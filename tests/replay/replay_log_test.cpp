@@ -1,13 +1,15 @@
 /**
  * @file
  * The ReplayLog model: byte-identical serialisation round-trips,
- * strict rejection of malformed logs, the wrapped-ring refusal, and
- * Grow-mode recording.
+ * strict rejection of malformed logs, the wrapped-ring refusal,
+ * Grow-mode recording, and loading logs that name a retired engine.
  */
 #include <gtest/gtest.h>
 
 #include "obs/replay/replay_export.h"
 #include "obs/replay/replay_log.h"
+#include "obs/replay/replay_run.h"
+#include "tests/replay/replay_test_util.h"
 
 namespace conair::obs::replay {
 namespace {
@@ -61,14 +63,39 @@ TEST(ReplayLog, SerializeParsesBackByteIdentically)
 TEST(ReplayLog, EngineNamesRoundTrip)
 {
     for (vm::ExecEngine e :
-         {vm::ExecEngine::Decoded, vm::ExecEngine::Reference,
-          vm::ExecEngine::Fused}) {
+         {vm::ExecEngine::Reference, vm::ExecEngine::Fused}) {
         vm::ExecEngine back{};
         ASSERT_TRUE(engineFromName(engineName(e), back));
         EXPECT_EQ(back, e);
     }
+    EXPECT_STREQ(engineName(vm::ExecEngine::Fused), "fused");
     vm::ExecEngine e{};
+    ASSERT_TRUE(engineFromName("decoded", e));
+    EXPECT_EQ(e, vm::ExecEngine::Fused);
     EXPECT_FALSE(engineFromName("turbo", e));
+}
+
+TEST(ReplayLog, V1LogNamingDecodedEngineReplays)
+{
+    // Logs written before the Decoded engine was folded into Fused say
+    // "engine decoded"; they must keep parsing, read as Fused, and
+    // replay faithfully, since the two executed identically.
+    testutil::RecordedFailure rf;
+    ASSERT_TRUE(testutil::recordFailure("ZSNES", rf));
+    std::string text = rf.log.serialize();
+    ASSERT_EQ(text.rfind("conair-replay v1\n", 0), 0u);
+    const std::string line = "engine fused\n";
+    size_t pos = text.find(line);
+    ASSERT_NE(pos, std::string::npos) << text;
+    text.replace(pos, line.size(), "engine decoded\n");
+
+    ReplayLog old;
+    std::string err;
+    ASSERT_TRUE(parseReplayLog(text, old, err)) << err;
+    EXPECT_EQ(old.engine, vm::ExecEngine::Fused);
+    EXPECT_EQ(old, rf.log);
+    ReplayRun rr = replayLog(*rf.target.plain, old, old.engine);
+    EXPECT_TRUE(rr.faithful) << rr.mismatch;
 }
 
 TEST(ReplayLog, ParserRejectsMalformedInput)

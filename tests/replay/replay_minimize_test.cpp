@@ -25,12 +25,12 @@ checkMinimized(const RecordedFailure &rf, const MinimizeResult &res)
 
     // Same failure, and the minimised log replays faithfully on every
     // engine (its fingerprint was re-recorded, then strictly verified
-    // by minimizeReplayLog itself; re-verify Decoded + Fused here).
+    // by minimizeReplayLog itself under Fused; re-verify both here).
     EXPECT_EQ(res.minimized.outcome, rf.log.outcome) << rf.log.program;
     EXPECT_EQ(res.minimized.failureTag, rf.log.failureTag)
         << rf.log.program;
     for (vm::ExecEngine e :
-         {vm::ExecEngine::Decoded, vm::ExecEngine::Fused}) {
+         {vm::ExecEngine::Fused, vm::ExecEngine::Reference}) {
         ReplayRun rr = replayLog(*rf.target.plain, res.minimized, e);
         EXPECT_TRUE(rr.faithful)
             << rf.log.program << " on " << engineName(e) << ": "

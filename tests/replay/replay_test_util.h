@@ -50,13 +50,15 @@ isFailure(const vm::RunResult &r)
  * Compiles @p name, scans PCT (d2, d3) and Random seeds for a failing
  * schedule of the unhardened build, then re-runs it with a Grow
  * recorder (diagnosis mode when @p diagMode) and builds the ReplayLog.
- * Fails the current test when no failing schedule exists in the scan
- * budget (all ten kernels have one well inside it).
+ * Runs under @p engine, with the scheduler burst unless @p burst is
+ * false.  Fails the current test when no failing schedule exists in
+ * the scan budget (all ten kernels have one well inside it).
  */
 inline bool
 recordFailure(const char *name, RecordedFailure &out,
               bool diagMode = false,
-              vm::ExecEngine engine = vm::ExecEngine::Decoded)
+              vm::ExecEngine engine = vm::ExecEngine::Fused,
+              bool burst = true)
 {
     const apps::AppSpec *spec = apps::findApp(name);
     if (!spec) {
@@ -80,6 +82,7 @@ recordFailure(const char *name, RecordedFailure &out,
     for (const explore::ScheduleSpec &s : probes) {
         vm::VmConfig cfg = campaignConfig(out.target, s);
         cfg.engine = engine;
+        cfg.schedFastPath = burst;
         vm::RunResult probe = vm::runProgram(*out.target.plain, cfg);
         if (!isFailure(probe))
             continue;

@@ -23,8 +23,7 @@ TEST(ReplayVm, ReplayIsFaithfulOnAllEngines)
     ASSERT_FALSE(rf.log.switches.empty());
 
     for (vm::ExecEngine e :
-         {vm::ExecEngine::Decoded, vm::ExecEngine::Reference,
-          vm::ExecEngine::Fused}) {
+         {vm::ExecEngine::Fused, vm::ExecEngine::Reference}) {
         ReplayRun rr = replayLog(*rf.target.plain, rf.log, e);
         EXPECT_TRUE(rr.faithful)
             << engineName(e) << ": " << rr.mismatch;
@@ -35,6 +34,15 @@ TEST(ReplayVm, ReplayIsFaithfulOnAllEngines)
         EXPECT_EQ(rr.result.stats.steps, rf.log.finalSteps)
             << engineName(e);
     }
+
+    // Recording without the scheduler burst (every instruction through
+    // the per-instruction handlers) yields the very same log.
+    RecordedFailure stepwise;
+    ASSERT_TRUE(testutil::recordFailure("ZSNES", stepwise,
+                                        /*diagMode=*/false,
+                                        vm::ExecEngine::Fused,
+                                        /*burst=*/false));
+    EXPECT_EQ(stepwise.log.serialize(), rf.log.serialize());
 }
 
 TEST(ReplayVm, ReplayedRunReRecordsByteIdentically)
@@ -84,7 +92,7 @@ TEST(ReplayVm, TolerantReplayOfFullListReproduces)
     ASSERT_TRUE(testutil::recordFailure("ZSNES", rf));
     vm::RunResult r = replayTolerant(*rf.target.plain, rf.log,
                                      rf.log.switches,
-                                     vm::ExecEngine::Decoded);
+                                     vm::ExecEngine::Fused);
     EXPECT_EQ(vm::outcomeName(r.outcome), rf.log.outcome);
     EXPECT_EQ(r.failureTag, rf.log.failureTag);
 }
@@ -98,7 +106,7 @@ TEST(ReplayVm, StrictReplayFlagsPerturbedLog)
     ReplayLog tampered = rf.log;
     tampered.finalSteps += 1;
     ReplayRun rr = replayLog(*rf.target.plain, tampered,
-                             vm::ExecEngine::Decoded);
+                             vm::ExecEngine::Fused);
     EXPECT_FALSE(rr.faithful);
     EXPECT_NE(rr.mismatch.find("steps"), std::string::npos)
         << rr.mismatch;
@@ -108,7 +116,7 @@ TEST(ReplayVm, StrictReplayFlagsPerturbedLog)
     ASSERT_FALSE(rf.log.switches.empty());
     ReplayLog broken = rf.log;
     broken.switches[0].tid = 9999;
-    rr = replayLog(*rf.target.plain, broken, vm::ExecEngine::Decoded);
+    rr = replayLog(*rf.target.plain, broken, vm::ExecEngine::Fused);
     EXPECT_FALSE(rr.faithful);
 }
 
@@ -151,7 +159,7 @@ TEST(ReplayVm, LogRoundTripsThroughDisk)
     EXPECT_EQ(loaded, rf.log);
 
     ReplayRun rr =
-        replayLog(*rf.target.plain, loaded, vm::ExecEngine::Decoded);
+        replayLog(*rf.target.plain, loaded, vm::ExecEngine::Fused);
     EXPECT_TRUE(rr.faithful) << rr.mismatch;
 }
 

@@ -1,17 +1,17 @@
 /**
  * @file
- * Differential testing of the three execution engines.
+ * Differential testing of the two execution engines.
  *
- * The pre-decoded engine (ExecEngine::Decoded, with its scheduler fast
- * path and memory-handle cache) and the superinstruction engine
- * (ExecEngine::Fused) must be *tick-for-tick* identical to the
- * reference tree-walking engine: same outcome, output, failure
- * diagnostics, virtual clock, step counts, final-memory digest, and
- * recovery events for every program and seed.  These tests run the bundled example
- * programs and the whole Table 2 application registry (hardened and
- * unhardened, clean and failure-forcing schedules, plus the
- * whole-program-checkpoint and chaos modes) under both engines and
- * every hot-path-knob combination, and require equality.
+ * The production engine (ExecEngine::Fused: pre-decoded arrays, the
+ * memory-handle cache, and the superinstruction burst) must be
+ * *tick-for-tick* identical to the reference tree-walking engine: same
+ * outcome, output, failure diagnostics, virtual clock, step counts,
+ * final-memory digest, and recovery events for every program and
+ * seed.  These tests run the bundled example programs and the whole
+ * Table 2 application registry (hardened and unhardened, clean and
+ * failure-forcing schedules, plus the whole-program-checkpoint and
+ * chaos modes) under both engines with and without the scheduler
+ * burst, and require equality.
  */
 #include <fstream>
 #include <sstream>
@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/harness.h"
+#include "tests/support/engine_variants.h"
 #include "tests/vm/vm_test_util.h"
 
 #ifndef CONAIR_EXAMPLES_DIR
@@ -30,82 +31,30 @@
 namespace conair::vm {
 namespace {
 
+using conair::testutil::expectSameRun;
 using testutil::compileC;
 
-/** Equality over everything semantic a run reports.  Engine-internal
- *  counters (decodedInsts, fastPathSteps, memCache*, hintRulesTracked)
- *  are deliberately excluded: they describe *how* the engine ran, not
- *  what the program did. */
-void
-expectSameRun(const RunResult &a, const RunResult &b,
-              const std::string &ctx)
-{
-    EXPECT_EQ(a.outcome, b.outcome) << ctx;
-    EXPECT_EQ(a.exitCode, b.exitCode) << ctx;
-    EXPECT_EQ(a.output, b.output) << ctx;
-    EXPECT_EQ(a.failureMsg, b.failureMsg) << ctx;
-    EXPECT_EQ(a.failureTag, b.failureTag) << ctx;
-    EXPECT_EQ(a.clock, b.clock) << ctx;
-    EXPECT_EQ(a.memDigest, b.memDigest) << ctx;
-
-    const RunStats &s = a.stats;
-    const RunStats &t = b.stats;
-    EXPECT_EQ(s.steps, t.steps) << ctx;
-    EXPECT_EQ(s.threadsSpawned, t.threadsSpawned) << ctx;
-    EXPECT_EQ(s.checkpointsExecuted, t.checkpointsExecuted) << ctx;
-    EXPECT_EQ(s.rollbacks, t.rollbacks) << ctx;
-    EXPECT_EQ(s.compensationFrees, t.compensationFrees) << ctx;
-    EXPECT_EQ(s.compensationUnlocks, t.compensationUnlocks) << ctx;
-    EXPECT_EQ(s.backoffs, t.backoffs) << ctx;
-    EXPECT_EQ(s.wpSnapshots, t.wpSnapshots) << ctx;
-    EXPECT_EQ(s.wpRecoveries, t.wpRecoveries) << ctx;
-    EXPECT_EQ(s.wpSnapshotCost, t.wpSnapshotCost) << ctx;
-    EXPECT_EQ(s.chaosRollbacks, t.chaosRollbacks) << ctx;
-    ASSERT_EQ(s.recoveries.size(), t.recoveries.size()) << ctx;
-    for (size_t i = 0; i < s.recoveries.size(); ++i) {
-        const RecoveryEvent &x = s.recoveries[i];
-        const RecoveryEvent &y = t.recoveries[i];
-        EXPECT_EQ(x.siteTag, y.siteTag) << ctx << " recovery " << i;
-        EXPECT_EQ(x.retries, y.retries) << ctx << " recovery " << i;
-        EXPECT_EQ(x.startClock, y.startClock) << ctx << " recovery " << i;
-        EXPECT_EQ(x.endClock, y.endClock) << ctx << " recovery " << i;
-    }
-}
-
-/** Every hot-path knob combination that must agree: the decoded
- *  production default, each optimisation disabled on its own, and the
- *  reference engine with and without the scheduler fast path. */
+/** The shared engine matrix (fused production default first) plus
+ *  the reference engine without its scheduler burst, so both
+ *  reference paths stay covered. */
 std::vector<std::pair<const char *, VmConfig>>
-engineVariants(VmConfig base)
+engineVariants(const VmConfig &base)
 {
-    base.engine = ExecEngine::Decoded;
-    base.schedFastPath = true;
-    base.memHandleCache = true;
-
-    VmConfig no_burst = base;
-    no_burst.schedFastPath = false;
-    VmConfig no_cache = base;
-    no_cache.memHandleCache = false;
-    VmConfig ref = base;
-    ref.engine = ExecEngine::Reference;
-    ref.schedFastPath = false;
-    VmConfig ref_burst = base;
-    ref_burst.engine = ExecEngine::Reference;
-    VmConfig fused = base;
-    fused.engine = ExecEngine::Fused;
-    VmConfig fused_no_burst = fused;
-    fused_no_burst.schedFastPath = false;
-
-    return {{"decoded", base},
-            {"decoded/no-burst", no_burst},
-            {"decoded/no-memcache", no_cache},
-            {"reference", ref},
-            {"reference/burst", ref_burst},
-            {"fused", fused},
-            {"fused/no-burst", fused_no_burst}};
+    std::vector<std::pair<const char *, VmConfig>> out;
+    for (const conair::testutil::EngineVariant &v :
+         conair::testutil::kEngineVariants) {
+        out.emplace_back(v.name, base);
+        v.applyTo(out.back().second);
+    }
+    out.emplace_back("reference/no-burst", base);
+    out.back().second.engine = ExecEngine::Reference;
+    out.back().second.schedFastPath = false;
+    return out;
 }
 
-void
+/** Runs every variant and compares it against the production one,
+ *  which it returns. */
+RunResult
 diffAllVariants(const ir::Module &m, const VmConfig &base,
                 const std::string &ctx)
 {
@@ -114,8 +63,9 @@ diffAllVariants(const ir::Module &m, const VmConfig &base,
     for (size_t i = 1; i < variants.size(); ++i) {
         RunResult r = runProgram(m, variants[i].second);
         expectSameRun(first, r,
-                      ctx + " [" + variants[i].first + " vs decoded]");
+                      ctx + " [" + variants[i].first + " vs fused]");
     }
+    return first;
 }
 
 std::string
@@ -204,16 +154,23 @@ TEST(DecodeDiff, ChaosRollbackModeAgrees)
     // Chaos injection draws from its own RNG on every eligible step;
     // eligibility depends on the idempotent-window bookkeeping both
     // engines must maintain identically (DecodedInst::dirties vs the
-    // interpreter-local predicate).
-    const apps::AppSpec *app = apps::findApp("MySQL1");
-    ASSERT_NE(app, nullptr);
-    apps::HardenOptions harden;
-    apps::PreparedApp hardened = apps::prepareApp(*app, harden);
-
-    VmConfig cfg = app->cleanConfig;
-    cfg.seed = 3;
-    cfg.chaosRollbackEveryN = 200;
-    diffAllVariants(*hardened.module, cfg, "MySQL1 chaos");
+    // interpreter-local predicate).  The production variant must also
+    // burst while chaos cannot strike (a dirty window), and bursting
+    // must leave every injection site where stepwise runs put it.
+    for (const apps::AppSpec &app : apps::allApps()) {
+        apps::HardenOptions harden;
+        apps::PreparedApp hardened = apps::prepareApp(app, harden);
+        for (uint64_t everyN : {16, 128}) {
+            VmConfig cfg = app.cleanConfig;
+            cfg.seed = 3;
+            cfg.chaosRollbackEveryN = everyN;
+            std::string ctx =
+                app.name + " chaos every " + std::to_string(everyN);
+            RunResult fused = diffAllVariants(*hardened.module, cfg, ctx);
+            EXPECT_GT(fused.stats.fastPathSteps, 0u) << ctx;
+            EXPECT_GT(fused.stats.chaosRollbacks, 0u) << ctx;
+        }
+    }
 }
 
 TEST(DecodeDiff, RecursionAndDeepCallsAgree)

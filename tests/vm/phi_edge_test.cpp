@@ -1,15 +1,15 @@
 /**
  * @file
- * Phi parallel-copy edge cases on all three execution engines.
+ * Phi parallel-copy edge cases on both execution engines.
  *
  * SSA phi nodes at a block head are one atomic parallel copy: every
  * incoming value is read before any destination is written.  The
  * classic ways to get this wrong — swap cycles, the lost-copy
  * problem, self-referential phis — are pinned here as regression
- * tests, and each program runs on Reference, Decoded, and Fused so
- * every phi-copy implementation (the tree walk, jumpToDecoded's
- * scratch copy, and the fused engine's pre-resolved inline edges)
- * faces the same cases.  Blocks with more phis than the fused
+ * tests, and each program runs on Reference and on Fused with and
+ * without the scheduler burst, so every phi-copy implementation (the
+ * tree walk, jumpToDecoded's scratch copy, and the fused burst's
+ * pre-resolved inline edges) faces the same cases.  Blocks with more phis than the fused
  * engine's inline-edge capacity (kMaxInlinePhi) are included so the
  * delegated slow path is covered too.
  */
@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/support/engine_variants.h"
 #include "tests/vm/vm_test_util.h"
 
 namespace conair::vm {
@@ -25,8 +26,8 @@ namespace {
 using testutil::parseIR;
 
 /** Runs @p irText on every engine (plus the fused engine without the
- *  scheduler burst, which forces per-step resyncs through the fused
- *  jump path) and checks the exit code and tick identity. */
+ *  scheduler burst, which steps every branch through jumpToDecoded)
+ *  and checks the exit code and tick identity. */
 void
 expectExitOnAllEngines(const std::string &irText, int64_t expected,
                        const std::string &ctx)
@@ -34,24 +35,11 @@ expectExitOnAllEngines(const std::string &irText, int64_t expected,
     auto m = parseIR(irText);
     ASSERT_TRUE(m) << ctx;
 
-    struct Variant
-    {
-        const char *name;
-        ExecEngine engine;
-        bool burst;
-    };
-    const Variant variants[] = {
-        {"reference", ExecEngine::Reference, false},
-        {"decoded", ExecEngine::Decoded, true},
-        {"fused", ExecEngine::Fused, true},
-        {"fused/no-burst", ExecEngine::Fused, false},
-    };
-
+    const auto &variants = conair::testutil::kEngineVariants;
     RunResult first;
     for (size_t i = 0; i < std::size(variants); ++i) {
         VmConfig cfg;
-        cfg.engine = variants[i].engine;
-        cfg.schedFastPath = variants[i].burst;
+        variants[i].applyTo(cfg);
         RunResult r = runProgram(*m, cfg);
         ASSERT_EQ(r.outcome, Outcome::Success)
             << ctx << " [" << variants[i].name << "] " << r.failureMsg;

@@ -125,13 +125,13 @@ TEST(SchedExplore, PreemptBoundSeedsVarySchedules)
 
 TEST(SchedExplore, PctEngineDifferential)
 {
-    // The Decoded and Reference engines must agree tick for tick on
+    // The Fused and Reference engines must agree tick for tick on
     // exploration schedules too (the campaign's oracle 3).
     for (uint64_t seed = 1; seed <= 10; ++seed) {
-        VmConfig dec = pctConfig(seed, 3);
-        VmConfig ref = dec;
+        VmConfig fused = pctConfig(seed, 3);
+        VmConfig ref = fused;
         ref.engine = ExecEngine::Reference;
-        RunResult a = runC(kRacyTrace, dec);
+        RunResult a = runC(kRacyTrace, fused);
         RunResult b = runC(kRacyTrace, ref);
         EXPECT_EQ(a.output, b.output) << "seed " << seed;
         EXPECT_EQ(a.clock, b.clock) << "seed " << seed;
