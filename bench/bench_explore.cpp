@@ -131,20 +131,29 @@
  *                 DIR/<kernel>.corpus ("conair-corpus v1" — see
  *                 docs/EXPLORATION.md for the format)
  *
- * Campaign mode additionally runs the fix pass on every kernel whose
- * failure it rediscovered and diagnosed; the per-kernel result lands
- * in BENCH_explore.json as kernels[].fix, and outside smoke mode a
- * kernel whose patch fails validation fails the bench.
+ * Campaign mode runs the blind matrix, then the named stages of
+ * explore/stages.h in order: diagnosis, flush-on-abort (--abort-dir),
+ * replay corpus (--replay-dir), guided search (--guided), and the fix
+ * stage on every kernel whose failure it rediscovered and diagnosed;
+ * the per-kernel fix result lands in BENCH_explore.json as
+ * kernels[].fix, and outside smoke mode a kernel whose patch fails
+ * validation fails the bench.
+ *
+ * An argv entry that is neither a flag above nor that flag's operand,
+ * or a numeric operand that is not plain decimal digits, is a
+ * one-line error with exit status 2.
  */
 #include "bench/bench_util.h"
 
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <map>
 #include <thread>
 
 #include "explore/campaign.h"
 #include "explore/guided.h"
+#include "explore/stages.h"
 #include "explore/telemetry.h"
 #include "fix/fix.h"
 #include "fix/report.h"
@@ -169,41 +178,6 @@ using namespace conair::explore;
 
 namespace {
 
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : s + ",") {
-        if (c == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    return out;
-}
-
-const char *
-argString(int argc, char **argv, const char *flag, const char *def)
-{
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return argv[i + 1];
-    return def;
-}
-
-bool
-hasFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
-}
-
 bool
 writeFile(const std::string &path, const std::string &content)
 {
@@ -216,21 +190,6 @@ writeFile(const std::string &path, const std::string &content)
     return true;
 }
 
-/** A flag whose value is optional ("--profile" vs "--profile FILE"):
- *  returns (present, value), the value empty when the next argv entry
- *  is absent or another flag. */
-std::pair<bool, std::string>
-argOptValue(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0) {
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                return {true, argv[i + 1]};
-            return {true, std::string()};
-        }
-    return {false, std::string()};
-}
-
 /** Writes the profile artifacts: speedscope JSON at @p path, folded
  *  flamegraph stacks next to it (.folded extension). */
 bool
@@ -240,12 +199,7 @@ writeProfileArtifacts(const obs::prof::ProfileDoc &doc,
     if (!writeFile(path, obs::prof::speedscopeJson(doc, name) + "\n"))
         return false;
     std::printf("wrote %s (speedscope JSON)\n", path.c_str());
-    std::string folded = path;
-    size_t dot = folded.rfind('.');
-    if (dot != std::string::npos &&
-        folded.find('/', dot) == std::string::npos)
-        folded.resize(dot);
-    folded += ".folded";
+    std::string folded = withExtension(path, ".folded");
     if (!writeFile(folded, obs::prof::foldedStacks(doc)))
         return false;
     std::printf("wrote %s (folded stacks)\n", folded.c_str());
@@ -304,12 +258,7 @@ traceSchedule(const Target &target, const ScheduleSpec &s,
         std::printf("wrote %s\n", metricsPath.c_str());
         // The same registry in Prometheus text exposition format, for
         // scrape-style consumers (docs/OBSERVABILITY.md).
-        std::string promPath = metricsPath;
-        size_t dot = promPath.rfind('.');
-        if (dot != std::string::npos && promPath.find('/', dot) ==
-                                            std::string::npos)
-            promPath.resize(dot);
-        promPath += ".prom";
+        std::string promPath = withExtension(metricsPath, ".prom");
         if (!writeFile(promPath, o.metrics.toPrometheusText()))
             return false;
         std::printf("wrote %s\n", promPath.c_str());
@@ -393,54 +342,41 @@ traceSchedule(const Target &target, const ScheduleSpec &s,
     return ok;
 }
 
+/** Compiles kernel @p appName for a campaign and parses @p token into
+ *  @p s (skipped when empty); null after a one-line error when the
+ *  kernel is unknown or the token malformed. */
+std::unique_ptr<CampaignApp>
+prepareSchedule(const std::string &appName, const std::string &token,
+                ScheduleSpec &s)
+{
+    const AppSpec *spec = findApp(appName);
+    std::string err = "unknown app '" + appName + "'";
+    if (spec && (token.empty() || parseScheduleToken(token, s, err)))
+        return std::make_unique<CampaignApp>(prepareCampaignApp(*spec));
+    std::fprintf(stderr, "%s\n", err.c_str());
+    return nullptr;
+}
+
 /**
  * Replays (target, schedule) in diagnosis recording mode and prints
- * the postmortem RecoveryReport.  The hardened leg is diagnosed when
- * it tells a recovery story (RecoveryDone / FailureSite events);
- * otherwise the unhardened leg's terminal failure is.  Returns false
- * when no diagnosis could be produced at all.
+ * the postmortem RecoveryReport of the leg explore::diagnoseSchedule()
+ * picks.  Returns false when no diagnosis could be produced at all.
  */
 bool
-diagnoseSchedule(const Target &target, const ScheduleSpec &s,
-                 CampaignOptions opts, const std::string &appName,
-                 const std::string &jsonPath)
+printDiagnosis(const Target &target, const ScheduleSpec &s,
+               const CampaignOptions &opts, const std::string &jsonPath)
 {
-    obs::FlightRecorder plainRec(65536), hardRec(65536);
-    ScheduleInstruments ins{&plainRec, &hardRec};
-    ins.recordSharedAccesses = true;
-    runOneSchedule(target, s, opts, &ins);
-
-    bool useHard =
-        target.hardened &&
-        (hardRec.totalOf(obs::EventKind::RecoveryDone) > 0 ||
-         hardRec.totalOf(obs::EventKind::FailureSite) > 0);
-    obs::pm::RecoveryReport rep = obs::pm::diagnose(
-        useHard ? hardRec : plainRec,
-        useHard ? *target.hardened : *target.plain, appName, s.token());
-    std::printf("diagnosing the %s leg\n",
-                useHard ? "hardened" : "unhardened");
-    std::printf("%s", obs::pm::renderText(rep).c_str());
+    obs::FlightRecorder plainRec(kDiagnosisRingCapacity);
+    obs::FlightRecorder hardRec(kDiagnosisRingCapacity);
+    LegDiagnosis d = diagnoseSchedule(target, s, opts, plainRec, hardRec);
+    std::printf("diagnosing the %s leg\n", d.leg());
+    std::printf("%s", obs::pm::renderText(d.report).c_str());
     if (!jsonPath.empty()) {
-        if (!writeFile(jsonPath, obs::pm::toJson(rep) + "\n"))
+        if (!writeFile(jsonPath, obs::pm::toJson(d.report) + "\n"))
             return false;
         std::printf("wrote %s\n", jsonPath.c_str());
     }
-    return !rep.episodes.empty();
-}
-
-/** The campaign base config for (target, spec) — mirrors
- *  explore::runOneSchedule's unhardened leg. */
-vm::VmConfig
-campaignBaseConfig(const Target &target, const ScheduleSpec &s,
-                   const CampaignOptions &opts)
-{
-    vm::VmConfig cfg;
-    s.applyTo(cfg);
-    cfg.pctHorizon = target.horizon;
-    cfg.quantum = target.quantum;
-    cfg.maxSteps = opts.maxSteps;
-    cfg.maxRetries = opts.maxRetries;
-    return cfg;
+    return !d.report.episodes.empty();
 }
 
 /**
@@ -449,39 +385,31 @@ campaignBaseConfig(const Target &target, const ScheduleSpec &s,
  */
 int
 recordReplayLog(const Target &target, const ScheduleSpec &s,
-                const CampaignOptions &opts, const std::string &appName,
-                const std::string &path, bool minimize)
+                const CampaignOptions &opts, const std::string &path,
+                bool minimize)
 {
-    vm::VmConfig cfg = campaignBaseConfig(target, s, opts);
-    obs::FlightRecorder rec(4096, obs::RecorderMode::Grow);
-    cfg.recorder = &rec;
-    cfg.recordSharedAccesses = true;
-    vm::RunResult r = vm::runProgram(*target.plain, cfg);
-    cfg.recorder = nullptr;
-    cfg.recordSharedAccesses = false;
-
-    obs::replay::ReplayLog log;
+    obs::replay::RecordedRun run = obs::replay::recordRun(
+        *target.plain, makeBaseConfig(target, s, opts));
+    obs::replay::MinimizeOptions mo;
+    obs::replay::MinimizedLog logs;
     std::string err;
-    if (!obs::replay::buildReplayLog(appName, s.token(), cfg, rec, r,
-                                     log, err)) {
+    if (!obs::replay::minimizeRecordedRun(*target.plain, run, target.name,
+                                          s.token(),
+                                          minimize ? &mo : nullptr, logs,
+                                          err)) {
         std::fprintf(stderr, "record failed: %s\n", err.c_str());
         return 1;
     }
-    if (minimize) {
-        obs::replay::MinimizeOptions mo;
-        obs::replay::MinimizeResult res =
-            obs::replay::minimizeReplayLog(*target.plain, log, mo);
-        if (res.ok) {
-            std::printf("minimised: %zu -> %zu switches (%llu "
-                        "replay probes)\n",
-                        res.originalSwitches, res.minimizedSwitches,
-                        (unsigned long long)res.probes);
-            log = res.minimized;
-        } else {
-            std::fprintf(stderr, "minimisation skipped: %s\n",
-                         res.err.c_str());
-        }
-    }
+    if (minimize && logs.ddmin.ok)
+        std::printf("minimised: %zu -> %zu switches (%llu replay "
+                    "probes)\n",
+                    logs.ddmin.originalSwitches,
+                    logs.ddmin.minimizedSwitches,
+                    (unsigned long long)logs.ddmin.probes);
+    else if (minimize)
+        std::fprintf(stderr, "minimisation skipped: %s\n",
+                     logs.ddmin.err.c_str());
+    const obs::replay::ReplayLog &log = logs.best();
 
     // Never hand out an unverified log: one strict replay must match.
     obs::replay::ReplayRun check =
@@ -509,19 +437,11 @@ runRepro(const std::string &appName, const std::string &token,
          const std::string &recordReplayPath, bool minimize,
          bool profile, const std::string &profilePath)
 {
-    const AppSpec *spec = findApp(appName);
-    if (!spec) {
-        std::fprintf(stderr, "unknown app '%s'\n", appName.c_str());
-        return 2;
-    }
     ScheduleSpec s;
-    std::string tokErr;
-    if (!parseScheduleToken(token, s, tokErr)) {
-        std::fprintf(stderr, "%s\n", tokErr.c_str());
+    std::unique_ptr<CampaignApp> app = prepareSchedule(appName, token, s);
+    if (!app)
         return 2;
-    }
-    CampaignApp app = prepareCampaignApp(*spec);
-    Target target = campaignTarget(app);
+    Target target = campaignTarget(*app);
     CampaignOptions opts;
     opts.collectProfile = profile;
     ScheduleOutcome o = runOneSchedule(target, s, opts);
@@ -576,12 +496,11 @@ runRepro(const std::string &appName, const std::string &token,
                                 metricsPath, timeline);
     bool diagOk = true;
     if (diagnose)
-        diagOk = diagnoseSchedule(target, s, opts, appName,
-                                  diagJsonPath);
+        diagOk = printDiagnosis(target, s, opts, diagJsonPath);
     bool recordOk = true;
     if (!recordReplayPath.empty())
-        recordOk = recordReplayLog(target, s, opts, appName,
-                                   recordReplayPath, minimize) == 0;
+        recordOk = recordReplayLog(target, s, opts, recordReplayPath,
+                                   minimize) == 0;
     return o.diverged || !traceOk || !diagOk || !recordOk || !profileOk
                ? 1
                : 0;
@@ -706,54 +625,35 @@ runReplay(const std::string &path, const std::string &engineArg,
  */
 struct AppTokenArgs
 {
-    bool ok = false;
     std::string app;   ///< kernel name (default already applied)
     std::string token; ///< strict schedule token ("" when absent)
-    std::string error; ///< one-line parse error when !ok
+    std::string error; ///< one-line parse error ("" when valid)
 };
 
 AppTokenArgs
-parseAppTokenOperands(int argc, char **argv, const char *flag,
-                      const char *defaultApp)
+parseAppTokenOperands(const std::vector<std::string> &operands,
+                      const char *flag, const char *defaultApp)
 {
     AppTokenArgs out;
     out.app = defaultApp;
-    out.ok = true;
-    int at = -1;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            at = i;
-    if (at < 0)
-        return out;
-    bool appSet = false;
-    for (int i = at + 1; i < argc && argv[i][0] != '-'; ++i) {
+    bool seen[2] = {false, false}; // token, kernel
+    for (const std::string &op : operands) {
         ScheduleSpec s;
         std::string tokErr;
-        if (parseScheduleToken(argv[i], s, tokErr)) {
-            if (!out.token.empty()) {
-                out.ok = false;
-                out.error = std::string(flag) +
-                            ": two schedule tokens ('" + out.token +
-                            "' and '" + argv[i] + "')";
-                return out;
-            }
-            out.token = argv[i];
-        } else if (findApp(argv[i])) {
-            if (appSet) {
-                out.ok = false;
-                out.error = std::string(flag) + ": two kernels ('" +
-                            out.app + "' and '" + argv[i] + "')";
-                return out;
-            }
-            out.app = argv[i];
-            appSet = true;
-        } else {
-            out.ok = false;
-            out.error = std::string(flag) + ": '" + argv[i] +
+        bool isToken = parseScheduleToken(op, s, tokErr);
+        if (!isToken && !findApp(op))
+            out.error = std::string(flag) + ": '" + op +
                         "' is neither a schedule token (" + tokErr +
                         ") nor a known kernel";
+        else if (seen[!isToken])
+            out.error = std::string(flag) + ": two " +
+                        (isToken ? "schedule tokens" : "kernels") +
+                        " ('" + (isToken ? out.token : out.app) +
+                        "' and '" + op + "')";
+        if (!out.error.empty())
             return out;
-        }
+        (isToken ? out.token : out.app) = op;
+        seen[!isToken] = true;
     }
     return out;
 }
@@ -763,23 +663,13 @@ int
 runDiagnose(const std::string &appName, const std::string &token,
             const std::string &jsonPath)
 {
-    const AppSpec *spec = findApp(appName);
-    if (!spec) {
-        std::fprintf(stderr, "unknown app '%s'\n", appName.c_str());
-        return 2;
-    }
     ScheduleSpec s;
-    std::string tokErr;
-    if (!parseScheduleToken(token, s, tokErr)) {
-        std::fprintf(stderr, "%s\n", tokErr.c_str());
+    std::unique_ptr<CampaignApp> app = prepareSchedule(appName, token, s);
+    if (!app)
         return 2;
-    }
-    CampaignApp app = prepareCampaignApp(*spec);
-    Target target = campaignTarget(app);
-    return diagnoseSchedule(target, s, CampaignOptions{}, appName,
-                            jsonPath)
-               ? 0
-               : 1;
+    Target target = campaignTarget(*app);
+    return printDiagnosis(target, s, CampaignOptions{}, jsonPath) ? 0
+                                                                   : 1;
 }
 
 /**
@@ -792,94 +682,44 @@ int
 runFix(const std::string &appName, const std::string &token,
        const std::string &jsonPath, unsigned seeds, unsigned workers)
 {
-    const AppSpec *spec = findApp(appName);
-    if (!spec) {
-        std::fprintf(stderr, "unknown app '%s'\n", appName.c_str());
+    ScheduleSpec s;
+    std::unique_ptr<CampaignApp> app = prepareSchedule(appName, token, s);
+    if (!app)
         return 2;
-    }
-    CampaignApp app = prepareCampaignApp(*spec);
-    Target target = campaignTarget(app);
-    CampaignOptions opts;
+    Target target = campaignTarget(*app);
 
-    // Step 1: record one failing run of the unhardened build in
-    // diagnosis + replay grade (Grow ring, shared accesses on).
-    auto rec = std::make_unique<obs::FlightRecorder>(
-        4096, obs::RecorderMode::Grow);
-    vm::VmConfig cfg;
-    vm::RunResult fail;
-    std::string schedToken;
-    bool gotFailure = false;
+    // Step 1: one failing run of the unhardened build, recorded
+    // replay-grade: the given campaign schedule, or else the kernel's
+    // scripted failure-forcing schedule (the hand-tuned delay rules).
+    obs::replay::RecordedRun run;
     if (!token.empty()) {
-        ScheduleSpec s;
-        std::string tokErr;
-        if (!parseScheduleToken(token, s, tokErr)) {
-            std::fprintf(stderr, "%s\n", tokErr.c_str());
-            return 2;
-        }
-        cfg = campaignBaseConfig(target, s, opts);
-        cfg.recorder = rec.get();
-        cfg.recordSharedAccesses = true;
-        fail = vm::runProgram(*target.plain, cfg);
-        cfg.recorder = nullptr;
-        cfg.recordSharedAccesses = false;
-        schedToken = token;
-        gotFailure = !runIsCorrect(*spec, fail);
-        if (!gotFailure) {
+        run = obs::replay::recordRun(
+            *target.plain, makeBaseConfig(target, s, CampaignOptions{}));
+        if (runIsCorrect(*app->spec, run.result)) {
             std::fprintf(stderr,
                          "%s %s: schedule does not fail (%s) — "
                          "nothing to fix\n",
                          appName.c_str(), token.c_str(),
-                         vm::outcomeName(fail.outcome));
+                         vm::outcomeName(run.result.outcome));
             return 1;
         }
-    } else {
-        // No token: probe the kernel's scripted failure-forcing
-        // schedule (the hand-tuned delay rules) over a few seeds.
-        for (uint64_t seed = 1; seed <= 8 && !gotFailure; ++seed) {
-            rec = std::make_unique<obs::FlightRecorder>(
-                4096, obs::RecorderMode::Grow);
-            cfg = spec->buggyConfig;
-            cfg.seed = seed;
-            cfg.recorder = rec.get();
-            cfg.recordSharedAccesses = true;
-            fail = vm::runProgram(*target.plain, cfg);
-            cfg.recorder = nullptr;
-            cfg.recordSharedAccesses = false;
-            gotFailure = !runIsCorrect(*spec, fail);
-        }
-        if (!gotFailure) {
-            std::fprintf(stderr,
-                         "%s: scripted buggy schedule never failed "
-                         "over seeds 1..8 — nothing to fix\n",
-                         appName.c_str());
-            return 1;
-        }
+    } else if (!probeScriptedFailure(*app, run)) {
+        std::fprintf(stderr,
+                     "%s: scripted buggy schedule never failed over "
+                     "seeds 1..8 — nothing to fix\n",
+                     appName.c_str());
+        return 1;
     }
+    const vm::RunResult &fail = run.result;
     std::printf("recorded failing run: %s%s%s (%llu steps)\n",
                 vm::outcomeName(fail.outcome),
                 fail.failureTag.empty() ? "" : " @ ",
                 fail.failureTag.c_str(),
                 (unsigned long long)fail.stats.steps);
 
-    // Step 2: postmortem diagnosis.  Prefer the hardened leg under
-    // the same schedule: recovery retries until the enabling write
-    // lands, so the racing partner is *in* the trace — the unhardened
-    // leg dies at the failure site before the partner ever runs (the
-    // diagnoseSchedule() leg-selection rule).
-    obs::FlightRecorder hardRec(4096, obs::RecorderMode::Grow);
-    {
-        vm::VmConfig hcfg = cfg;
-        hcfg.recorder = &hardRec;
-        hcfg.recordSharedAccesses = true;
-        vm::runProgram(*target.hardened, hcfg);
-    }
-    bool useHard =
-        hardRec.totalOf(obs::EventKind::RecoveryDone) > 0 ||
-        hardRec.totalOf(obs::EventKind::FailureSite) > 0;
-    obs::pm::RecoveryReport rep = obs::pm::diagnose(
-        useHard ? hardRec : *rec,
-        useHard ? *target.hardened : *target.plain, appName,
-        schedToken);
+    // Step 2: postmortem diagnosis of the failing run.
+    obs::pm::RecoveryReport rep =
+        diagnoseRecordedRun(target, run, token).report;
     if (rep.episodes.empty()) {
         std::fprintf(stderr, "%s: diagnosis produced no episodes\n",
                      appName.c_str());
@@ -891,20 +731,18 @@ runFix(const std::string &appName, const std::string &token,
 
     // Step 3: replay log of the failing run, ddmin-minimised — the
     // "exact buggy interleaving" obligation of the validator.
-    obs::replay::ReplayLog log;
+    obs::replay::MinimizeOptions mo;
+    obs::replay::MinimizedLog logs;
     const obs::replay::ReplayLog *logp = nullptr;
     std::string err;
-    if (obs::replay::buildReplayLog(appName, schedToken, cfg, *rec,
-                                    fail, log, err)) {
-        obs::replay::MinimizeResult mres =
-            obs::replay::minimizeReplayLog(*target.plain, log, {});
-        if (mres.ok) {
+    if (obs::replay::minimizeRecordedRun(*target.plain, run, appName,
+                                         token, &mo, logs, err)) {
+        if (logs.ddmin.ok)
             std::printf("minimised failing schedule: %zu -> %zu "
                         "switches\n",
-                        mres.originalSwitches, mres.minimizedSwitches);
-            log = mres.minimized;
-        }
-        logp = &log;
+                        logs.ddmin.originalSwitches,
+                        logs.ddmin.minimizedSwitches);
+        logp = &logs.best();
     } else {
         std::fprintf(stderr, "replay log skipped: %s\n", err.c_str());
     }
@@ -921,7 +759,7 @@ runFix(const std::string &appName, const std::string &token,
     fix::ValidationOptions vopts;
     vopts.campaign.seedsPerPolicy = seeds;
     vopts.campaign.workers = workers;
-    vopts.cleanConfig = spec->cleanConfig;
+    vopts.cleanConfig = app->spec->cleanConfig;
     std::printf("validating: %s replay + %zu-policy x %u-seed "
                 "campaign + overhead bound...\n",
                 logp ? "minimized" : "(no)",
@@ -935,6 +773,66 @@ runFix(const std::string &appName, const std::string &token,
         std::printf("wrote %s\n", jsonPath.c_str());
     }
     return val.ok() ? 0 : 1;
+}
+
+/** The flags given on the command line (first occurrence) and their
+ *  operands. */
+using Args = std::map<std::string, std::vector<std::string>>;
+
+/**
+ * Parses argv against the flag list at the top of this file.  A flag's
+ * operands are a fixed number of non-flag entries, at most one
+ * (--profile [FILE]), or any run of them ("[APP] [TOKEN]").  Anything
+ * else — an unknown flag, a stray operand, a missing one — is a
+ * one-line error, so a typo (--smok) never silently selects another
+ * mode.
+ */
+bool
+parseArgs(int argc, char **argv, Args &args)
+{
+    enum : int { kOptional = -1, kRun = -2 };
+    static const std::map<std::string, int> kFlags = {
+        {"--seeds", 1},       {"--workers", 1},       {"--apps", 1},
+        {"--policies", 1},    {"--trace", 1},         {"--metrics", 1},
+        {"--diagnose-json", 1}, {"--abort-dir", 1},   {"--replay", 1},
+        {"--engine", 1},      {"--record-replay", 1}, {"--replay-dir", 1},
+        {"--fix-json", 1},    {"--serve", 1},  {"--serve-port-file", 1},
+        {"--guided-budget", 1}, {"--corpus-dir", 1},  {"--repro", 2},
+        {"--smoke", 0},       {"--no-speedup", 0},    {"--timeline", 0},
+        {"--guided", 0},      {"--minimize", 0},
+        {"--profile", kOptional}, {"--diagnose", kRun}, {"--fix", kRun},
+    };
+    auto operand = [&](int i) { return i < argc && argv[i][0] != '-'; };
+    for (int i = 1; i < argc; ++i) {
+        auto flag = kFlags.find(argv[i]);
+        if (flag == kFlags.end()) {
+            std::fprintf(stderr, "bench_explore: %s '%s'\n",
+                         argv[i][0] == '-' ? "unknown flag"
+                                           : "unexpected argument",
+                         argv[i]);
+            return false;
+        }
+        int n = flag->second;
+        int want = n == kRun ? argc : n == kOptional ? 1 : n;
+        std::vector<std::string> ops;
+        while (int(ops.size()) < want && operand(i + 1))
+            ops.push_back(argv[++i]);
+        if (int(ops.size()) < n) {
+            std::fprintf(stderr, "bench_explore: %s needs %d operand%s\n",
+                         flag->first.c_str(), n, n > 1 ? "s" : "");
+            return false;
+        }
+        args.emplace(flag->first, std::move(ops));
+    }
+    return true;
+}
+
+/** The first operand of @p flag, or @p def when it was not given. */
+std::string
+argString(const Args &args, const char *flag, const char *def = "")
+{
+    auto it = args.find(flag);
+    return it == args.end() || it->second.empty() ? def : it->second[0];
 }
 
 void
@@ -953,67 +851,43 @@ writeMetricsJson(JsonWriter &w, const TargetReport &tr)
 int
 main(int argc, char **argv)
 {
-    const std::string tracePath = argString(argc, argv, "--trace", "");
-    const std::string metricsPath =
-        argString(argc, argv, "--metrics", "");
-    const bool timeline = hasFlag(argc, argv, "--timeline");
-    const bool diagnose = hasFlag(argc, argv, "--diagnose");
-    const std::string diagJsonPath =
-        argString(argc, argv, "--diagnose-json", "");
-    const auto [profileOn, profilePath] =
-        argOptValue(argc, argv, "--profile");
+    Args args;
+    if (!parseArgs(argc, argv, args))
+        return 2;
+    const std::string tracePath = argString(args, "--trace");
+    const std::string metricsPath = argString(args, "--metrics");
+    const bool timeline = args.count("--timeline");
+    const bool diagnose = args.count("--diagnose");
+    const std::string diagJsonPath = argString(args, "--diagnose-json");
+    const bool profileOn = args.count("--profile");
+    const std::string profilePath = argString(args, "--profile");
 
-    if (hasFlag(argc, argv, "--replay")) {
-        const std::string path = argString(argc, argv, "--replay", "");
-        if (path.empty() || path[0] == '-') {
-            std::fprintf(stderr,
-                         "usage: bench_explore --replay LOG "
-                         "[--engine reference|fused] "
-                         "[--timeline] [--diagnose] [--trace F]\n");
-            return 2;
-        }
-        return runReplay(path, argString(argc, argv, "--engine", ""),
-                         timeline, diagnose, tracePath, profileOn,
-                         profilePath);
-    }
+    if (args.count("--replay"))
+        return runReplay(argString(args, "--replay"),
+                         argString(args, "--engine"), timeline, diagnose,
+                         tracePath, profileOn, profilePath);
 
-    if (hasFlag(argc, argv, "--repro")) {
-        // --repro APP TOKEN: the two operands follow the flag.
-        const char *app = nullptr, *tok = nullptr;
-        for (int i = 1; i < argc; ++i)
-            if (std::strcmp(argv[i], "--repro") == 0 && i + 2 < argc) {
-                app = argv[i + 1];
-                tok = argv[i + 2];
-            }
-        if (!app || !tok) {
-            std::fprintf(stderr,
-                         "usage: bench_explore --repro APP TOKEN "
-                         "[--trace F] [--metrics F] [--timeline] "
-                         "[--diagnose] [--diagnose-json F] "
-                         "[--record-replay F [--minimize]]\n");
-            return 2;
-        }
-        return runRepro(app, tok, tracePath, metricsPath, timeline,
+    if (args.count("--repro")) {
+        const std::vector<std::string> &at = args["--repro"];
+        return runRepro(at[0], at[1], tracePath, metricsPath, timeline,
                         diagnose, diagJsonPath,
-                        argString(argc, argv, "--record-replay", ""),
-                        hasFlag(argc, argv, "--minimize"), profileOn,
-                        profilePath);
+                        argString(args, "--record-replay"),
+                        args.count("--minimize"), profileOn, profilePath);
     }
 
-    if (hasFlag(argc, argv, "--fix")) {
+    if (args.count("--fix")) {
         // --fix [APP] [TOKEN]: strict operand classification shared
         // with --diagnose; the default kernel is ZSNES.
         AppTokenArgs fa =
-            parseAppTokenOperands(argc, argv, "--fix", "ZSNES");
-        if (!fa.ok) {
+            parseAppTokenOperands(args["--fix"], "--fix", "ZSNES");
+        if (!fa.error.empty()) {
             std::fprintf(stderr, "%s\n", fa.error.c_str());
             std::fprintf(stderr, "usage: bench_explore --fix [APP] "
                                  "[TOKEN] [--fix-json F] [--seeds N] "
                                  "[--workers N]\n");
             return 2;
         }
-        return runFix(fa.app, fa.token,
-                      argString(argc, argv, "--fix-json", ""),
+        return runFix(fa.app, fa.token, argString(args, "--fix-json"),
                       argUnsigned(argc, argv, "--seeds", 40),
                       argUnsigned(argc, argv, "--workers", 4));
     }
@@ -1023,36 +897,36 @@ main(int argc, char **argv)
         // lone schedule token runs against ZSNES, the paper's running
         // example); a token is required.
         AppTokenArgs da =
-            parseAppTokenOperands(argc, argv, "--diagnose", "ZSNES");
-        if (da.ok && !da.token.empty())
+            parseAppTokenOperands(args["--diagnose"], "--diagnose",
+                                  "ZSNES");
+        if (da.error.empty() && !da.token.empty())
             return runDiagnose(da.app, da.token, diagJsonPath);
-        if (!da.ok)
+        if (!da.error.empty())
             std::fprintf(stderr, "%s\n", da.error.c_str());
         std::fprintf(stderr, "usage: bench_explore --diagnose [APP] "
                              "TOKEN [--diagnose-json F]\n");
         return 2;
     }
 
-    const bool smoke = hasFlag(argc, argv, "--smoke");
-    const bool doSpeedup = !hasFlag(argc, argv, "--no-speedup");
+    const bool smoke = args.count("--smoke");
+    const bool doSpeedup = !args.count("--no-speedup");
     // Guided search always runs in full mode (the committed artifact
     // pins guided-vs-blind budgets and the gates below compare them);
     // smoke opts in with --guided.
-    const bool guided = !smoke || hasFlag(argc, argv, "--guided");
+    const bool guided = !smoke || args.count("--guided");
     const uint64_t guidedBudget =
         argUnsigned(argc, argv, "--guided-budget", smoke ? 250 : 1500);
-    const std::string corpusDir =
-        argString(argc, argv, "--corpus-dir", "");
+    const std::string corpusDir = argString(args, "--corpus-dir");
     unsigned seeds =
         argUnsigned(argc, argv, "--seeds", smoke ? 40 : 1250);
     unsigned workers = argUnsigned(argc, argv, "--workers", 4);
-    const bool serve = hasFlag(argc, argv, "--serve");
+    const bool serve = args.count("--serve");
     const unsigned servePort = argUnsigned(argc, argv, "--serve", 0);
     const std::string servePortFile =
-        argString(argc, argv, "--serve-port-file", "");
+        argString(args, "--serve-port-file");
 
     std::vector<std::string> names =
-        splitList(argString(argc, argv, "--apps", ""));
+        split(argString(args, "--apps"), ',', /*dropEmpty=*/true);
     const bool explicitApps = !names.empty();
     if (names.empty())
         for (const AppSpec &a : allApps())
@@ -1095,19 +969,15 @@ main(int argc, char **argv)
     opts.seedsPerPolicy = seeds;
     opts.workers = workers;
     opts.collectMetrics = true;
-    // Every first-failing schedule in BENCH_explore.json carries a
-    // postmortem diagnosis (racy pair + verdict); the replay happens
-    // after aggregation, outside the worker pool.
-    opts.diagnoseFailures = true;
-    opts.abortArtifactDir = argString(argc, argv, "--abort-dir", "");
+    const std::string abortDir = argString(args, "--abort-dir");
     // Every rediscovered kernel failure leaves a ddmin-minimised,
     // strictly-verified replay log behind — the O(1) repro corpus.
-    opts.replayLogDir =
-        argString(argc, argv, "--replay-dir", "replay-logs");
-    std::string policyList = argString(argc, argv, "--policies", "");
+    const std::string replayDir =
+        argString(args, "--replay-dir", "replay-logs");
+    std::string policyList = argString(args, "--policies");
     if (!policyList.empty()) {
         opts.policies.clear();
-        for (const std::string &p : splitList(policyList)) {
+        for (const std::string &p : split(policyList, ',', true)) {
             ScheduleSpec s;
             if (!parseScheduleToken(p + ":s1", s)) {
                 std::fprintf(stderr, "bad policy '%s'\n", p.c_str());
@@ -1121,11 +991,8 @@ main(int argc, char **argv)
         opts.stopAfterFailures = 1;
         opts.maxSteps = 2'000'000;
     }
-    if (guided) {
-        opts.searchMode = SearchMode::Guided;
-        opts.guidedBudget = guidedBudget;
-        opts.corpusDir = corpusDir;
-    }
+    GuidedOptions guidedOpts;
+    guidedOpts.budget = guidedBudget;
     // Interleaving coverage is always folded in campaign mode: the
     // kernels[].coverage aggregates below (and the full-mode gate on
     // them) want nonzero distinct-edge counts for every kernel.
@@ -1140,7 +1007,7 @@ main(int argc, char **argv)
     // lifetime.  The telemetry sink is observational only — workers
     // publish into it, readers snapshot out of it, and the
     // deterministic report never touches it.
-    CampaignTelemetry telemetry;
+    CampaignTelemetry telemetry(workers);
     obs::serve::HttpServer server;
     if (serve) {
         server.route("/metrics", [&telemetry, &server] {
@@ -1195,7 +1062,19 @@ main(int argc, char **argv)
                 opts.seedsPerPolicy, opts.workers,
                 guided ? ", guided pass on" : "");
 
+    // The blind matrix, then the named stages in order
+    // (explore/stages.h).  Every first-failing schedule in
+    // BENCH_explore.json carries a postmortem diagnosis and, unless
+    // --replay-dir is empty, a minimised replay log.
     CampaignReport rep = runCampaign(targets, opts);
+    diagnoseStage(targets, opts, rep);
+    std::string abortErr;
+    if (!abortDir.empty())
+        abortErr = abortFlushStage(targets, opts, abortDir, rep);
+    if (!replayDir.empty())
+        replayCorpusStage(targets, opts, replayDir, rep);
+    if (guided)
+        guidedStage(targets, opts, guidedOpts, corpusDir, rep);
     std::printf("%s\n", rep.summary().c_str());
 
     // --trace in campaign mode: replay the first failing schedule the
@@ -1219,67 +1098,28 @@ main(int argc, char **argv)
             std::printf("--trace: no failing schedule to trace\n");
     }
 
-    // Fix-synthesis pass: every kernel whose failure the campaign
-    // rediscovered and diagnosed gets a synthesized patch, validated
-    // in place (minimized replay + campaign re-run on the patched
-    // build + overhead bound).  Results land in kernels[].fix.
+    // Fix stage: every kernel whose failure the campaign rediscovered
+    // and diagnosed gets a synthesized patch, validated in place
+    // (minimized replay + campaign re-run on the patched build +
+    // overhead bound).  Results land in kernels[].fix.
     std::printf("\n=== fix synthesis ===\n");
-    for (size_t ti = 0; ti < rep.targets.size(); ++ti) {
-        TargetReport &tr = rep.targets[ti];
-        if (!tr.foundFailure || !tr.hasDiagnosis)
-            continue;
-        tr.fix.attempted = true;
-        fix::FixPlan plan =
-            fix::synthesizeFix(*targets[ti].plain, tr.diagnosis);
-        tr.fix.synthesized = plan.ok;
-        tr.fix.strategy = fix::strategyName(plan.strategy);
-        tr.fix.verdict = obs::pm::verdictName(plan.verdict);
-        tr.fix.variable = plan.variable;
-        tr.fix.mutexName = plan.mutexName;
-        tr.fix.usedExistingMutex = plan.usedExistingMutex;
-        tr.fix.edits = plan.edits.size();
-        tr.fix.error = plan.error;
-        if (!plan.ok) {
-            std::printf("%s", fix::renderPatchText(plan).c_str());
-            continue;
-        }
-        obs::replay::ReplayLog log;
-        const obs::replay::ReplayLog *logp = nullptr;
-        std::string lerr;
-        if (tr.hasReplayLog &&
-            obs::replay::loadReplayLog(tr.replayLogPath, log, lerr))
-            logp = &log;
+    {
         fix::ValidationOptions vopts;
         vopts.campaign = opts;
-        // Smoke mode stops the *search* after one failure; the
-        // validation campaign must not stop early (it expects zero
-        // failures), so just trim its seed budget instead.
-        vopts.campaign.stopAfterFailures = 0;
         // The validation re-run is a sub-campaign: keep it out of the
-        // live /status counters and skip its coverage folds.
+        // live /status counters and skip its coverage folds.  Smoke
+        // mode trims its seed budget (validatePatch never stops early:
+        // it expects zero failures).
         vopts.campaign.telemetry = nullptr;
         vopts.campaign.collectCoverage = false;
         if (smoke)
             vopts.campaign.seedsPerPolicy =
                 std::min(opts.seedsPerPolicy, 12u);
-        vopts.cleanConfig = prepared[ti].spec->cleanConfig;
-        fix::ValidationResult val =
-            fix::validatePatch(*plan.patched, targets[ti], logp,
-                               vopts);
-        tr.fix.replayChecked = val.replayChecked;
-        tr.fix.replayFailureGone = val.replayFailureGone;
-        tr.fix.campaignRan = val.campaignRan;
-        tr.fix.patchedSchedules = val.schedules;
-        tr.fix.patchedFailing = val.failing;
-        tr.fix.patchedDeadlocks = val.deadlocks;
-        tr.fix.patchedDivergences = val.divergences;
-        tr.fix.patchedInconclusive = val.inconclusive;
-        tr.fix.overhead = val.overhead;
-        tr.fix.overheadOk = val.overheadOk;
-        tr.fix.validated = val.ok();
-        if (!val.ok() && tr.fix.error.empty())
-            tr.fix.error = val.error;
-        std::printf("%s", fix::renderPatchText(plan, &val).c_str());
+        std::vector<vm::VmConfig> cleanConfigs;
+        for (const CampaignApp &app : prepared)
+            cleanConfigs.push_back(app.spec->cleanConfig);
+        std::printf("%s", fix::fixStage(targets, cleanConfigs, vopts, rep)
+                              .c_str());
     }
 
     // Challenge kernels: the explorer's hard mode.  Each one gets a
@@ -1307,16 +1147,22 @@ main(int argc, char **argv)
         CampaignOptions copts = opts;
         copts.policies = {{vm::SchedPolicy::Pct, 2}};
         copts.seedsPerPolicy = probeSeeds;
-        copts.guidedBudget = challengeBudget;
         // A probe hit fails the gate anyway — no point finishing the
         // probe, diagnosing the fluke, or minimising a replay for it.
         copts.stopAfterFailures = 1;
-        copts.diagnoseFailures = false;
-        copts.replayLogDir.clear();
         // No failure means no recovery episodes: the recovery-tax
         // gate has nothing to measure here, so don't collect.
         copts.collectProfile = false;
         CampaignReport crep = runCampaign(ctargets, copts);
+        if (!abortDir.empty()) {
+            std::string err =
+                abortFlushStage(ctargets, copts, abortDir, crep);
+            if (abortErr.empty())
+                abortErr = err;
+        }
+        GuidedOptions cg = guidedOpts;
+        cg.budget = challengeBudget;
+        guidedStage(ctargets, copts, cg, corpusDir, crep);
         std::printf("%s\n", crep.summary().c_str());
         rep.divergences += crep.divergences;
         rep.unrecovered += crep.unrecovered;
@@ -1336,7 +1182,7 @@ main(int argc, char **argv)
                         (unsigned long long)gs.schedules,
                         (unsigned long long)gs.budget,
                         (unsigned long long)gs.corpusEntries,
-                        gs.mutationYield);
+                        gs.mutationYield());
             if (gs.foundFailure)
                 std::printf("  found %s @ %llu (blind %llu)",
                             gs.firstFailure.token().c_str(),
@@ -1356,21 +1202,22 @@ main(int argc, char **argv)
     // hw_threads is recorded alongside for interpretation.
     unsigned hw = std::thread::hardware_concurrency();
     double speedup = 0, base_sps = 0, par_sps = 0;
+    // The fixed timing sub-campaign this and the serve guard run: no
+    // live telemetry, no coverage folds.
+    CampaignOptions sopts = opts;
+    sopts.seedsPerPolicy = smoke ? 6 : 25;
+    sopts.policies = {{vm::SchedPolicy::Pct, 3}};
+    sopts.stopAfterFailures = 0;
+    sopts.telemetry = nullptr;
+    sopts.collectCoverage = false;
+    const std::vector<Target> sub(
+        targets.begin(), targets.begin() + std::min<size_t>(targets.size(), 2));
     if (doSpeedup) {
-        CampaignOptions sopts = opts;
-        sopts.seedsPerPolicy = smoke ? 6 : 25;
-        sopts.policies = {{vm::SchedPolicy::Pct, 3}};
-        sopts.stopAfterFailures = 0;
-        // A timing measurement: no live telemetry, no coverage folds.
-        sopts.telemetry = nullptr;
-        sopts.collectCoverage = false;
-        std::vector<Target> sub(targets.begin(),
-                                targets.begin() +
-                                    std::min<size_t>(targets.size(), 2));
         sopts.workers = 1;
         CampaignReport r1 = runCampaign(sub, sopts);
         sopts.workers = workers;
         CampaignReport rn = runCampaign(sub, sopts);
+        sopts.workers = opts.workers;
         base_sps = r1.schedulesPerSec;
         par_sps = rn.schedulesPerSec;
         if (base_sps > 0)
@@ -1390,16 +1237,7 @@ main(int argc, char **argv)
     double guard_bare_sps = 0, guard_load_sps = 0, guard_ratio = 0;
     uint64_t guard_scrapes = 0;
     if (serve) {
-        CampaignOptions gopts = opts;
-        gopts.seedsPerPolicy = smoke ? 6 : 25;
-        gopts.policies = {{vm::SchedPolicy::Pct, 3}};
-        gopts.stopAfterFailures = 0;
-        gopts.telemetry = nullptr;
-        gopts.collectCoverage = false;
-        std::vector<Target> sub(targets.begin(),
-                                targets.begin() +
-                                    std::min<size_t>(targets.size(), 2));
-        CampaignReport bare = runCampaign(sub, gopts);
+        CampaignReport bare = runCampaign(sub, sopts);
 
         std::atomic<bool> stopScrape{false};
         std::atomic<uint64_t> scrapes{0};
@@ -1419,7 +1257,7 @@ main(int argc, char **argv)
                         std::chrono::milliseconds(1));
                 }
             });
-        CampaignReport loaded = runCampaign(sub, gopts);
+        CampaignReport loaded = runCampaign(sub, sopts);
         stopScrape.store(true);
         for (auto &th : scrapers)
             th.join();
@@ -1558,7 +1396,7 @@ main(int argc, char **argv)
             w.key("mutated_schedules").value(gs.mutatedSchedules);
             w.key("fresh_novel").value(gs.freshNovel);
             w.key("mutation_novel").value(gs.mutationNovel);
-            w.key("mutation_yield").value(gs.mutationYield, "%.4f");
+            w.key("mutation_yield").value(gs.mutationYield(), "%.4f");
             w.key("ops").beginObject();
             for (size_t op = 0; op < kMutOpCount; ++op) {
                 w.key(mutOpName(MutOp(op))).beginObject();
@@ -1699,7 +1537,12 @@ main(int argc, char **argv)
                              "artifacts\n");
         rc = 1;
     }
-    if (!opts.replayLogDir.empty()) {
+    if (!abortErr.empty()) {
+        std::fprintf(stderr, "FAIL: flush-on-abort: %s\n",
+                     abortErr.c_str());
+        rc = 1;
+    }
+    if (!replayDir.empty()) {
         for (const TargetReport &tr : rep.targets) {
             if (tr.foundFailure && !tr.hasReplayLog) {
                 std::fprintf(stderr,

@@ -7,6 +7,7 @@
  */
 #pragma once
 
+#include <climits>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -15,16 +16,28 @@
 #include <vector>
 
 #include "apps/harness.h"
+#include "support/str.h"
 
 namespace conair::bench {
 
-/** Parses "--runs N"-style flags; returns the default otherwise. */
+/** Parses "--runs N"-style flags; returns the default otherwise.  N
+ *  must be plain decimal digits that fit an unsigned: anything else is
+ *  a one-line error and exit status 2. */
 inline unsigned
 argUnsigned(int argc, char **argv, const char *flag, unsigned def)
 {
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return unsigned(std::strtoul(argv[i + 1], nullptr, 10));
+    for (int i = 1; i + 1 < argc; ++i) {
+        if (std::strcmp(argv[i], flag) != 0)
+            continue;
+        uint64_t v = 0;
+        if (!parseU64(argv[i + 1], v) || v > UINT_MAX) {
+            std::fprintf(stderr, "%s: %s: '%s' is not a number in "
+                                 "[0, %u]\n",
+                         argv[0], flag, argv[i + 1], UINT_MAX);
+            std::exit(2);
+        }
+        return unsigned(v);
+    }
     return def;
 }
 

@@ -57,6 +57,7 @@
  *   minicc --app ZSNES --fix --print-ir
  */
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -66,6 +67,7 @@
 
 #include "apps/harness.h"
 #include "conair/driver.h"
+#include "explore/stages.h"
 #include "fix/fix.h"
 #include "fix/report.h"
 #include "frontend/compile.h"
@@ -257,14 +259,8 @@ emitProfile(const obs::prof::PhaseProfiler &profiler,
                        obs::prof::speedscopeJson(doc, name) + "\n",
                        "profile"))
         return false;
-    std::string folded = path;
-    size_t dot = folded.rfind('.');
-    if (dot != std::string::npos &&
-        folded.find('/', dot) == std::string::npos)
-        folded.resize(dot);
-    folded += ".folded";
-    return writeArtifact(folded, obs::prof::foldedStacks(doc),
-                         "folded stacks");
+    return writeArtifact(withExtension(path, ".folded"),
+                         obs::prof::foldedStacks(doc), "folded stacks");
 }
 
 } // namespace
@@ -292,6 +288,20 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Numeric operands are strict: digits only, no overflow.
+        auto number = [&](const std::string &text,
+                          uint64_t max = UINT64_MAX) {
+            uint64_t v = 0;
+            if (!parseU64(text, v) || v > max) {
+                std::fprintf(stderr,
+                             "minicc: %s: '%s' is not a number in "
+                             "[0, %llu]\n",
+                             arg.c_str(), text.c_str(),
+                             (unsigned long long)max);
+                std::exit(2);
+            }
+            return v;
+        };
         if (arg == "--conair") {
             conair = true;
         } else if (arg == "--fix") {
@@ -314,11 +324,11 @@ main(int argc, char **argv)
         } else if (arg == "--report") {
             report = true;
         } else if (arg == "--seed") {
-            cfg.seed = std::strtoull(next(), nullptr, 10);
+            cfg.seed = number(next());
         } else if (arg == "--quantum") {
-            cfg.quantum = std::strtoull(next(), nullptr, 10);
+            cfg.quantum = number(next());
         } else if (arg == "--max-steps") {
-            cfg.maxSteps = std::strtoull(next(), nullptr, 10);
+            cfg.maxSteps = number(next());
         } else if (arg == "--app") {
             appName = next();
         } else if (arg == "--trace") {
@@ -337,10 +347,9 @@ main(int argc, char **argv)
             diagnose = true;
         } else if (arg == "--serve") {
             serve = true;
-            servePort = unsigned(std::strtoul(next(), nullptr, 10));
+            servePort = unsigned(number(next(), UINT_MAX));
         } else if (arg == "--serve-seconds") {
-            serveSeconds =
-                unsigned(std::strtoul(next(), nullptr, 10));
+            serveSeconds = unsigned(number(next(), UINT_MAX));
         } else if (arg == "--delay") {
             std::string spec = next();
             size_t colon = spec.find(':');
@@ -349,8 +358,8 @@ main(int argc, char **argv)
                 return 2;
             }
             cfg.delays.push_back(
-                {std::strtoull(spec.c_str(), nullptr, 10),
-                 std::strtoull(spec.c_str() + colon + 1, nullptr, 10)});
+                {number(spec.substr(0, colon)),
+                 number(spec.substr(colon + 1))});
         } else if (!arg.empty() && arg[0] == '-') {
             usage();
             return 2;
@@ -389,27 +398,11 @@ main(int argc, char **argv)
         }
         if (fixSynth) {
             // Bare --fix: the repair loop's front half — record one
-            // scripted failing run, diagnose it postmortem (preferring
-            // the hardened leg, whose recovery retries let the racing
-            // partner land in the trace), synthesize the patch.
+            // scripted failing run, diagnose it postmortem, synthesize
+            // the patch.
             apps::CampaignApp capp = apps::prepareCampaignApp(*spec);
-            auto plainRec = std::make_unique<obs::FlightRecorder>(
-                4096, obs::RecorderMode::Grow);
-            vm::VmConfig bcfg;
-            vm::RunResult fail;
-            bool gotFailure = false;
-            for (uint64_t seed = 1; seed <= 8 && !gotFailure;
-                 ++seed) {
-                plainRec = std::make_unique<obs::FlightRecorder>(
-                    4096, obs::RecorderMode::Grow);
-                bcfg = spec->buggyConfig;
-                bcfg.seed = seed;
-                bcfg.recorder = plainRec.get();
-                bcfg.recordSharedAccesses = true;
-                fail = vm::runProgram(*capp.plain.module, bcfg);
-                gotFailure = !apps::runIsCorrect(*spec, fail);
-            }
-            if (!gotFailure) {
+            obs::replay::RecordedRun fail;
+            if (!apps::probeScriptedFailure(capp, fail)) {
                 std::fprintf(stderr,
                              "minicc: %s: scripted buggy schedule "
                              "never failed (seeds 1..8) — nothing to "
@@ -417,19 +410,11 @@ main(int argc, char **argv)
                              appName.c_str());
                 return 1;
             }
-            obs::FlightRecorder hardRec(4096,
-                                        obs::RecorderMode::Grow);
-            bcfg.recorder = &hardRec;
-            vm::runProgram(*capp.hardened.module, bcfg);
-            bool useHard =
-                hardRec.totalOf(obs::EventKind::RecoveryDone) > 0 ||
-                hardRec.totalOf(obs::EventKind::FailureSite) > 0;
-            obs::pm::RecoveryReport rep = obs::pm::diagnose(
-                useHard ? hardRec : *plainRec,
-                useHard ? *capp.hardened.module : *capp.plain.module,
-                appName);
-            fix::FixPlan plan =
-                fix::synthesizeFix(*capp.plain.module, rep);
+            fix::FixPlan plan = fix::synthesizeFix(
+                *capp.plain.module,
+                explore::diagnoseRecordedRun(apps::campaignTarget(capp),
+                                             fail, "")
+                    .report);
             std::printf("%s", fix::renderPatchText(plan).c_str());
             if (print_ir && plan.ok)
                 std::printf("%s",

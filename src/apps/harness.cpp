@@ -159,25 +159,27 @@ runUnderSchedule(const PreparedApp &p, vm::VmConfig cfg)
     return vm::runProgram(*p.module, cfg);
 }
 
+bool
+probeScriptedFailure(const CampaignApp &app,
+                     obs::replay::RecordedRun &out)
+{
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        vm::VmConfig cfg = app.spec->buggyConfig;
+        cfg.seed = seed;
+        out = obs::replay::recordRun(*app.plain.module, cfg);
+        if (!runIsCorrect(*app.spec, out.result))
+            return true;
+    }
+    return false;
+}
+
 std::vector<std::string>
 observedFailureTags(const AppSpec &app)
 {
     HardenOptions plain;
     plain.applyConAir = false;
     PreparedApp p = prepareApp(app, plain);
-    vm::RunResult r = runBuggy(p, 1);
-    std::vector<std::string> tags;
-    std::string cur;
-    for (char c : r.failureTag + ";") {
-        if (c == ';') {
-            if (!cur.empty())
-                tags.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    return tags;
+    return split(runBuggy(p, 1).failureTag, ';', /*dropEmpty=*/true);
 }
 
 double

@@ -13,6 +13,7 @@
 #include "conair/driver.h"
 #include "explore/campaign.h"
 #include "ir/module.h"
+#include "obs/replay/minimize.h"
 #include "vm/interp.h"
 
 namespace conair::apps {
@@ -125,6 +126,15 @@ explore::Target campaignTarget(const CampaignApp &app);
  * find the buggy interleavings themselves.
  */
 vm::RunResult runUnderSchedule(const PreparedApp &p, vm::VmConfig cfg);
+
+/**
+ * The scripted failure probe: runs @p app's unhardened build under its
+ * failure-forcing schedule (AppSpec::buggyConfig, trigger delays
+ * included) over seeds 1..8, recorded replay-grade, and stores the
+ * first failing run in @p out.  False when no seed fails.
+ */
+bool probeScriptedFailure(const CampaignApp &app,
+                          obs::replay::RecordedRun &out);
 
 /** @} */
 

@@ -2,21 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <optional>
 #include <set>
 #include <thread>
 
-#include "explore/guided.h"
 #include "explore/telemetry.h"
 #include "ir/module.h"
-#include "obs/replay/minimize.h"
 #include "obs/trace.h"
-#include "obs/trace_export.h"
 #include "support/str.h"
 #include "vm/interp.h"
 
@@ -57,27 +50,6 @@ ScheduleSpec::token() const
     return strfmt("%s:s%llu", name, (unsigned long long)seed);
 }
 
-namespace {
-
-/** Strict digits-only u64 parse: no sign, no whitespace, no trailing
- *  junk, and overflow is an error — a mistyped seed must never wrap
- *  into a silently different schedule. */
-bool
-parseTokenNumber(const std::string &s, uint64_t &out)
-{
-    if (s.empty() || s[0] < '0' || s[0] > '9')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno == ERANGE || !end || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
-
-} // namespace
-
 bool
 parseScheduleToken(const std::string &tok, ScheduleSpec &out,
                    std::string &err)
@@ -87,16 +59,7 @@ parseScheduleToken(const std::string &tok, ScheduleSpec &out,
         return false;
     };
 
-    std::vector<std::string> parts;
-    std::string cur;
-    for (char c : tok + ":") {
-        if (c == ':') {
-            parts.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
+    std::vector<std::string> parts = split(tok, ':');
 
     ScheduleSpec s;
     if (!vm::schedPolicyFromName(parts[0], s.policy))
@@ -117,17 +80,12 @@ parseScheduleToken(const std::string &tok, ScheduleSpec &out,
                 return fail(
                     std::string(vm::schedPolicyName(s.policy)) +
                     " does not take explicit change points (c field)");
-            // Split the comma list ourselves so empty items ("c1,,2")
-            // fail in parseTokenNumber instead of being skipped.
-            std::string item;
+            // Empty items ("c1,,2") are kept so they fail in parseU64
+            // instead of being skipped.
             std::vector<uint64_t> pts;
-            for (char ch : p.substr(1) + ",") {
-                if (ch != ',') {
-                    item += ch;
-                    continue;
-                }
+            for (const std::string &item : split(p.substr(1), ',')) {
                 uint64_t v;
-                if (!parseTokenNumber(item, v) || v == 0)
+                if (!parseU64(item, v) || v == 0)
                     return fail("change point '" + item +
                                 "' is not a valid tick (digits only, "
                                 ">= 1, no overflow)");
@@ -135,14 +93,13 @@ parseScheduleToken(const std::string &tok, ScheduleSpec &out,
                     return fail("change points not strictly "
                                 "increasing at '" + item + "'");
                 pts.push_back(v);
-                item.clear();
             }
             s.points = std::move(pts);
             sawPoints = true;
             continue;
         }
         uint64_t v;
-        if (!parseTokenNumber(p.substr(1), v))
+        if (!parseU64(p.substr(1), v))
             return fail("field '" + p +
                         "' is not a valid number (digits only, no "
                         "overflow)");
@@ -240,10 +197,8 @@ tickDiff(const vm::RunResult &a, const vm::RunResult &b)
     return {};
 }
 
-/** The exact VmConfig a campaign cell runs under.  The replay-corpus
- *  pass snapshots this same config into the recorded log, so replays
- *  reconstruct the run from the log alone — keep the two in sync by
- *  construction. */
+} // namespace
+
 vm::VmConfig
 makeBaseConfig(const Target &t, const ScheduleSpec &s,
                const CampaignOptions &opts)
@@ -258,8 +213,6 @@ makeBaseConfig(const Target &t, const ScheduleSpec &s,
     // interleavings without the hand-scripted trigger sleeps.
     return base;
 }
-
-} // namespace
 
 uint64_t
 calibrateHorizon(const ir::Module &m, uint64_t maxSteps)
@@ -442,14 +395,8 @@ runCampaign(const std::vector<Target> &targets,
     std::atomic<size_t> next{0};
 
     unsigned workers = std::max(1u, opts.workers);
-    if (opts.telemetry) {
-        // The guided pass's budget is an upper bound: it may stop at
-        // the first failure, so done may finish below total.
-        uint64_t totalJobs = jobs.size();
-        if (opts.searchMode == SearchMode::Guided)
-            totalJobs += targets.size() * opts.guidedBudget;
-        opts.telemetry->beginCampaign(totalJobs, workers);
-    }
+    if (opts.telemetry)
+        opts.telemetry->addPlanned(jobs.size());
 
     auto work = [&](unsigned worker) {
         for (;;) {
@@ -672,224 +619,6 @@ runCampaign(const std::vector<Target> &targets,
                 }
         }
     }
-    // Post-aggregation observability passes.  Both replay one schedule
-    // per target *outside* the worker pool, so every aggregate above
-    // stays independent of worker count.
-    if (opts.diagnoseFailures || !opts.abortArtifactDir.empty()) {
-        // Diagnosis-mode rings need depth: shared accesses are roughly
-        // one event per scheduling tick.
-        constexpr size_t kDiagCapacity = 65536;
-
-        auto replay = [&](size_t ti, const ScheduleSpec &spec,
-                          obs::FlightRecorder &plainRec,
-                          obs::FlightRecorder &hardRec) {
-            ScheduleInstruments ins;
-            ins.unhardened = &plainRec;
-            ins.hardened = &hardRec;
-            ins.recordSharedAccesses = true;
-            runOneSchedule(targets[ti], spec, opts, &ins);
-        };
-
-        // The hardened leg tells the recovery story when it has one;
-        // otherwise diagnose the unhardened leg's terminal failure.
-        auto pickLeg = [](const Target &t,
-                          const obs::FlightRecorder &hardRec) {
-            return t.hardened &&
-                   (hardRec.totalOf(obs::EventKind::RecoveryDone) > 0 ||
-                    hardRec.totalOf(obs::EventKind::FailureSite) > 0);
-        };
-
-        for (size_t ti = 0; ti < targets.size(); ++ti) {
-            TargetReport &tr = rep.targets[ti];
-            const Target &t = targets[ti];
-
-            if (opts.diagnoseFailures && tr.foundFailure) {
-                obs::FlightRecorder plainRec(kDiagCapacity);
-                obs::FlightRecorder hardRec(kDiagCapacity);
-                replay(ti, tr.firstFailure, plainRec, hardRec);
-                bool useHard = pickLeg(t, hardRec);
-                tr.diagnosis = obs::pm::diagnose(
-                    useHard ? hardRec : plainRec,
-                    useHard ? *t.hardened : *t.plain, t.name,
-                    tr.firstFailure.token());
-                tr.hasDiagnosis = true;
-                tr.diagnosisLeg = useHard ? "hardened" : "unhardened";
-            }
-
-            // Flush-on-abort: an oracle violation (divergence or
-            // unrecovered failure) dumps the instrumented legs' trace
-            // and a diagnosis so the evidence survives process exit.
-            if (!opts.abortArtifactDir.empty() &&
-                (tr.hasDivergence || tr.hasUnrecovered)) {
-                const ScheduleSpec &spec = tr.hasDivergence
-                                               ? tr.firstDivergence
-                                               : tr.firstUnrecovered;
-                obs::FlightRecorder plainRec(kDiagCapacity);
-                obs::FlightRecorder hardRec(kDiagCapacity);
-                replay(ti, spec, plainRec, hardRec);
-
-                std::filesystem::create_directories(
-                    opts.abortArtifactDir);
-                std::string token = spec.token();
-                std::replace(token.begin(), token.end(), ':', '-');
-                std::string stem = opts.abortArtifactDir + "/" +
-                                   t.name + "_" + token;
-
-                std::vector<obs::TraceProcess> procs;
-                procs.push_back({&plainRec, t.name + " unhardened", 1});
-                if (t.hardened)
-                    procs.push_back({&hardRec, t.name + " hardened", 2});
-                auto flush = [&](const std::string &path,
-                                 const std::string &body) {
-                    std::ofstream f(path, std::ios::binary);
-                    f << body;
-                    tr.abortArtifacts.push_back(path);
-                };
-                flush(stem + "_trace.json",
-                      obs::chromeTraceJson(procs));
-
-                bool useHard = pickLeg(t, hardRec);
-                obs::pm::RecoveryReport diag = obs::pm::diagnose(
-                    useHard ? hardRec : plainRec,
-                    useHard ? *t.hardened : *t.plain, t.name,
-                    spec.token());
-                flush(stem + "_diagnosis.json", obs::pm::toJson(diag));
-                flush(stem + "_diagnosis.txt",
-                      obs::pm::renderText(diag));
-            }
-        }
-    }
-
-    // Replay corpus: re-record each first failing schedule with a
-    // replay-grade (Grow — never drops) recorder, ddmin-minimise it,
-    // and save the verified log.  Outside the worker pool like the
-    // diagnosis pass, so aggregates stay worker-independent.
-    if (!opts.replayLogDir.empty()) {
-        for (size_t ti = 0; ti < targets.size(); ++ti) {
-            TargetReport &tr = rep.targets[ti];
-            const Target &t = targets[ti];
-            if (!tr.foundFailure)
-                continue;
-
-            vm::VmConfig cfg =
-                makeBaseConfig(t, tr.firstFailure, opts);
-            obs::FlightRecorder rec(4096, obs::RecorderMode::Grow);
-            cfg.recorder = &rec;
-            cfg.recordSharedAccesses = true;
-            vm::RunResult r = vm::runProgram(*t.plain, cfg);
-            cfg.recorder = nullptr;
-            cfg.recordSharedAccesses = false;
-
-            obs::replay::ReplayLog log;
-            if (!obs::replay::buildReplayLog(
-                    t.name, tr.firstFailure.token(), cfg, rec, r, log,
-                    tr.replayError))
-                continue;
-
-            obs::replay::MinimizeOptions mo;
-            mo.preserveVerdict = true;
-            obs::replay::MinimizeResult res =
-                obs::replay::minimizeReplayLog(*t.plain, log, mo);
-            // A failure that only reproduces under the exact recorded
-            // schedule still gets its (unminimised) verified log.
-            const obs::replay::ReplayLog &final_ =
-                res.ok ? res.minimized : log;
-            tr.replayOriginalSwitches = log.switches.size();
-            tr.replayMinimizedSwitches = final_.switches.size();
-
-            // Cross-engine leg of the faithfulness contract: the log
-            // must replay under the Reference engine too.
-            tr.replayCrossEngineVerified =
-                obs::replay::replayLog(*t.plain, final_,
-                                       vm::ExecEngine::Reference)
-                    .faithful;
-
-            std::filesystem::create_directories(opts.replayLogDir);
-            std::string path =
-                opts.replayLogDir + "/" + t.name + ".replay";
-            if (!obs::replay::saveReplayLog(path, final_,
-                                            tr.replayError))
-                continue;
-            tr.replayLogPath = path;
-            tr.hasReplayLog = true;
-            if (!res.ok)
-                tr.replayError = res.err;
-        }
-        if (opts.telemetry) {
-            uint64_t corpus = 0;
-            for (const TargetReport &tr : rep.targets)
-                corpus += tr.hasReplayLog;
-            opts.telemetry->noteCorpusSize(corpus);
-        }
-    }
-
-    // Guided search pass: one coverage-guided run per target
-    // (src/explore/guided.h).  The driver batches its own worker
-    // phases and folds in batch order, so — like every pass above —
-    // the summary is identical for any worker count.  Targets run
-    // sequentially so corpora never interleave.
-    if (opts.searchMode == SearchMode::Guided) {
-        for (size_t ti = 0; ti < targets.size(); ++ti) {
-            TargetReport &tr = rep.targets[ti];
-            const Target &t = targets[ti];
-
-            GuidedOptions g;
-            g.budget = opts.guidedBudget;
-            g.batch = opts.guidedBatch;
-            g.mutationSeed = opts.guidedMutationSeed;
-            g.nudgeMax = opts.guidedNudgeMax;
-            // Fresh seeds use the matrix's first point-taking policy
-            // entry (the schedule family the corpus mutates).
-            for (const auto &[policy, depth] : opts.policies)
-                if (policy == vm::SchedPolicy::Pct ||
-                    policy == vm::SchedPolicy::PreemptBound) {
-                    g.basePolicy = policy;
-                    g.baseDepth = depth;
-                    break;
-                }
-
-            GuidedResult gr = runGuided(t, opts, g);
-
-            tr.hasGuided = true;
-            GuidedSummary &gs = tr.guided;
-            gs.budget = g.budget;
-            gs.schedules = gr.schedules;
-            gs.freshSchedules = gr.freshSchedules;
-            gs.mutatedSchedules = gr.mutatedSchedules;
-            gs.freshNovel = gr.freshNovel;
-            gs.mutationNovel = gr.mutationNovel;
-            gs.mutationYield = gr.mutationYield();
-            for (size_t op = 0; op < kMutOpCount; ++op) {
-                gs.perOp[op] = gr.perOp[op];
-                gs.perOpNovel[op] = gr.perOpNovel[op];
-            }
-            gs.corpusEntries = gr.corpus.entries.size();
-            gs.corpusDigest = gr.corpus.digest();
-            gs.foundFailure = gr.foundFailure;
-            gs.firstFailure = gr.firstFailure;
-            gs.seedsToFirstFailure = gr.seedsToFirstFailure;
-            gs.firstFailureTag = gr.firstFailureTag;
-            gs.blindSeedsToFirstFailure =
-                tr.foundFailure ? tr.firstFailureScheduleOrdinal : 0;
-            gs.distinctEdges = gr.distinctEdges;
-            gs.coverageDigest = gr.coverageDigest;
-            // The guided schedules answer to the same oracles as the
-            // blind matrix — their verdicts gate the campaign too.
-            gs.divergences = gr.divergences;
-            gs.unrecovered = gr.unrecovered;
-            rep.divergences += gr.divergences;
-            rep.unrecovered += gr.unrecovered;
-
-            if (!opts.corpusDir.empty()) {
-                std::filesystem::create_directories(opts.corpusDir);
-                std::string path =
-                    opts.corpusDir + "/" + t.name + ".corpus";
-                if (saveCorpus(path, gr.corpus, gs.error))
-                    gs.corpusPath = path;
-            }
-        }
-    }
-
     rep.seconds = std::chrono::duration<double>(t1 - t0).count();
     if (rep.seconds > 0)
         rep.schedulesPerSec = double(rep.schedules) / rep.seconds;

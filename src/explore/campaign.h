@@ -19,6 +19,11 @@
  * The first violating (app, seed, policy) triple is reported as a
  * one-line repro command.  Campaign results are deterministic: jobs
  * are aggregated in matrix order, independent of worker timing.
+ *
+ * runCampaign() runs only this blind matrix.  Diagnosis, flush-on-
+ * abort, the replay corpus, guided search and fix synthesis are named
+ * stages over its CampaignReport that the caller runs afterwards
+ * (explore/stages.h, fix/validate.h).
  */
 #pragma once
 
@@ -73,17 +78,6 @@ struct Target
     uint64_t quantum = 50;
 };
 
-/** How a campaign searches the schedule space. */
-enum class SearchMode {
-    /** The classic independent (policy, seed) matrix. */
-    Blind,
-    /** The matrix plus, per target, a coverage-guided search pass
-     *  (src/explore/guided.h): novel-coverage schedules enter a
-     *  mutation corpus and the budget is split between fresh seeds
-     *  and corpus mutations. */
-    Guided,
-};
-
 /** Campaign shape: which schedules, how many workers, which legs. */
 struct CampaignOptions
 {
@@ -129,37 +123,6 @@ struct CampaignOptions
     bool collectMetrics = false;
 
     /**
-     * After aggregation, deterministically replay every target's first
-     * failing schedule in diagnosis recording mode and attach the
-     * postmortem RecoveryReport (racy pair, switch window, verdict) to
-     * the TargetReport — so every first-failing schedule in
-     * BENCH_explore.json carries a diagnosis.  The replay happens
-     * outside the worker pool (one schedule per target), so campaign
-     * aggregates stay worker-independent.
-     */
-    bool diagnoseFailures = false;
-
-    /**
-     * Flush-on-abort: when a differential leg trips (divergence or
-     * unrecovered failure), re-run that schedule instrumented and dump
-     * the legs' trace plus the diagnosis into this directory (created
-     * if missing) instead of discarding them — oracle failures stay
-     * debuggable after the campaign exits.  Empty = off.
-     */
-    std::string abortArtifactDir;
-
-    /**
-     * Replay corpus: after aggregation, re-record every target's first
-     * failing schedule replay-grade (Grow recorder, diagnosis mode),
-     * ddmin-minimise the switch list with the failure and diagnosis
-     * verdict preserved, strictly verify the minimised log, and save
-     * it as DIR/<kernel>.replay — the O(1) repro artifact behind
-     * `bench_explore --replay`.  Runs outside the worker pool like the
-     * diagnosis pass.  Empty = off.
-     */
-    std::string replayLogDir;
-
-    /**
      * Fold an interleaving-coverage edge set out of every unhardened
      * Fused leg (src/obs/coverage/): the leg runs with a private
      * FlightRecorder attached — recording is passive, and the bare
@@ -182,30 +145,6 @@ struct CampaignOptions
      * TargetReport::wall.
      */
     bool collectProfile = false;
-
-    /**
-     * @name Guided search (only when searchMode == SearchMode::Guided)
-     * @{
-     */
-    SearchMode searchMode = SearchMode::Blind;
-
-    /** Schedules the guided pass may run per target. */
-    uint64_t guidedBudget = 250;
-
-    /** Guided batch size (worker-phase granularity; results fold in
-     *  batch order, so reports stay worker-count independent). */
-    unsigned guidedBatch = 16;
-
-    /** Base seed of the guided mutation RNG streams. */
-    uint64_t guidedMutationSeed = 1;
-
-    /** Nudge mutation radius in scheduling ticks. */
-    uint64_t guidedNudgeMax = 24;
-
-    /** Persist each target's mutation corpus as DIR/<kernel>.corpus
-     *  (created if missing).  Empty = don't persist. */
-    std::string corpusDir;
-    /** @} */
 
     /**
      * Live telemetry sink for the embedded /metrics, /status,
@@ -298,10 +237,11 @@ struct ScheduleInstruments
  * patch synthesized from the first failing schedule's diagnosis plus
  * its automated proof obligations (minimized-replay check, full
  * campaign re-run on the patched build, clean-run overhead bound).
- * The campaign engine itself never synthesizes fixes — bench_explore
- * runs the pass after runCampaign() and fills this in, so the struct
- * lives here header-only to keep conair_explore free of a fix-library
- * dependency while `kernels[].fix` still rides in the TargetReport.
+ * The campaign engine itself never synthesizes fixes — the fix stage
+ * (fix::fixStage, src/fix/validate.h) fills this in after the other
+ * stages, so the struct lives here header-only to keep conair_explore
+ * free of a fix-library dependency while `kernels[].fix` still rides
+ * in the TargetReport.
  */
 struct FixSummary
 {
@@ -336,54 +276,66 @@ struct FixSummary
 };
 
 /**
- * What one target's guided search pass produced (a plain-data
- * projection of GuidedResult, kept here so campaign.h does not depend
- * on guided.h; runCampaign fills it when
- * CampaignOptions::searchMode == SearchMode::Guided).
+ * The counters of one guided search (src/explore/guided.h): shared by
+ * runGuided()'s GuidedResult and the report's GuidedSummary, so
+ * campaign.h does not depend on guided.h.
  */
-struct GuidedSummary
+struct GuidedCounts
 {
-    uint64_t budget = 0;    ///< schedules the pass was allowed
-    uint64_t schedules = 0; ///< schedules it actually ran
+    uint64_t schedules = 0; ///< schedules actually run
     uint64_t freshSchedules = 0;
     uint64_t mutatedSchedules = 0;
+
+    /** Schedules admitted to the corpus (contributed novel edges). */
     uint64_t freshNovel = 0;
     uint64_t mutationNovel = 0;
-    /** mutationNovel / mutatedSchedules (0 when none ran). */
-    double mutationYield = 0;
 
     /** Mutated schedules tried / admitted per operator, in MutOp
      *  order (nudge, add, drop, depth, policy, near). */
     uint64_t perOp[6] = {};
     uint64_t perOpNovel[6] = {};
 
+    bool foundFailure = false;
+    ScheduleSpec firstFailure;
+    /** 1-based ordinal of the first failing schedule in generation
+     *  order — the guided "seeds to first failure". */
+    uint64_t seedsToFirstFailure = 0;
+    std::string firstFailureTag;
+
+    uint64_t distinctEdges = 0;
+    uint64_t coverageDigest = 0;
+
+    /** Oracle verdicts over the guided schedules (engine divergences
+     *  and unrecovered hardened failures under mustRecover): guided
+     *  runs face the same oracles as the blind matrix. */
+    uint64_t divergences = 0;
+    uint64_t unrecovered = 0;
+
+    /** mutationNovel / mutatedSchedules (0 when none ran). */
+    double mutationYield() const
+    {
+        return mutatedSchedules
+                   ? double(mutationNovel) / double(mutatedSchedules)
+                   : 0.0;
+    }
+};
+
+/** What the guided stage reports for one target. */
+struct GuidedSummary : GuidedCounts
+{
+    uint64_t budget = 0; ///< schedules the search was allowed
+
     uint64_t corpusEntries = 0;
     /** Corpus fingerprint — identical for any worker count. */
     uint64_t corpusDigest = 0;
-    /** DIR/<kernel>.corpus when CampaignOptions::corpusDir is set. */
+    /** DIR/<kernel>.corpus when the stage was given a directory. */
     std::string corpusPath;
-
-    bool foundFailure = false;
-    ScheduleSpec firstFailure;
-    /** 1-based ordinal of the first failing schedule in guided
-     *  generation order — the guided "seeds to first failure". */
-    uint64_t seedsToFirstFailure = 0;
-    std::string firstFailureTag;
 
     /** The blind matrix's schedules-to-first-failure for the same
      *  target (matrix order, 1-based; 0 = the matrix found none) —
      *  the apples-to-apples budget the guided number is gated
      *  against. */
     uint64_t blindSeedsToFirstFailure = 0;
-
-    uint64_t distinctEdges = 0;
-    uint64_t coverageDigest = 0;
-
-    /** Oracle verdicts over the guided schedules — folded into the
-     *  campaign-wide totals, so the exit gate covers guided runs the
-     *  same way it covers the blind matrix. */
-    uint64_t divergences = 0;
-    uint64_t unrecovered = 0;
 
     std::string error; ///< non-empty when corpus persistence failed
 };
@@ -463,19 +415,19 @@ struct TargetReport
     std::vector<obs::prof::WallCell> wall;
     /** @} */
 
-    /** Postmortem diagnosis of firstFailure (only when
-     *  CampaignOptions::diagnoseFailures and foundFailure). */
+    /** Postmortem diagnosis of firstFailure (filled by the diagnosis
+     *  stage when foundFailure). */
     bool hasDiagnosis = false;
     obs::pm::RecoveryReport diagnosis;
     /** Which leg the diagnosis trace came from ("hardened" when the
      *  hardened build told a recovery story, else "unhardened"). */
     std::string diagnosisLeg;
 
-    /** Files written by flush-on-abort for this target. */
+    /** Files written by the flush-on-abort stage for this target. */
     std::vector<std::string> abortArtifacts;
 
     /**
-     * @name Replay corpus (only when CampaignOptions::replayLogDir and
+     * @name Replay corpus (filled by the replay-corpus stage when
      * foundFailure): the ddmin-minimised replay log of firstFailure.
      * @{
      */
@@ -513,13 +465,12 @@ struct TargetReport
     std::vector<std::pair<uint64_t, uint64_t>> coverageGrowth;
     /** @} */
 
-    /** Guided search pass results (only when
-     *  CampaignOptions::searchMode == SearchMode::Guided). */
+    /** Guided stage results. */
     bool hasGuided = false;
     GuidedSummary guided;
 
-    /** Fix-synthesis pass results (filled by bench_explore after the
-     *  campaign, never by runCampaign itself — see FixSummary). */
+    /** Fix stage results (never filled by runCampaign itself — see
+     *  FixSummary). */
     FixSummary fix;
 };
 
@@ -542,7 +493,8 @@ struct CampaignReport
     std::string summary() const;
 };
 
-/** Runs the full campaign matrix (targets x policies x seeds). */
+/** Runs the blind campaign matrix (targets x policies x seeds) and
+ *  aggregates it; the post-matrix stages are the caller's to run. */
 CampaignReport runCampaign(const std::vector<Target> &targets,
                            const CampaignOptions &opts);
 
@@ -552,6 +504,13 @@ CampaignReport runCampaign(const std::vector<Target> &targets,
 ScheduleOutcome runOneSchedule(const Target &t, const ScheduleSpec &s,
                                const CampaignOptions &opts,
                                const ScheduleInstruments *ins = nullptr);
+
+/** The exact VmConfig a campaign cell runs under (no observers, no
+ *  chaos).  The replay-corpus stage snapshots this same config into
+ *  the recorded log, so replays reconstruct the run from the log
+ *  alone. */
+vm::VmConfig makeBaseConfig(const Target &t, const ScheduleSpec &s,
+                            const CampaignOptions &opts);
 
 /** The "pct:d2" / "random" label of one CampaignOptions::policies
  *  entry (a schedule token without the seed part). */

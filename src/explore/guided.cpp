@@ -261,24 +261,6 @@ struct LineReader
 };
 
 bool
-parseU64Strict(const std::string &s, uint64_t &out)
-{
-    if (s.empty() || s.size() > 20)
-        return false;
-    uint64_t v = 0;
-    for (char c : s) {
-        if (c < '0' || c > '9')
-            return false;
-        uint64_t d = uint64_t(c - '0');
-        if (v > (UINT64_MAX - d) / 10)
-            return false;
-        v = v * 10 + d;
-    }
-    out = v;
-    return true;
-}
-
-bool
 parseHex64Strict(const std::string &s, uint64_t &out)
 {
     if (s.size() != 16)
@@ -350,7 +332,7 @@ parseCorpus(const std::string &text, Corpus &out, std::string &err)
 
     uint64_t count = 0;
     if (!r.next() || !splitFields(r.line, f) || f.size() != 2 ||
-        f[0] != "entries" || !parseU64Strict(f[1], count))
+        f[0] != "entries" || !parseU64(f[1], count))
         return fail("expected 'entries <count>'");
 
     out.entries.reserve(count);
@@ -359,7 +341,7 @@ parseCorpus(const std::string &text, Corpus &out, std::string &err)
 
         uint64_t idx = 0;
         if (!r.next() || !splitFields(r.line, f) || f.size() != 2 ||
-            f[0] != "entry" || !parseU64Strict(f[1], idx))
+            f[0] != "entry" || !parseU64(f[1], idx))
             return fail(strfmt("expected 'entry %llu'",
                                (unsigned long long)i));
         if (idx != i)
@@ -376,13 +358,13 @@ parseCorpus(const std::string &text, Corpus &out, std::string &err)
             return fail("bad schedule token: " + tokErr);
 
         if (!r.next() || !splitFields(r.line, f) || f.size() != 2 ||
-            f[0] != "ordinal" || !parseU64Strict(f[1], e.ordinal))
+            f[0] != "ordinal" || !parseU64(f[1], e.ordinal))
             return fail("expected 'ordinal <n>'");
         if (e.ordinal == 0)
             return fail("ordinal must be >= 1");
 
         if (!r.next() || !splitFields(r.line, f) || f.size() != 2 ||
-            f[0] != "racy" || !parseU64Strict(f[1], e.racy))
+            f[0] != "racy" || !parseU64(f[1], e.racy))
             return fail("expected 'racy <n>'");
 
         if (!r.next() || !splitFields(r.line, f) || f.size() != 2 ||
@@ -405,7 +387,7 @@ parseCorpus(const std::string &text, Corpus &out, std::string &err)
 
         uint64_t edgeCount = 0;
         if (!r.next() || !splitFields(r.line, f) || f.size() < 2 ||
-            f[0] != "edges" || !parseU64Strict(f[1], edgeCount))
+            f[0] != "edges" || !parseU64(f[1], edgeCount))
             return fail("expected 'edges <count> <key>...'");
         if (f.size() != 2 + edgeCount)
             return fail(strfmt("edge count %llu does not match %llu "

@@ -50,6 +50,7 @@
  */
 #pragma once
 
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -161,7 +162,8 @@ bool mutateSpec(const CorpusEntry &e, MutOp op, uint64_t horizon,
                 uint64_t nudgeMax, Rng &rng, ScheduleSpec &out);
 
 /** Guided-driver knobs (the campaign options carry the legs/oracles;
- *  these only shape the search). */
+ *  these only shape the search).  The campaign runs the search through
+ *  the guided stage, explore::guidedStage (explore/stages.h). */
 struct GuidedOptions
 {
     /** Base policy for fresh seeds (and the depth they start at). */
@@ -196,47 +198,12 @@ struct GuidedOptions
     bool stopAtFirstFailure = true;
 };
 
+static_assert(kMutOpCount == std::size(GuidedCounts{}.perOp));
+
 /** Everything one guided search produced. */
-struct GuidedResult
+struct GuidedResult : GuidedCounts
 {
-    uint64_t schedules = 0; ///< schedules actually run
-    uint64_t freshSchedules = 0;
-    uint64_t mutatedSchedules = 0;
-
-    /** Schedules admitted to the corpus (contributed novel edges). */
-    uint64_t freshNovel = 0;
-    uint64_t mutationNovel = 0;
-
-    /** Mutated schedules tried / admitted, per operator. */
-    uint64_t perOp[kMutOpCount] = {};
-    uint64_t perOpNovel[kMutOpCount] = {};
-
-    bool foundFailure = false;
-    ScheduleSpec firstFailure;
-    /** 1-based ordinal of the first failing schedule in generation
-     *  order — the guided "seeds to first failure". */
-    uint64_t seedsToFirstFailure = 0;
-    std::string firstFailureTag;
-
-    uint64_t distinctEdges = 0;
-    uint64_t coverageDigest = 0;
-
-    /** Oracle verdicts over the guided schedules (engine divergences
-     *  and unrecovered hardened failures under mustRecover) — the
-     *  guided pass is held to the same three oracles as the blind
-     *  matrix. */
-    uint64_t divergences = 0;
-    uint64_t unrecovered = 0;
-
     Corpus corpus;
-
-    /** mutationNovel / mutatedSchedules (0 when none ran). */
-    double mutationYield() const
-    {
-        return mutatedSchedules
-                   ? double(mutationNovel) / double(mutatedSchedules)
-                   : 0.0;
-    }
 };
 
 /**

@@ -16,15 +16,16 @@ constexpr size_t kMaxGrowthSamples = 512;
 
 } // namespace
 
+CampaignTelemetry::CampaignTelemetry(unsigned workers)
+    : workerCount_(std::max(1u, workers)),
+      workers_(std::make_unique<WorkerCell[]>(workerCount_)),
+      start_(std::chrono::steady_clock::now())
+{}
+
 void
-CampaignTelemetry::beginCampaign(uint64_t totalJobs, unsigned workers)
+CampaignTelemetry::addPlanned(uint64_t schedules)
 {
-    total_.store(totalJobs, std::memory_order_relaxed);
-    done_.store(0, std::memory_order_relaxed);
-    failures_.store(0, std::memory_order_relaxed);
-    workerCount_ = std::max(1u, workers);
-    workers_ = std::make_unique<WorkerCell[]>(workerCount_);
-    start_ = std::chrono::steady_clock::now();
+    total_.fetch_add(schedules, std::memory_order_relaxed);
 }
 
 void
@@ -33,7 +34,7 @@ CampaignTelemetry::noteSchedule(unsigned worker,
                                 const ScheduleOutcome &o)
 {
     uint64_t done = done_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (worker < workerCount_ && workers_)
+    if (worker < workerCount_)
         workers_[worker].schedules.fetch_add(
             1, std::memory_order_relaxed);
     if (o.ran && !o.unhardenedCorrect && !o.unhardenedInconclusive)
@@ -107,12 +108,6 @@ CampaignTelemetry::schedulesDone() const
     return done_.load(std::memory_order_relaxed);
 }
 
-uint64_t
-CampaignTelemetry::failuresFound() const
-{
-    return failures_.load(std::memory_order_relaxed);
-}
-
 std::string
 CampaignTelemetry::statusJson() const
 {
@@ -137,9 +132,7 @@ CampaignTelemetry::statusJson() const
     w.key("workers").beginArray();
     for (unsigned i = 0; i < workerCount_; ++i) {
         uint64_t n =
-            workers_ ? workers_[i].schedules.load(
-                           std::memory_order_relaxed)
-                     : 0;
+            workers_[i].schedules.load(std::memory_order_relaxed);
         w.beginObject();
         w.key("worker").value(uint64_t(i));
         w.key("schedules").value(n);
@@ -293,9 +286,8 @@ CampaignTelemetry::prometheusText() const
     for (unsigned i = 0; i < workerCount_; ++i)
         out += strfmt(
             "conair_worker_schedules{worker=\"%u\"} %llu\n", i,
-            (unsigned long long)(workers_ ? workers_[i].schedules.load(
-                                                std::memory_order_relaxed)
-                                          : 0));
+            (unsigned long long)workers_[i].schedules.load(
+                std::memory_order_relaxed));
     return out;
 }
 

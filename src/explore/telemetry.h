@@ -40,14 +40,17 @@ struct ScheduleOutcome;
 class CampaignTelemetry
 {
   public:
-    CampaignTelemetry() = default;
+    /** Per-worker cells for @p workers workers and the elapsed-time
+     *  origin are fixed here, once: readers never race a re-arm. */
+    explicit CampaignTelemetry(unsigned workers = 1);
 
     CampaignTelemetry(const CampaignTelemetry &) = delete;
     CampaignTelemetry &operator=(const CampaignTelemetry &) = delete;
 
-    /** Arms the telemetry for a campaign of @p totalJobs schedules on
-     *  @p workers workers (runCampaign calls this). */
-    void beginCampaign(uint64_t totalJobs, unsigned workers);
+    /** Adds @p schedules to the planned total (runCampaign its matrix,
+     *  the guided stage its budgets).  Nothing resets a counter, so
+     *  /status only moves forward across campaigns.  Thread-safe. */
+    void addPlanned(uint64_t schedules);
 
     /** Publishes one finished schedule of target @p target from
      *  worker @p worker: counters, the outcome's coverage fold, its
@@ -56,7 +59,7 @@ class CampaignTelemetry
     void noteSchedule(unsigned worker, const std::string &target,
                       const ScheduleOutcome &o);
 
-    /** Replay-corpus size (set by the post-aggregation pass). */
+    /** Replay-corpus size (set by the replay-corpus stage). */
     void noteCorpusSize(uint64_t n);
 
     /** Accumulates guided-search progress (runGuided publishes one
@@ -72,7 +75,6 @@ class CampaignTelemetry
     obs::cov::CoverageMap &coverage() { return coverage_; }
 
     uint64_t schedulesDone() const;
-    uint64_t failuresFound() const;
 
     /** GET /status body: live campaign JSON (schedules done/total,
      *  failures, corpus size, per-worker schedules/sec, coverage
@@ -109,9 +111,9 @@ class CampaignTelemetry
     std::atomic<uint64_t> guidedMutNovel_{0};
     std::atomic<uint64_t> guidedFreshTried_{0};
     std::atomic<uint64_t> guidedFreshNovel_{0};
-    std::unique_ptr<WorkerCell[]> workers_; ///< workerCount_ cells
-    unsigned workerCount_ = 0;
-    std::chrono::steady_clock::time_point start_{};
+    const unsigned workerCount_;
+    const std::unique_ptr<WorkerCell[]> workers_; ///< workerCount_ cells
+    const std::chrono::steady_clock::time_point start_;
 
     obs::cov::CoverageMap coverage_;
 

@@ -1,5 +1,7 @@
 #include "fix/validate.h"
 
+#include "fix/fix.h"
+#include "fix/report.h"
 #include "obs/replay/replay_run.h"
 #include "vm/interp.h"
 
@@ -87,9 +89,6 @@ validatePatch(const ir::Module &patched, const explore::Target &baseline,
     copts.differential = true;
     copts.stopAfterFailures = 0;
     copts.collectMetrics = false;
-    copts.diagnoseFailures = false;
-    copts.abortArtifactDir.clear();
-    copts.replayLogDir.clear();
 
     explore::CampaignReport rep = explore::runCampaign({t}, copts);
     const explore::TargetReport &tr = rep.targets[0];
@@ -108,6 +107,58 @@ validatePatch(const ir::Module &patched, const explore::Target &baseline,
             res.error = "patched build diverges across engines";
     }
     return res;
+}
+
+std::string
+fixStage(const std::vector<explore::Target> &targets,
+         const std::vector<vm::VmConfig> &cleanConfigs,
+         const ValidationOptions &opts, explore::CampaignReport &rep)
+{
+    std::string text;
+    for (size_t ti = 0; ti < targets.size(); ++ti) {
+        explore::TargetReport &tr = rep.targets[ti];
+        if (!tr.foundFailure || !tr.hasDiagnosis)
+            continue;
+        explore::FixSummary &fs = tr.fix;
+        fs.attempted = true;
+        FixPlan plan = synthesizeFix(*targets[ti].plain, tr.diagnosis);
+        fs.synthesized = plan.ok;
+        fs.strategy = strategyName(plan.strategy);
+        fs.verdict = obs::pm::verdictName(plan.verdict);
+        fs.variable = plan.variable;
+        fs.mutexName = plan.mutexName;
+        fs.usedExistingMutex = plan.usedExistingMutex;
+        fs.edits = plan.edits.size();
+        fs.error = plan.error;
+        if (!plan.ok) {
+            text += renderPatchText(plan);
+            continue;
+        }
+        obs::replay::ReplayLog log;
+        std::string lerr;
+        bool haveLog =
+            tr.hasReplayLog &&
+            obs::replay::loadReplayLog(tr.replayLogPath, log, lerr);
+        ValidationOptions vopts = opts;
+        vopts.cleanConfig = cleanConfigs[ti];
+        ValidationResult val = validatePatch(
+            *plan.patched, targets[ti], haveLog ? &log : nullptr, vopts);
+        fs.replayChecked = val.replayChecked;
+        fs.replayFailureGone = val.replayFailureGone;
+        fs.campaignRan = val.campaignRan;
+        fs.patchedSchedules = val.schedules;
+        fs.patchedFailing = val.failing;
+        fs.patchedDeadlocks = val.deadlocks;
+        fs.patchedDivergences = val.divergences;
+        fs.patchedInconclusive = val.inconclusive;
+        fs.overhead = val.overhead;
+        fs.overheadOk = val.overheadOk;
+        fs.validated = val.ok();
+        if (!val.ok() && fs.error.empty())
+            fs.error = val.error;
+        text += renderPatchText(plan, &val);
+    }
+    return text;
 }
 
 } // namespace conair::fix

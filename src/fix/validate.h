@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "explore/campaign.h"
 #include "obs/replay/replay_log.h"
@@ -33,8 +34,9 @@ namespace conair::fix {
 struct ValidationOptions
 {
     /** Campaign shape for obligation 2 (seeds, policies, workers).
-     *  Differential legs are forced on; stopAfterFailures, diagnosis,
-     *  and artifact dirs are forced off. */
+     *  Differential legs are forced on; stopAfterFailures and metrics
+     *  are forced off.  runCampaign runs no stage, so the validation
+     *  campaign never diagnoses, persists or searches anything. */
     explore::CampaignOptions campaign;
 
     /** Clean-run configuration of the kernel (AppSpec::cleanConfig)
@@ -89,5 +91,14 @@ ValidationResult validatePatch(const ir::Module &patched,
                                const explore::Target &baseline,
                                const obs::replay::ReplayLog *minimizedLog,
                                const ValidationOptions &opts);
+
+/** The campaign fix stage (explore/stages.h): synthesizes a patch
+ *  from each diagnosed first failure and validates it with @p opts,
+ *  the replay-corpus stage's log and @p cleanConfigs[i].  Fills
+ *  TargetReport::fix; returns the patch reports in target order. */
+std::string fixStage(const std::vector<explore::Target> &targets,
+                     const std::vector<vm::VmConfig> &cleanConfigs,
+                     const ValidationOptions &opts,
+                     explore::CampaignReport &rep);
 
 } // namespace conair::fix

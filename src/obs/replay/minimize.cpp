@@ -152,4 +152,33 @@ minimizeReplayLog(const ir::Module &m, const ReplayLog &log,
     return res;
 }
 
+RecordedRun
+recordRun(const ir::Module &m, const vm::VmConfig &cfg)
+{
+    RecordedRun run;
+    run.config = cfg;
+    run.recorder =
+        std::make_unique<FlightRecorder>(4096, RecorderMode::Grow);
+    vm::VmConfig rcfg = cfg;
+    rcfg.recorder = run.recorder.get();
+    rcfg.recordSharedAccesses = true;
+    run.result = vm::runProgram(m, rcfg);
+    return run;
+}
+
+bool
+minimizeRecordedRun(const ir::Module &m, const RecordedRun &run,
+                    const std::string &program, const std::string &token,
+                    const MinimizeOptions *opts, MinimizedLog &out,
+                    std::string &err)
+{
+    if (!buildReplayLog(program, token, run.config, *run.recorder,
+                        run.result, out.recorded, err))
+        return false;
+    out.ddmin = MinimizeResult{};
+    if (opts)
+        out.ddmin = minimizeReplayLog(m, out.recorded, *opts);
+    return true;
+}
+
 } // namespace conair::obs::replay

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "obs/replay/replay_run.h"
@@ -73,5 +74,38 @@ struct MinimizeResult
 MinimizeResult minimizeReplayLog(const ir::Module &m,
                                  const ReplayLog &log,
                                  const MinimizeOptions &opts = {});
+
+/** A run recorded replay-grade (Grow recorder, diagnosis mode): what
+ *  buildReplayLog() consumes. */
+struct RecordedRun
+{
+    vm::VmConfig config; ///< the run's config, observers detached
+    std::unique_ptr<FlightRecorder> recorder;
+    vm::RunResult result;
+};
+
+/** Runs @p m under @p cfg, recorded replay-grade. */
+RecordedRun recordRun(const ir::Module &m, const vm::VmConfig &cfg);
+
+/** A recorded run's replay log, before and after ddmin. */
+struct MinimizedLog
+{
+    ReplayLog recorded;
+    MinimizeResult ddmin; ///< ok == false when it failed or was skipped
+
+    /** The minimised log, else the recorded one. */
+    const ReplayLog &best() const
+    {
+        return ddmin.ok ? ddmin.minimized : recorded;
+    }
+};
+
+/** Builds @p run's replay log and ddmin-minimises it with @p opts
+ *  (null skips ddmin).  False with @p err when no log can be built. */
+bool minimizeRecordedRun(const ir::Module &m, const RecordedRun &run,
+                         const std::string &program,
+                         const std::string &token,
+                         const MinimizeOptions *opts, MinimizedLog &out,
+                         std::string &err);
 
 } // namespace conair::obs::replay

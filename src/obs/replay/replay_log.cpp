@@ -120,23 +120,6 @@ ReplayLog::serialize() const
 
 namespace {
 
-/** Whole-string unsigned parse with overflow detection: the malformed
- *  inputs a hand-edited or truncated log file can contain must never
- *  become silent garbage. */
-bool
-parseU64(const std::string &s, uint64_t &out)
-{
-    if (s.empty() || s[0] < '0' || s[0] > '9')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno == ERANGE || !end || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
-
 bool
 parseI64(const std::string &s, int64_t &out)
 {

@@ -19,6 +19,48 @@ vstrfmt(const char *fmt, va_list ap)
 }
 
 std::string
+withExtension(const std::string &path, const std::string &ext)
+{
+    size_t dot = path.rfind('.');
+    if (dot == std::string::npos || path.find('/', dot) != std::string::npos)
+        dot = path.size();
+    return path.substr(0, dot) + ext;
+}
+
+std::vector<std::string>
+split(const std::string &s, char sep, bool dropEmpty)
+{
+    std::vector<std::string> parts(1);
+    for (char c : s) {
+        if (c != sep)
+            parts.back() += c;
+        else if (!dropEmpty || !parts.back().empty())
+            parts.emplace_back();
+    }
+    if (dropEmpty && parts.back().empty())
+        parts.pop_back();
+    return parts;
+}
+
+bool
+parseU64(const std::string &s, uint64_t &out)
+{
+    if (s.empty())
+        return false;
+    uint64_t v = 0;
+    for (char c : s) {
+        if (c < '0' || c > '9')
+            return false;
+        uint64_t d = uint64_t(c - '0');
+        if (v > (UINT64_MAX - d) / 10)
+            return false;
+        v = v * 10 + d;
+    }
+    out = v;
+    return true;
+}
+
+std::string
 strfmt(const char *fmt, ...)
 {
     va_list ap;

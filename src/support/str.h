@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,20 @@ std::string join(const std::vector<std::string> &parts, const std::string &sep);
 
 /** Renders a double the way the IR printer expects (round-trippable). */
 std::string fpToStr(double v);
+
+/** Splits @p s at every @p sep.  Empty parts are kept (so callers can
+ *  reject "a,,b") unless @p dropEmpty. */
+std::vector<std::string> split(const std::string &s, char sep,
+                               bool dropEmpty = false);
+
+/** Strict u64 parse: digits only (no sign, no whitespace, no trailing
+ *  junk) and overflow is an error, so a mistyped number can never
+ *  wrap into a silently different one.  False leaves @p out alone. */
+bool parseU64(const std::string &s, uint64_t &out);
+
+/** @p path with its last extension replaced by @p ext (".prom"), or
+ *  @p ext appended when the file name has none. */
+std::string withExtension(const std::string &path, const std::string &ext);
 
 /** True if @p s starts with @p prefix. */
 bool startsWith(const std::string &s, const std::string &prefix);

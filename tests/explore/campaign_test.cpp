@@ -146,7 +146,7 @@ TEST_F(CampaignFixture, CoverageIsIndependentOfWorkerCount)
     opts.telemetry = &serialTel;
     CampaignReport serial = runCampaign(targets, opts);
 
-    CampaignTelemetry parallelTel;
+    CampaignTelemetry parallelTel(4);
     opts.workers = 4;
     opts.telemetry = &parallelTel;
     CampaignReport parallel = runCampaign(targets, opts);

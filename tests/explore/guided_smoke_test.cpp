@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/harness.h"
-#include "explore/guided.h"
+#include "explore/stages.h"
 #include "explore/telemetry.h"
 
 namespace conair::explore {
@@ -30,12 +30,13 @@ TEST(GuidedSmoke, TwoKernelGuidedCampaign)
     opts.seedsPerPolicy = 4;
     opts.policies = {{vm::SchedPolicy::Pct, 2}};
     opts.maxSteps = 2'000'000;
-    opts.searchMode = SearchMode::Guided;
-    opts.guidedBudget = 16;
+    GuidedOptions g;
+    g.budget = 16;
 
-    CampaignTelemetry tel;
+    CampaignTelemetry tel(opts.workers);
     opts.telemetry = &tel;
     CampaignReport rep = runCampaign(targets, opts);
+    guidedStage(targets, opts, g, "", rep);
     EXPECT_EQ(rep.divergences, 0u);
     EXPECT_EQ(rep.unrecovered, 0u);
 
@@ -56,7 +57,7 @@ TEST(GuidedSmoke, TwoKernelGuidedCampaign)
     ASSERT_EQ(rep.targets.size(), 2u);
     for (const TargetReport &tr : rep.targets) {
         ASSERT_TRUE(tr.hasGuided) << tr.name;
-        EXPECT_EQ(tr.guided.budget, opts.guidedBudget) << tr.name;
+        EXPECT_EQ(tr.guided.budget, g.budget) << tr.name;
         EXPECT_GT(tr.guided.schedules, 0u) << tr.name;
         EXPECT_GT(tr.guided.corpusEntries, 0u) << tr.name;
         EXPECT_NE(tr.guided.corpusDigest, 0u) << tr.name;

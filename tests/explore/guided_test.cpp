@@ -15,6 +15,7 @@
 
 #include "apps/harness.h"
 #include "explore/guided.h"
+#include "explore/stages.h"
 #include "obs/replay/replay_log.h"
 #include "obs/replay/replay_run.h"
 #include "obs/trace.h"
@@ -453,16 +454,18 @@ TEST_F(GuidedFixture, CampaignGuidedBlocksWorkerIndependentAndSaved)
     CampaignOptions opts = smallOptions();
     opts.seedsPerPolicy = 4;
     opts.policies = {{vm::SchedPolicy::Pct, 2}};
-    opts.searchMode = SearchMode::Guided;
-    opts.guidedBudget = 16;
     opts.collectCoverage = true;
+    GuidedOptions g;
+    g.budget = 16;
 
     opts.workers = 1;
     CampaignReport serial = runCampaign(targets, opts);
+    guidedStage(targets, opts, g, "", serial);
 
     opts.workers = 4;
-    opts.corpusDir = ::testing::TempDir() + "guided_test_corpora";
     CampaignReport parallel = runCampaign(targets, opts);
+    guidedStage(targets, opts, g,
+                ::testing::TempDir() + "guided_test_corpora", parallel);
 
     ASSERT_EQ(serial.targets.size(), parallel.targets.size());
     for (size_t i = 0; i < serial.targets.size(); ++i) {
@@ -492,7 +495,7 @@ TEST_F(GuidedFixture, CampaignGuidedBlocksWorkerIndependentAndSaved)
             << a.name;
         EXPECT_EQ(a.guided.coverageDigest, b.guided.coverageDigest)
             << a.name;
-        EXPECT_EQ(a.guided.mutationYield, b.guided.mutationYield)
+        EXPECT_EQ(a.guided.mutationYield(), b.guided.mutationYield())
             << a.name;
 
         // Only the second run persisted; the file must re-parse to

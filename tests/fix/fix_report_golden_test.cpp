@@ -13,7 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/harness.h"
-#include "explore/schedule.h"
+#include "explore/campaign.h"
 #include "fix/fix.h"
 #include "fix/report.h"
 #include "fix/validate.h"
@@ -23,20 +23,6 @@
 
 namespace conair::fixtest {
 namespace {
-
-/** The bench_explore campaign config for (target, token). */
-vm::VmConfig
-campaignConfig(const explore::Target &target,
-               const explore::ScheduleSpec &s)
-{
-    vm::VmConfig cfg;
-    s.applyTo(cfg);
-    cfg.pctHorizon = target.horizon;
-    cfg.quantum = target.quantum;
-    cfg.maxSteps = 4'000'000;
-    cfg.maxRetries = 200;
-    return cfg;
-}
 
 fix::FixPlan
 synthesizeZsnesFix()
@@ -55,7 +41,8 @@ synthesizeZsnesFix()
     // the racing partner land in the trace; the unhardened leg dies
     // at the assert first).
     obs::FlightRecorder rec(4096, obs::RecorderMode::Grow);
-    vm::VmConfig cfg = campaignConfig(target, s);
+    vm::VmConfig cfg =
+        explore::makeBaseConfig(target, s, explore::CampaignOptions{});
     cfg.recorder = &rec;
     cfg.recordSharedAccesses = true;
     vm::runProgram(*target.hardened, cfg);

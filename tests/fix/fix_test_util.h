@@ -3,23 +3,17 @@
  * Shared front half for the fix-synthesis tests: record one failing
  * run of a kernel's scripted buggy schedule, diagnose it postmortem,
  * and (optionally) build + ddmin-minimise the failing run's replay
- * log — everything synthesizeFix()/validatePatch() consume.
- *
- * Diagnosis prefers the hardened leg under the same schedule: ConAir
- * recovery retries until the racing partner's access lands in the
- * trace, whereas the unhardened leg dies at the failure site first
- * (the same leg-selection rule bench_explore uses).
+ * log — everything synthesizeFix()/validatePatch() consume.  Each
+ * step is the library piece bench_explore --fix uses
+ * (apps::probeScriptedFailure, explore::diagnoseRecordedRun,
+ * obs::replay::minimizeRecordedRun).
  */
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "apps/harness.h"
-#include "obs/postmortem/diagnosis.h"
-#include "obs/replay/minimize.h"
-#include "obs/replay/replay_log.h"
-#include "vm/interp.h"
+#include "explore/stages.h"
 
 namespace conair::fixtest {
 
@@ -51,59 +45,29 @@ recordScriptedFailure(const std::string &name, bool wantLog,
     out.app = apps::prepareCampaignApp(*spec);
     out.target = apps::campaignTarget(out.app);
 
-    auto rec = std::make_unique<obs::FlightRecorder>(
-        4096, obs::RecorderMode::Grow);
-    vm::VmConfig cfg;
-    vm::RunResult fail;
-    bool gotFailure = false;
-    for (uint64_t seed = 1; seed <= 8 && !gotFailure; ++seed) {
-        rec = std::make_unique<obs::FlightRecorder>(
-            4096, obs::RecorderMode::Grow);
-        cfg = spec->buggyConfig;
-        cfg.seed = seed;
-        cfg.recorder = rec.get();
-        cfg.recordSharedAccesses = true;
-        fail = vm::runProgram(*out.target.plain, cfg);
-        cfg.recorder = nullptr;
-        cfg.recordSharedAccesses = false;
-        gotFailure = !apps::runIsCorrect(*spec, fail);
-    }
-    if (!gotFailure) {
+    obs::replay::RecordedRun fail;
+    if (!apps::probeScriptedFailure(out.app, fail)) {
         err = name + ": scripted buggy schedule never failed "
                      "(seeds 1..8)";
         return false;
     }
-
-    obs::FlightRecorder hardRec(4096, obs::RecorderMode::Grow);
-    {
-        vm::VmConfig hcfg = cfg;
-        hcfg.recorder = &hardRec;
-        hcfg.recordSharedAccesses = true;
-        vm::runProgram(*out.target.hardened, hcfg);
-    }
-    bool useHard =
-        hardRec.totalOf(obs::EventKind::RecoveryDone) > 0 ||
-        hardRec.totalOf(obs::EventKind::FailureSite) > 0;
-    out.report = obs::pm::diagnose(
-        useHard ? hardRec : *rec,
-        useHard ? *out.target.hardened : *out.target.plain, name);
+    out.report = explore::diagnoseRecordedRun(out.target, fail, "").report;
     if (out.report.episodes.empty()) {
         err = name + ": diagnosis produced no episodes";
         return false;
     }
 
     if (wantLog) {
+        obs::replay::MinimizeOptions mo;
+        obs::replay::MinimizedLog logs;
         std::string lerr;
-        if (!obs::replay::buildReplayLog(name, "", cfg, *rec, fail,
-                                         out.log, lerr)) {
+        if (!obs::replay::minimizeRecordedRun(*out.target.plain, fail,
+                                              name, "", &mo, logs,
+                                              lerr)) {
             err = name + ": replay log build failed: " + lerr;
             return false;
         }
-        obs::replay::MinimizeResult mres =
-            obs::replay::minimizeReplayLog(*out.target.plain, out.log,
-                                           {});
-        if (mres.ok)
-            out.log = mres.minimized;
+        out.log = logs.best();
         out.hasLog = true;
     }
     return true;

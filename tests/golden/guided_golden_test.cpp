@@ -26,7 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/harness.h"
-#include "explore/campaign.h"
+#include "explore/stages.h"
 #include "support/str.h"
 #include "tests/support/golden_util.h"
 
@@ -80,9 +80,11 @@ runGuidedCampaign(const std::vector<std::string> &names, unsigned seeds,
     opts.seedsPerPolicy = seeds;
     opts.stopAfterFailures = 1;
     opts.maxSteps = 2'000'000;
-    opts.searchMode = SearchMode::Guided;
-    opts.guidedBudget = budget;
-    return runCampaign(targets, opts);
+    GuidedOptions g;
+    g.budget = budget;
+    CampaignReport rep = runCampaign(targets, opts);
+    guidedStage(targets, opts, g, "", rep);
+    return rep;
 }
 
 std::string

@@ -26,19 +26,6 @@ struct RecordedFailure
     ReplayLog log;
 };
 
-/** The campaign base config for (target, spec) — mirrors
- *  explore::runOneSchedule. */
-inline vm::VmConfig
-campaignConfig(const explore::Target &t, const explore::ScheduleSpec &s)
-{
-    vm::VmConfig cfg;
-    s.applyTo(cfg);
-    cfg.pctHorizon = t.horizon;
-    cfg.quantum = t.quantum;
-    cfg.maxSteps = 2'000'000;
-    return cfg;
-}
-
 inline bool
 isFailure(const vm::RunResult &r)
 {
@@ -79,8 +66,10 @@ recordFailure(const char *name, RecordedFailure &out,
           {vm::SchedPolicy::Random, 0}})
         for (uint64_t seed = 1; seed <= 250; ++seed)
             probes.push_back({policy, seed, depth});
+    explore::CampaignOptions opts;
+    opts.maxSteps = 2'000'000;
     for (const explore::ScheduleSpec &s : probes) {
-        vm::VmConfig cfg = campaignConfig(out.target, s);
+        vm::VmConfig cfg = explore::makeBaseConfig(out.target, s, opts);
         cfg.engine = engine;
         cfg.schedFastPath = burst;
         vm::RunResult probe = vm::runProgram(*out.target.plain, cfg);

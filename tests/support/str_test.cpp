@@ -48,6 +48,21 @@ TEST(Escape, RoundTrips)
     }
 }
 
+TEST(ParseU64, AcceptsPlainDigitsOnly)
+{
+    uint64_t v = 7;
+    EXPECT_TRUE(parseU64("0", v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseU64("18446744073709551615", v));
+    EXPECT_EQ(v, UINT64_MAX);
+    for (const char *bad : {"", "abc", "-1", "+1", " 1", "1 ", "1x",
+                            "0x10", "18446744073709551616"}) {
+        v = 7;
+        EXPECT_FALSE(parseU64(bad, v)) << bad;
+        EXPECT_EQ(v, 7u) << bad;
+    }
+}
+
 TEST(StartsWith, Basics)
 {
     EXPECT_TRUE(startsWith("conair", "con"));
