@@ -30,7 +30,9 @@ median(std::vector<double> v)
 int
 main(int argc, char **argv)
 {
-    unsigned reps = argUnsigned(argc, argv, "--reps", 30);
+    const Args args =
+        benchArgs(argc, argv, {{"--reps", FlagKind::Number, UINT_MAX}});
+    unsigned reps = unsigned(args.number("--reps", 30));
 
     std::printf("=== Section 6.4: static analysis and transformation "
                 "time (median of %u runs, microseconds) ===\n\n", reps);

@@ -26,65 +26,13 @@
  *   --no-speedup  skip the 1-worker vs N-worker speedup measurement
  *   --policies L  comma-separated policy axis, e.g. "pct:d3,pb:d2,random"
  *                 (default: pct:d2,pct:d3,pb:d2,random)
- *   --repro APP TOKEN
- *                 re-run one schedule (token from a campaign report,
- *                 e.g. "pct:d3:s17") and print the full differential
- *                 detail for it
- *   --trace FILE  write a Chrome trace_event JSON of the schedule
- *                 (Perfetto-loadable).  With --repro, traces that
- *                 schedule; in campaign mode, re-runs and traces the
- *                 first failing schedule the campaign found.  The
- *                 trace's rollback/checkpoint totals are cross-checked
- *                 against the run's RunStats (exit 1 on mismatch).
- *   --metrics FILE  write the hardened leg's MetricsRegistry JSON for
- *                 the traced schedule, plus the same registry as
- *                 Prometheus text exposition next to it (FILE with a
- *                 .prom extension)
- *   --timeline    (--repro only) print the human-readable recovery
- *                 timeline to stdout
- *   --diagnose [APP] TOKEN
- *                 replay one schedule in diagnosis recording mode and
- *                 print the postmortem RecoveryReport (racy pair,
- *                 scheduler-switch window, bug-pattern verdict, ASCII
- *                 interleaving diagram).  APP defaults to ZSNES.  As a
- *                 bare flag after --repro APP TOKEN it diagnoses that
- *                 schedule.  See docs/OBSERVABILITY.md.
- *   --diagnose-json FILE
- *                 also write the RecoveryReport as JSON
  *   --abort-dir DIR
  *                 campaign mode: flush-on-abort — when the campaign
  *                 oracle trips (divergence / unrecovered), dump the
  *                 instrumented legs' trace and a diagnosis into DIR
- *   --replay LOG  the O(1) repro path: re-execute a recorded replay
- *                 log (no schedule search) and differentially check
- *                 the run against the recorded fingerprint; exit 0
- *                 iff the replay is faithful.  Combines with
- *                 --engine reference|fused (cross-engine
- *                 replay; default: the recording's engine),
- *                 --timeline (time-travel interleaving timeline),
- *                 --diagnose, and --trace FILE.
- *   --record-replay FILE
- *                 (--repro only) record the unhardened leg
- *                 replay-grade, strictly verify it, and save it as
- *                 FILE; with --minimize, ddmin-minimise the switch
- *                 list first.  See docs/OBSERVABILITY.md.
  *   --replay-dir DIR
  *                 campaign mode: where the per-kernel minimised
  *                 replay logs go (default: replay-logs)
- *   --fix [APP] [TOKEN]
- *                 synthesize a fix for APP (default ZSNES) from a
- *                 postmortem diagnosis and prove it regression-free:
- *                 the recorded failing schedule is ddmin-minimised and
- *                 replayed against the patched build (failure gone),
- *                 the full campaign matrix re-runs on the patch
- *                 (0 failing / 0 deadlocked / 0 divergent), and the
- *                 clean-run overhead must stay within bound.  With
- *                 TOKEN the failure comes from that campaign schedule;
- *                 without it the kernel's scripted failure-forcing
- *                 schedule is probed over seeds 1..8.  Exit 0 iff the
- *                 patch validated.  See docs/FIXING.md.
- *   --fix-json FILE
- *                 also write the patch + validation report as JSON
  *   --serve PORT  campaign mode: serve live telemetry on
  *                 127.0.0.1:PORT for the duration of the run —
  *                 GET /metrics (Prometheus text exposition),
@@ -97,17 +45,14 @@
  *   --serve-port-file FILE
  *                 write the bound telemetry port to FILE (CI uses
  *                 this with --serve 0)
- *   --profile [FILE]
+ *   --profile FILE
  *                 print the recovery-cost profile: the top hot-phase
  *                 table over the deterministic per-(kernel, policy)
  *                 phase/episode aggregates, plus the campaign's
- *                 wall-clock self-time cells.  With FILE, also write
- *                 the speedscope JSON there and the folded flamegraph
- *                 stacks next to it (FILE with a .folded extension).
- *                 Works in campaign mode, with --repro (profiles that
- *                 schedule's hardened leg), and with --replay
- *                 (profiles the replayed run).  Campaign mode always
- *                 *collects* the profile — kernels[].profile in
+ *                 wall-clock self-time cells; write the speedscope
+ *                 JSON to FILE and the folded flamegraph stacks next
+ *                 to it (FILE with a .folded extension).  The campaign
+ *                 always *collects* the profile — kernels[].profile in
  *                 BENCH_explore.json and the full-mode recovery-tax
  *                 gate depend on it — the flag only controls printing
  *                 and export.  See docs/OBSERVABILITY.md, "Profiling".
@@ -139,37 +84,31 @@
  * kernels[].fix, and outside smoke mode a kernel whose patch fails
  * validation fails the bench.
  *
+ * One schedule the campaign found — its trace, metrics, timeline,
+ * diagnosis, replay log or fix — is tools/conair.cpp's job: hand the
+ * token the summary prints to `conair repro APP TOKEN` or
+ * `conair fix APP TOKEN`.
+ *
  * An argv entry that is neither a flag above nor that flag's operand,
- * or a numeric operand that is not plain decimal digits, is a
- * one-line error with exit status 2.
+ * a flag given twice, or a numeric operand that is not plain decimal
+ * digits in range is a one-line error with exit status 2.
  */
 #include "bench/bench_util.h"
 
 #include <atomic>
 #include <chrono>
-#include <fstream>
-#include <map>
 #include <thread>
 
 #include "explore/campaign.h"
 #include "explore/guided.h"
 #include "explore/stages.h"
 #include "explore/telemetry.h"
-#include "fix/fix.h"
-#include "fix/report.h"
 #include "fix/validate.h"
-#include "obs/coverage/coverage.h"
 #include "obs/postmortem/diagnosis.h"
 #include "obs/profile/profile_export.h"
 #include "obs/serve/http_server.h"
-#include "obs/replay/minimize.h"
-#include "obs/replay/replay_export.h"
-#include "obs/replay/replay_run.h"
-#include "obs/trace.h"
-#include "obs/trace_export.h"
 #include "support/json.h"
 #include "support/str.h"
-#include "vm/interp.h"
 
 using namespace conair;
 using namespace conair::apps;
@@ -177,663 +116,6 @@ using namespace conair::bench;
 using namespace conair::explore;
 
 namespace {
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::ofstream f(path);
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    f << content;
-    return true;
-}
-
-/** Writes the profile artifacts: speedscope JSON at @p path, folded
- *  flamegraph stacks next to it (.folded extension). */
-bool
-writeProfileArtifacts(const obs::prof::ProfileDoc &doc,
-                      const std::string &name, const std::string &path)
-{
-    if (!writeFile(path, obs::prof::speedscopeJson(doc, name) + "\n"))
-        return false;
-    std::printf("wrote %s (speedscope JSON)\n", path.c_str());
-    std::string folded = withExtension(path, ".folded");
-    if (!writeFile(folded, obs::prof::foldedStacks(doc)))
-        return false;
-    std::printf("wrote %s (folded stacks)\n", folded.c_str());
-    return true;
-}
-
-/**
- * Traces one (target, schedule) cell and emits the requested
- * artifacts.  Returns false when the trace's wraparound-surviving
- * rollback/checkpoint totals disagree with the run's RunStats — the
- * cross-check the acceptance criteria pin.
- */
-bool
-traceSchedule(const Target &target, const ScheduleSpec &s,
-              CampaignOptions opts, const std::string &appName,
-              const std::string &tracePath,
-              const std::string &metricsPath, bool timeline)
-{
-    // Diagnosis-grade recording (shared accesses on): the coverage
-    // fold below needs the access sites, and the campaign's coverage
-    // legs record the same way — so the cross-checked edge set here is
-    // the edge set the campaign counted.  Grown capacity to match.
-    obs::FlightRecorder unhardenedRec(65536);
-    obs::FlightRecorder hardenedRec(65536);
-    ScheduleInstruments ins{&unhardenedRec, &hardenedRec};
-    ins.recordSharedAccesses = true;
-    opts.collectMetrics = true;
-    ScheduleOutcome o = runOneSchedule(target, s, opts, &ins);
-
-    // Fold the unhardened leg's interleaving coverage and annotate the
-    // recorder with it, so the trace artifact and timeline carry the
-    // coverage-novel / coverage-snapshot events (folding is post-run;
-    // it never touches execution).
-    obs::cov::CoverageFold cov = obs::cov::foldCoverage(unhardenedRec);
-    obs::cov::annotateRecorder(unhardenedRec, cov.edges,
-                               cov.edges.size());
-
-    if (!tracePath.empty()) {
-        std::vector<obs::TraceProcess> procs = {
-            {&unhardenedRec, appName + " unhardened " + s.token(), 1},
-            {&hardenedRec, appName + " hardened " + s.token(), 2},
-        };
-        if (!writeFile(tracePath, obs::chromeTraceJson(procs)))
-            return false;
-        std::printf("wrote %s (%llu events, %llu dropped by ring "
-                    "wraparound)\n",
-                    tracePath.c_str(),
-                    (unsigned long long)(unhardenedRec.totalRecordedAll() +
-                                         hardenedRec.totalRecordedAll()),
-                    (unsigned long long)(unhardenedRec.droppedAll() +
-                                         hardenedRec.droppedAll()));
-    }
-    if (!metricsPath.empty()) {
-        if (!writeFile(metricsPath, o.metrics.toJson() + "\n"))
-            return false;
-        std::printf("wrote %s\n", metricsPath.c_str());
-        // The same registry in Prometheus text exposition format, for
-        // scrape-style consumers (docs/OBSERVABILITY.md).
-        std::string promPath = withExtension(metricsPath, ".prom");
-        if (!writeFile(promPath, o.metrics.toPrometheusText()))
-            return false;
-        std::printf("wrote %s\n", promPath.c_str());
-    }
-    if (timeline) {
-        std::printf("--- recovery timeline (hardened leg) ---\n%s",
-                    obs::recoveryTimeline(hardenedRec).c_str());
-    }
-
-    // Trace-vs-stats cross-check: per-kind totals survive wraparound,
-    // so EVERY recovery-relevant event total must equal the hardened
-    // leg's RunStats counter exactly — and a mismatch names the
-    // counter that diverged instead of hiding behind two of them.
-    const vm::RunStats &st = o.hardenedStats;
-    const struct
-    {
-        obs::EventKind kind;
-        uint64_t stat;
-    } checks[] = {
-        {obs::EventKind::Rollback, st.rollbacks},
-        {obs::EventKind::Checkpoint, st.checkpointsExecuted},
-        {obs::EventKind::CompensationFree, st.compensationFrees},
-        {obs::EventKind::CompensationUnlock, st.compensationUnlocks},
-        {obs::EventKind::Backoff, st.backoffs},
-        {obs::EventKind::ChaosRollback, st.chaosRollbacks},
-        // The recorder also logs the main thread's birth, so spawn
-        // events run one ahead of the threadsSpawned counter.
-        {obs::EventKind::ThreadSpawn, st.threadsSpawned + 1},
-        {obs::EventKind::RecoveryDone, st.recoveries.size()},
-    };
-    bool ok = true;
-    for (const auto &c : checks) {
-        uint64_t traced = hardenedRec.totalOf(c.kind);
-        if (traced != c.stat) {
-            std::printf("trace totals vs RunStats: %s DIVERGED "
-                        "(trace %llu, stats %llu)\n",
-                        obs::eventKindName(c.kind),
-                        (unsigned long long)traced,
-                        (unsigned long long)c.stat);
-            ok = false;
-        }
-    }
-    if (ok)
-        std::printf("trace totals vs RunStats: all %zu event kinds "
-                    "match (rollbacks %llu, checkpoints %llu, "
-                    "recoveries %zu)\n",
-                    std::size(checks),
-                    (unsigned long long)st.rollbacks,
-                    (unsigned long long)st.checkpointsExecuted,
-                    st.recoveries.size());
-
-    // Coverage cross-check, same spirit: re-fold the trace
-    // independently (annotation events are skipped by the folder, so
-    // the annotated recorder re-folds to the same set) and feed a
-    // fresh CoverageMap — the map's novel-insert delta and digest must
-    // both equal the fold's, and a mismatch names which one diverged.
-    obs::cov::CoverageFold refold =
-        obs::cov::foldCoverage(unhardenedRec);
-    obs::cov::CoverageMap covMap(1024);
-    uint64_t mapDelta = covMap.insertAll(refold.edges);
-    if (mapDelta != refold.edges.size()) {
-        std::printf("coverage cross-check: coverage-edges DIVERGED "
-                    "(map delta %llu, trace fold %zu)\n",
-                    (unsigned long long)mapDelta, refold.edges.size());
-        ok = false;
-    }
-    if (covMap.digest() != obs::cov::coverageDigest(refold.edges)) {
-        std::printf("coverage cross-check: coverage-digest DIVERGED "
-                    "(map %016llx, trace fold %016llx)\n",
-                    (unsigned long long)covMap.digest(),
-                    (unsigned long long)obs::cov::coverageDigest(
-                        refold.edges));
-        ok = false;
-    }
-    if (mapDelta == refold.edges.size() &&
-        covMap.digest() == obs::cov::coverageDigest(refold.edges))
-        std::printf("coverage cross-check: trace fold == map delta "
-                    "(%zu distinct edges, digest %016llx)\n",
-                    refold.edges.size(),
-                    (unsigned long long)covMap.digest());
-    return ok;
-}
-
-/** Compiles kernel @p appName for a campaign and parses @p token into
- *  @p s (skipped when empty); null after a one-line error when the
- *  kernel is unknown or the token malformed. */
-std::unique_ptr<CampaignApp>
-prepareSchedule(const std::string &appName, const std::string &token,
-                ScheduleSpec &s)
-{
-    const AppSpec *spec = findApp(appName);
-    std::string err = "unknown app '" + appName + "'";
-    if (spec && (token.empty() || parseScheduleToken(token, s, err)))
-        return std::make_unique<CampaignApp>(prepareCampaignApp(*spec));
-    std::fprintf(stderr, "%s\n", err.c_str());
-    return nullptr;
-}
-
-/**
- * Replays (target, schedule) in diagnosis recording mode and prints
- * the postmortem RecoveryReport of the leg explore::diagnoseSchedule()
- * picks.  Returns false when no diagnosis could be produced at all.
- */
-bool
-printDiagnosis(const Target &target, const ScheduleSpec &s,
-               const CampaignOptions &opts, const std::string &jsonPath)
-{
-    obs::FlightRecorder plainRec(kDiagnosisRingCapacity);
-    obs::FlightRecorder hardRec(kDiagnosisRingCapacity);
-    LegDiagnosis d = diagnoseSchedule(target, s, opts, plainRec, hardRec);
-    std::printf("diagnosing the %s leg\n", d.leg());
-    std::printf("%s", obs::pm::renderText(d.report).c_str());
-    if (!jsonPath.empty()) {
-        if (!writeFile(jsonPath, obs::pm::toJson(d.report) + "\n"))
-            return false;
-        std::printf("wrote %s\n", jsonPath.c_str());
-    }
-    return !d.report.episodes.empty();
-}
-
-/**
- * --repro --record-replay: record the unhardened leg of (target,
- * schedule) replay-grade, optionally ddmin-minimise, verify, and save.
- */
-int
-recordReplayLog(const Target &target, const ScheduleSpec &s,
-                const CampaignOptions &opts, const std::string &path,
-                bool minimize)
-{
-    obs::replay::RecordedRun run = obs::replay::recordRun(
-        *target.plain, makeBaseConfig(target, s, opts));
-    obs::replay::MinimizeOptions mo;
-    obs::replay::MinimizedLog logs;
-    std::string err;
-    if (!obs::replay::minimizeRecordedRun(*target.plain, run, target.name,
-                                          s.token(),
-                                          minimize ? &mo : nullptr, logs,
-                                          err)) {
-        std::fprintf(stderr, "record failed: %s\n", err.c_str());
-        return 1;
-    }
-    if (minimize && logs.ddmin.ok)
-        std::printf("minimised: %zu -> %zu switches (%llu replay "
-                    "probes)\n",
-                    logs.ddmin.originalSwitches,
-                    logs.ddmin.minimizedSwitches,
-                    (unsigned long long)logs.ddmin.probes);
-    else if (minimize)
-        std::fprintf(stderr, "minimisation skipped: %s\n",
-                     logs.ddmin.err.c_str());
-    const obs::replay::ReplayLog &log = logs.best();
-
-    // Never hand out an unverified log: one strict replay must match.
-    obs::replay::ReplayRun check =
-        obs::replay::replayLog(*target.plain, log, log.engine);
-    if (!check.faithful) {
-        std::fprintf(stderr, "recorded log failed verification: %s\n",
-                     check.mismatch.c_str());
-        return 1;
-    }
-    if (!obs::replay::saveReplayLog(path, log, err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 1;
-    }
-    std::printf("wrote %s (%zu switches, %zu lock acquisitions, "
-                "outcome %s)\n",
-                path.c_str(), log.switches.size(), log.locks.size(),
-                log.outcome.c_str());
-    return 0;
-}
-
-int
-runRepro(const std::string &appName, const std::string &token,
-         const std::string &tracePath, const std::string &metricsPath,
-         bool timeline, bool diagnose, const std::string &diagJsonPath,
-         const std::string &recordReplayPath, bool minimize,
-         bool profile, const std::string &profilePath)
-{
-    ScheduleSpec s;
-    std::unique_ptr<CampaignApp> app = prepareSchedule(appName, token, s);
-    if (!app)
-        return 2;
-    Target target = campaignTarget(*app);
-    CampaignOptions opts;
-    opts.collectProfile = profile;
-    ScheduleOutcome o = runOneSchedule(target, s, opts);
-
-    std::printf("=== repro %s %s ===\n", appName.c_str(),
-                token.c_str());
-    std::printf("unhardened: %s%s%s  (%llu steps)\n",
-                vm::outcomeName(o.unhardened),
-                o.unhardenedTag.empty() ? "" : " @ ",
-                o.unhardenedTag.c_str(), (unsigned long long)o.steps);
-    std::printf("  correct: %s  inconclusive: %s\n",
-                o.unhardenedCorrect ? "yes" : "no",
-                o.unhardenedInconclusive ? "yes" : "no");
-    if (o.hardenedRan)
-        std::printf("hardened:   %s  correct: %s  chaos: %s "
-                    "(%llu chaos rollbacks)\n",
-                    vm::outcomeName(o.hardened),
-                    o.hardenedCorrect ? "yes" : "no",
-                    o.chaos ? "on" : "off",
-                    (unsigned long long)o.chaosRollbacks);
-    if (o.diverged)
-        std::printf("ENGINE DIVERGENCE: %s\n", o.divergenceMsg.c_str());
-    else
-        std::printf("engines: Fused == Reference (tick-identical)\n");
-
-    bool profileOk = true;
-    if (profile) {
-        obs::prof::ProfileDoc doc;
-        if (o.hasProfile)
-            doc.phaseGroups.emplace_back(appName + " " + token,
-                                         o.profile);
-        auto wallCell = [&](const char *leg, uint64_t us) {
-            if (us)
-                doc.wall.push_back({appName, token, leg, us, 1});
-        };
-        wallCell("unhardened", o.wallUnhardenedUs);
-        wallCell("differential", o.wallDifferentialUs);
-        wallCell("hardened", o.wallHardenedUs);
-        wallCell("hardened_diff", o.wallHardenedDiffUs);
-        std::printf("%s", obs::prof::hotPhaseTable(doc).c_str());
-        if (!o.hasProfile)
-            std::printf("(hardened leg did not run — no "
-                        "deterministic phase profile)\n");
-        if (!profilePath.empty())
-            profileOk = writeProfileArtifacts(
-                doc, appName + " " + token, profilePath);
-    }
-
-    bool traceOk = true;
-    if (!tracePath.empty() || !metricsPath.empty() || timeline)
-        traceOk = traceSchedule(target, s, opts, appName, tracePath,
-                                metricsPath, timeline);
-    bool diagOk = true;
-    if (diagnose)
-        diagOk = printDiagnosis(target, s, opts, diagJsonPath);
-    bool recordOk = true;
-    if (!recordReplayPath.empty())
-        recordOk = recordReplayLog(target, s, opts, recordReplayPath,
-                                   minimize) == 0;
-    return o.diverged || !traceOk || !diagOk || !recordOk || !profileOk
-               ? 1
-               : 0;
-}
-
-/**
- * --replay LOG: the O(1) repro path.  Loads a replay log, re-executes
- * it under @p engineArg (default: the engine it was recorded under),
- * and reports the faithfulness verdict — exit 0 iff the replay is
- * fingerprint-identical to the recording.
- */
-int
-runReplay(const std::string &path, const std::string &engineArg,
-          bool timeline, bool diagnose, const std::string &tracePath,
-          bool profile, const std::string &profilePath)
-{
-    obs::replay::ReplayLog log;
-    std::string err;
-    if (!obs::replay::loadReplayLog(path, log, err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 2;
-    }
-    const AppSpec *spec = findApp(log.program);
-    if (!spec) {
-        std::fprintf(stderr, "replay log names unknown app '%s'\n",
-                     log.program.c_str());
-        return 2;
-    }
-    vm::ExecEngine engine = log.engine;
-    if (!engineArg.empty() &&
-        !obs::replay::engineFromName(engineArg, engine)) {
-        std::fprintf(stderr, "unknown engine '%s' "
-                             "(reference|fused)\n",
-                     engineArg.c_str());
-        return 2;
-    }
-    CampaignApp app = prepareCampaignApp(*spec);
-    Target target = campaignTarget(app);
-
-    std::printf("=== replay %s ===\n", path.c_str());
-    std::printf("%s %s: recorded under %s, replaying under %s "
-                "(%zu switches, %zu lock acquisitions)\n",
-                log.program.c_str(),
-                log.scheduleToken.empty() ? "(no token)"
-                                          : log.scheduleToken.c_str(),
-                obs::replay::engineName(log.engine),
-                obs::replay::engineName(engine), log.switches.size(),
-                log.locks.size());
-    std::printf("recorded fingerprint: %s%s%s exit %lld clock %llu "
-                "steps %llu memDigest %016llx\n",
-                log.outcome.c_str(),
-                log.failureTag.empty() ? "" : " @ ",
-                log.failureTag.c_str(), (long long)log.exitCode,
-                (unsigned long long)log.finalClock,
-                (unsigned long long)log.finalSteps,
-                (unsigned long long)log.memDigest);
-
-    // Replay with every referee armed: the re-recording feeds the
-    // lock-order check, the optional trace artifact, and the optional
-    // diagnosis.
-    obs::FlightRecorder rec(4096, obs::RecorderMode::Grow);
-    obs::prof::PhaseProfiler prof;
-    obs::replay::ReplayInstruments ins;
-    ins.recorder = &rec;
-    ins.recordSharedAccesses = diagnose || log.accessCount > 0;
-    ins.checkLockOrder = true;
-    // Profiling rides the passivity contract: the profiled replay is
-    // still held to the byte-exact fingerprint below.
-    if (profile)
-        ins.profiler = &prof;
-    obs::replay::ReplayRun rr =
-        obs::replay::replayLog(*target.plain, log, engine, &ins);
-
-    if (rr.faithful)
-        std::printf("replay FAITHFUL: fingerprint, lock order%s match "
-                    "the recording\n",
-                    log.accessCount > 0 ? ", and access digest" : "");
-    else
-        std::printf("replay DIVERGED: %s\n", rr.mismatch.c_str());
-
-    if (diagnose) {
-        obs::pm::RecoveryReport rep = obs::pm::diagnose(
-            rec, *target.plain, log.program, log.scheduleToken);
-        std::printf("%s", obs::pm::renderText(rep).c_str());
-    }
-    if (profile) {
-        obs::prof::ProfileDoc doc;
-        obs::prof::ProfileAgg agg;
-        agg.add(prof);
-        doc.phaseGroups.emplace_back(
-            log.program + " replay " +
-                (log.scheduleToken.empty() ? std::string("(no token)")
-                                           : log.scheduleToken),
-            agg);
-        std::printf("%s", obs::prof::hotPhaseTable(doc).c_str());
-        if (!profilePath.empty() &&
-            !writeProfileArtifacts(doc, log.program + " replay",
-                                   profilePath))
-            return 1;
-    }
-    if (timeline)
-        std::printf("--- replay timeline (time travel) ---\n%s",
-                    obs::replay::replayTimeline(log).c_str());
-    if (!tracePath.empty()) {
-        std::vector<obs::TraceProcess> procs = {
-            {&rec, log.program + " replay " + log.scheduleToken, 1},
-        };
-        if (!writeFile(tracePath, obs::chromeTraceJson(procs)))
-            return 1;
-        std::printf("wrote %s\n", tracePath.c_str());
-    }
-    return rr.faithful ? 0 : 1;
-}
-
-/**
- * Shared strict operand scanner for the modes that take "[APP] [TOKEN]"
- * after a flag (--diagnose, --fix).  Every non-flag operand after the
- * flag is classified exactly once: a string the *strict*
- * parseScheduleToken accepts is the schedule token; otherwise it must
- * name a registered kernel.  Anything else is a one-line error naming
- * both failed interpretations — no positional guessing.
- */
-struct AppTokenArgs
-{
-    std::string app;   ///< kernel name (default already applied)
-    std::string token; ///< strict schedule token ("" when absent)
-    std::string error; ///< one-line parse error ("" when valid)
-};
-
-AppTokenArgs
-parseAppTokenOperands(const std::vector<std::string> &operands,
-                      const char *flag, const char *defaultApp)
-{
-    AppTokenArgs out;
-    out.app = defaultApp;
-    bool seen[2] = {false, false}; // token, kernel
-    for (const std::string &op : operands) {
-        ScheduleSpec s;
-        std::string tokErr;
-        bool isToken = parseScheduleToken(op, s, tokErr);
-        if (!isToken && !findApp(op))
-            out.error = std::string(flag) + ": '" + op +
-                        "' is neither a schedule token (" + tokErr +
-                        ") nor a known kernel";
-        else if (seen[!isToken])
-            out.error = std::string(flag) + ": two " +
-                        (isToken ? "schedule tokens" : "kernels") +
-                        " ('" + (isToken ? out.token : out.app) +
-                        "' and '" + op + "')";
-        if (!out.error.empty())
-            return out;
-        (isToken ? out.token : out.app) = op;
-        seen[!isToken] = true;
-    }
-    return out;
-}
-
-/** --diagnose [APP] TOKEN standalone mode (APP defaults to ZSNES). */
-int
-runDiagnose(const std::string &appName, const std::string &token,
-            const std::string &jsonPath)
-{
-    ScheduleSpec s;
-    std::unique_ptr<CampaignApp> app = prepareSchedule(appName, token, s);
-    if (!app)
-        return 2;
-    Target target = campaignTarget(*app);
-    return printDiagnosis(target, s, CampaignOptions{}, jsonPath) ? 0
-                                                                   : 1;
-}
-
-/**
- * --fix [APP] [TOKEN]: the whole closed loop for one kernel —
- * diagnose a failing run, synthesize a fix from the diagnosis,
- * ddmin-minimise the failing schedule, and validate the patch
- * (minimized replay + campaign matrix + clean-run overhead).
- */
-int
-runFix(const std::string &appName, const std::string &token,
-       const std::string &jsonPath, unsigned seeds, unsigned workers)
-{
-    ScheduleSpec s;
-    std::unique_ptr<CampaignApp> app = prepareSchedule(appName, token, s);
-    if (!app)
-        return 2;
-    Target target = campaignTarget(*app);
-
-    // Step 1: one failing run of the unhardened build, recorded
-    // replay-grade: the given campaign schedule, or else the kernel's
-    // scripted failure-forcing schedule (the hand-tuned delay rules).
-    obs::replay::RecordedRun run;
-    if (!token.empty()) {
-        run = obs::replay::recordRun(
-            *target.plain, makeBaseConfig(target, s, CampaignOptions{}));
-        if (runIsCorrect(*app->spec, run.result)) {
-            std::fprintf(stderr,
-                         "%s %s: schedule does not fail (%s) — "
-                         "nothing to fix\n",
-                         appName.c_str(), token.c_str(),
-                         vm::outcomeName(run.result.outcome));
-            return 1;
-        }
-    } else if (!probeScriptedFailure(*app, run)) {
-        std::fprintf(stderr,
-                     "%s: scripted buggy schedule never failed over "
-                     "seeds 1..8 — nothing to fix\n",
-                     appName.c_str());
-        return 1;
-    }
-    const vm::RunResult &fail = run.result;
-    std::printf("recorded failing run: %s%s%s (%llu steps)\n",
-                vm::outcomeName(fail.outcome),
-                fail.failureTag.empty() ? "" : " @ ",
-                fail.failureTag.c_str(),
-                (unsigned long long)fail.stats.steps);
-
-    // Step 2: postmortem diagnosis of the failing run.
-    obs::pm::RecoveryReport rep =
-        diagnoseRecordedRun(target, run, token).report;
-    if (rep.episodes.empty()) {
-        std::fprintf(stderr, "%s: diagnosis produced no episodes\n",
-                     appName.c_str());
-        return 1;
-    }
-    std::printf("diagnosis: %s on '%s'\n",
-                obs::pm::verdictName(rep.primary()->verdict),
-                rep.primary()->variable.c_str());
-
-    // Step 3: replay log of the failing run, ddmin-minimised — the
-    // "exact buggy interleaving" obligation of the validator.
-    obs::replay::MinimizeOptions mo;
-    obs::replay::MinimizedLog logs;
-    const obs::replay::ReplayLog *logp = nullptr;
-    std::string err;
-    if (obs::replay::minimizeRecordedRun(*target.plain, run, appName,
-                                         token, &mo, logs, err)) {
-        if (logs.ddmin.ok)
-            std::printf("minimised failing schedule: %zu -> %zu "
-                        "switches\n",
-                        logs.ddmin.originalSwitches,
-                        logs.ddmin.minimizedSwitches);
-        logp = &logs.best();
-    } else {
-        std::fprintf(stderr, "replay log skipped: %s\n", err.c_str());
-    }
-
-    // Step 4: synthesize, then prove the patch regression-free.
-    fix::FixPlan plan = fix::synthesizeFix(*target.plain, rep);
-    if (!plan.ok) {
-        std::printf("%s", fix::renderPatchText(plan).c_str());
-        if (!jsonPath.empty() &&
-            writeFile(jsonPath, fix::patchToJson(plan) + "\n"))
-            std::printf("wrote %s\n", jsonPath.c_str());
-        return 1;
-    }
-    fix::ValidationOptions vopts;
-    vopts.campaign.seedsPerPolicy = seeds;
-    vopts.campaign.workers = workers;
-    vopts.cleanConfig = app->spec->cleanConfig;
-    std::printf("validating: %s replay + %zu-policy x %u-seed "
-                "campaign + overhead bound...\n",
-                logp ? "minimized" : "(no)",
-                vopts.campaign.policies.size(), seeds);
-    fix::ValidationResult val =
-        fix::validatePatch(*plan.patched, target, logp, vopts);
-    std::printf("%s", fix::renderPatchText(plan, &val).c_str());
-    if (!jsonPath.empty()) {
-        if (!writeFile(jsonPath, fix::patchToJson(plan, &val) + "\n"))
-            return 1;
-        std::printf("wrote %s\n", jsonPath.c_str());
-    }
-    return val.ok() ? 0 : 1;
-}
-
-/** The flags given on the command line (first occurrence) and their
- *  operands. */
-using Args = std::map<std::string, std::vector<std::string>>;
-
-/**
- * Parses argv against the flag list at the top of this file.  A flag's
- * operands are a fixed number of non-flag entries, at most one
- * (--profile [FILE]), or any run of them ("[APP] [TOKEN]").  Anything
- * else — an unknown flag, a stray operand, a missing one — is a
- * one-line error, so a typo (--smok) never silently selects another
- * mode.
- */
-bool
-parseArgs(int argc, char **argv, Args &args)
-{
-    enum : int { kOptional = -1, kRun = -2 };
-    static const std::map<std::string, int> kFlags = {
-        {"--seeds", 1},       {"--workers", 1},       {"--apps", 1},
-        {"--policies", 1},    {"--trace", 1},         {"--metrics", 1},
-        {"--diagnose-json", 1}, {"--abort-dir", 1},   {"--replay", 1},
-        {"--engine", 1},      {"--record-replay", 1}, {"--replay-dir", 1},
-        {"--fix-json", 1},    {"--serve", 1},  {"--serve-port-file", 1},
-        {"--guided-budget", 1}, {"--corpus-dir", 1},  {"--repro", 2},
-        {"--smoke", 0},       {"--no-speedup", 0},    {"--timeline", 0},
-        {"--guided", 0},      {"--minimize", 0},
-        {"--profile", kOptional}, {"--diagnose", kRun}, {"--fix", kRun},
-    };
-    auto operand = [&](int i) { return i < argc && argv[i][0] != '-'; };
-    for (int i = 1; i < argc; ++i) {
-        auto flag = kFlags.find(argv[i]);
-        if (flag == kFlags.end()) {
-            std::fprintf(stderr, "bench_explore: %s '%s'\n",
-                         argv[i][0] == '-' ? "unknown flag"
-                                           : "unexpected argument",
-                         argv[i]);
-            return false;
-        }
-        int n = flag->second;
-        int want = n == kRun ? argc : n == kOptional ? 1 : n;
-        std::vector<std::string> ops;
-        while (int(ops.size()) < want && operand(i + 1))
-            ops.push_back(argv[++i]);
-        if (int(ops.size()) < n) {
-            std::fprintf(stderr, "bench_explore: %s needs %d operand%s\n",
-                         flag->first.c_str(), n, n > 1 ? "s" : "");
-            return false;
-        }
-        args.emplace(flag->first, std::move(ops));
-    }
-    return true;
-}
-
-/** The first operand of @p flag, or @p def when it was not given. */
-std::string
-argString(const Args &args, const char *flag, const char *def = "")
-{
-    auto it = args.find(flag);
-    return it == args.end() || it->second.empty() ? def : it->second[0];
-}
 
 void
 writeMetricsJson(JsonWriter &w, const TargetReport &tr)
@@ -851,82 +133,37 @@ writeMetricsJson(JsonWriter &w, const TargetReport &tr)
 int
 main(int argc, char **argv)
 {
-    Args args;
-    if (!parseArgs(argc, argv, args))
-        return 2;
-    const std::string tracePath = argString(args, "--trace");
-    const std::string metricsPath = argString(args, "--metrics");
-    const bool timeline = args.count("--timeline");
-    const bool diagnose = args.count("--diagnose");
-    const std::string diagJsonPath = argString(args, "--diagnose-json");
-    const bool profileOn = args.count("--profile");
-    const std::string profilePath = argString(args, "--profile");
+    using enum FlagKind;
+    const Args args = benchArgs(
+        argc, argv,
+        {{"--seeds", Number, UINT_MAX}, {"--workers", Number, UINT_MAX},
+         {"--apps", Text}, {"--policies", Text}, {"--smoke"},
+         {"--no-speedup"}, {"--abort-dir", Text}, {"--replay-dir", Text},
+         {"--serve", Number, 65535}, {"--serve-port-file", Text},
+         {"--profile", Text}, {"--guided"},
+         {"--guided-budget", Number, UINT_MAX}, {"--corpus-dir", Text}});
+    const bool profileOn = args.has("--profile");
+    const std::string profilePath = args.text("--profile");
 
-    if (args.count("--replay"))
-        return runReplay(argString(args, "--replay"),
-                         argString(args, "--engine"), timeline, diagnose,
-                         tracePath, profileOn, profilePath);
-
-    if (args.count("--repro")) {
-        const std::vector<std::string> &at = args["--repro"];
-        return runRepro(at[0], at[1], tracePath, metricsPath, timeline,
-                        diagnose, diagJsonPath,
-                        argString(args, "--record-replay"),
-                        args.count("--minimize"), profileOn, profilePath);
-    }
-
-    if (args.count("--fix")) {
-        // --fix [APP] [TOKEN]: strict operand classification shared
-        // with --diagnose; the default kernel is ZSNES.
-        AppTokenArgs fa =
-            parseAppTokenOperands(args["--fix"], "--fix", "ZSNES");
-        if (!fa.error.empty()) {
-            std::fprintf(stderr, "%s\n", fa.error.c_str());
-            std::fprintf(stderr, "usage: bench_explore --fix [APP] "
-                                 "[TOKEN] [--fix-json F] [--seeds N] "
-                                 "[--workers N]\n");
-            return 2;
-        }
-        return runFix(fa.app, fa.token, argString(args, "--fix-json"),
-                      argUnsigned(argc, argv, "--seeds", 40),
-                      argUnsigned(argc, argv, "--workers", 4));
-    }
-
-    if (diagnose) {
-        // --diagnose [APP] TOKEN: strict operand classification (a
-        // lone schedule token runs against ZSNES, the paper's running
-        // example); a token is required.
-        AppTokenArgs da =
-            parseAppTokenOperands(args["--diagnose"], "--diagnose",
-                                  "ZSNES");
-        if (da.error.empty() && !da.token.empty())
-            return runDiagnose(da.app, da.token, diagJsonPath);
-        if (!da.error.empty())
-            std::fprintf(stderr, "%s\n", da.error.c_str());
-        std::fprintf(stderr, "usage: bench_explore --diagnose [APP] "
-                             "TOKEN [--diagnose-json F]\n");
-        return 2;
-    }
-
-    const bool smoke = args.count("--smoke");
-    const bool doSpeedup = !args.count("--no-speedup");
+    const bool smoke = args.has("--smoke");
+    const bool doSpeedup = !args.has("--no-speedup");
     // Guided search always runs in full mode (the committed artifact
     // pins guided-vs-blind budgets and the gates below compare them);
     // smoke opts in with --guided.
-    const bool guided = !smoke || args.count("--guided");
+    const bool guided = !smoke || args.has("--guided");
     const uint64_t guidedBudget =
-        argUnsigned(argc, argv, "--guided-budget", smoke ? 250 : 1500);
-    const std::string corpusDir = argString(args, "--corpus-dir");
+        args.number("--guided-budget", smoke ? 250 : 1500);
+    const std::string corpusDir = args.text("--corpus-dir");
     unsigned seeds =
-        argUnsigned(argc, argv, "--seeds", smoke ? 40 : 1250);
-    unsigned workers = argUnsigned(argc, argv, "--workers", 4);
-    const bool serve = args.count("--serve");
-    const unsigned servePort = argUnsigned(argc, argv, "--serve", 0);
+        unsigned(args.number("--seeds", smoke ? 40 : 1250));
+    unsigned workers = unsigned(args.number("--workers", 4));
+    const bool serve = args.has("--serve");
+    const unsigned servePort = unsigned(args.number("--serve", 0));
     const std::string servePortFile =
-        argString(args, "--serve-port-file");
+        args.text("--serve-port-file");
 
     std::vector<std::string> names =
-        split(argString(args, "--apps"), ',', /*dropEmpty=*/true);
+        split(args.text("--apps"), ',', /*dropEmpty=*/true);
     const bool explicitApps = !names.empty();
     if (names.empty())
         for (const AppSpec &a : allApps())
@@ -969,12 +206,12 @@ main(int argc, char **argv)
     opts.seedsPerPolicy = seeds;
     opts.workers = workers;
     opts.collectMetrics = true;
-    const std::string abortDir = argString(args, "--abort-dir");
+    const std::string abortDir = args.text("--abort-dir");
     // Every rediscovered kernel failure leaves a ddmin-minimised,
     // strictly-verified replay log behind — the O(1) repro corpus.
     const std::string replayDir =
-        argString(args, "--replay-dir", "replay-logs");
-    std::string policyList = argString(args, "--policies");
+        args.text("--replay-dir", "replay-logs");
+    std::string policyList = args.text("--policies");
     if (!policyList.empty()) {
         opts.policies.clear();
         for (const std::string &p : split(policyList, ',', true)) {
@@ -1039,11 +276,8 @@ main(int argc, char **argv)
             return r;
         });
         std::string err;
-        if (servePort > 65535 ||
-            !server.start(uint16_t(servePort), err)) {
-            std::fprintf(stderr, "--serve: %s\n",
-                         servePort > 65535 ? "port out of range"
-                                           : err.c_str());
+        if (!server.start(uint16_t(servePort), err)) {
+            std::fprintf(stderr, "--serve: %s\n", err.c_str());
             return 2;
         }
         std::printf("serving telemetry on 127.0.0.1:%u "
@@ -1051,7 +285,7 @@ main(int argc, char **argv)
                     unsigned(server.port()));
         if (!servePortFile.empty() &&
             !writeFile(servePortFile,
-                       std::to_string(server.port()) + "\n"))
+                       std::to_string(server.port()) + "\n", nullptr))
             return 2;
         opts.telemetry = &telemetry;
     }
@@ -1076,27 +310,6 @@ main(int argc, char **argv)
     if (guided)
         guidedStage(targets, opts, guidedOpts, corpusDir, rep);
     std::printf("%s\n", rep.summary().c_str());
-
-    // --trace in campaign mode: replay the first failing schedule the
-    // campaign found, flight recorder attached, and emit the trace.
-    bool traceOk = true;
-    if (!tracePath.empty()) {
-        bool traced = false;
-        for (size_t ti = 0; ti < rep.targets.size() && !traced; ++ti) {
-            const TargetReport &tr = rep.targets[ti];
-            if (!tr.foundFailure)
-                continue;
-            std::printf("tracing first failing schedule: %s %s\n",
-                        tr.name.c_str(),
-                        tr.firstFailure.token().c_str());
-            traceOk = traceSchedule(targets[ti], tr.firstFailure, opts,
-                                    tr.name, tracePath, metricsPath,
-                                    timeline);
-            traced = true;
-        }
-        if (!traced)
-            std::printf("--trace: no failing schedule to trace\n");
-    }
 
     // Fix stage: every kernel whose failure the campaign rediscovered
     // and diagnosed gets a synthesized patch, validated in place
@@ -1295,9 +508,8 @@ main(int argc, char **argv)
     if (profileOn) {
         std::printf("\n=== recovery-cost profile ===\n%s",
                     obs::prof::hotPhaseTable(profDoc).c_str());
-        if (!profilePath.empty())
-            profileArtifactsOk = writeProfileArtifacts(
-                profDoc, "campaign", profilePath);
+        profileArtifactsOk = obs::prof::writeProfileArtifacts(
+            profDoc, "campaign", profilePath, stdout);
     }
 
     // BENCH_explore.json.
@@ -1509,13 +721,9 @@ main(int argc, char **argv)
     }
     w.endArray();
     w.endObject();
-    std::ofstream out("BENCH_explore.json");
-    out << w.str() << "\n";
-    out.close();
-    std::printf("wrote BENCH_explore.json\n");
+    int rc = writeFile("BENCH_explore.json", w.str() + "\n", stdout) ? 0 : 1;
 
     // The oracle verdict gates the exit code.
-    int rc = 0;
     if (rep.divergences > 0) {
         std::fprintf(stderr, "FAIL: %llu engine divergences\n",
                      (unsigned long long)rep.divergences);
@@ -1525,11 +733,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "FAIL: %llu unrecovered hardened "
                              "failures\n",
                      (unsigned long long)rep.unrecovered);
-        rc = 1;
-    }
-    if (!traceOk) {
-        std::fprintf(stderr,
-                     "FAIL: trace totals mismatch RunStats\n");
         rc = 1;
     }
     if (!profileArtifactsOk) {

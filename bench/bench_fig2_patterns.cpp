@@ -19,7 +19,9 @@ using namespace conair::bench;
 int
 main(int argc, char **argv)
 {
-    unsigned runs = argUnsigned(argc, argv, "--runs", 25);
+    const Args args =
+        benchArgs(argc, argv, {{"--runs", FlagKind::Number, UINT_MAX}});
+    unsigned runs = unsigned(args.number("--runs", 25));
 
     std::printf("=== Fig 2: recoverability of atomicity-violation "
                 "patterns under idempotent reexecution ===\n\n");

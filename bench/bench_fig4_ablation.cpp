@@ -40,8 +40,11 @@ struct PointResult
 int
 main(int argc, char **argv)
 {
-    unsigned runs = argUnsigned(argc, argv, "--runs", 20);
-    unsigned oh_runs = argUnsigned(argc, argv, "--overhead-runs", 5);
+    const Args args = benchArgs(
+        argc, argv, {{"--runs", FlagKind::Number, UINT_MAX},
+                     {"--overhead-runs", FlagKind::Number, UINT_MAX}});
+    unsigned runs = unsigned(args.number("--runs", 20));
+    unsigned oh_runs = unsigned(args.number("--overhead-runs", 5));
     const unsigned napps = allApps().size();
 
     std::printf("=== Fig 4: reexecution-region design spectrum ===\n\n");

@@ -20,8 +20,11 @@ using namespace conair::bench;
 int
 main(int argc, char **argv)
 {
-    unsigned runs = argUnsigned(argc, argv, "--runs", 1000);
-    unsigned oh_runs = argUnsigned(argc, argv, "--overhead-runs", 20);
+    const Args args = benchArgs(
+        argc, argv, {{"--runs", FlagKind::Number, UINT_MAX},
+                     {"--overhead-runs", FlagKind::Number, UINT_MAX}});
+    unsigned runs = unsigned(args.number("--runs", 1000));
+    unsigned oh_runs = unsigned(args.number("--overhead-runs", 20));
 
     std::printf("=== Table 3: overall bug recovery results ===\n");
     std::printf("(recovery over %u failure runs; overhead over %u "

@@ -15,7 +15,9 @@ using namespace conair::bench;
 int
 main(int argc, char **argv)
 {
-    unsigned runs = argUnsigned(argc, argv, "--runs", 50);
+    const Args args =
+        benchArgs(argc, argv, {{"--runs", FlagKind::Number, UINT_MAX}});
+    unsigned runs = unsigned(args.number("--runs", 50));
 
     std::printf("=== Table 7: failure recovery time (virtual-time "
                 "microseconds) ===\n\n");

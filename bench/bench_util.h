@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared plumbing for the table/figure reproduction benches: argument
- * parsing and fixed-width table rendering.  Every bench prints the
- * rows the corresponding paper table reports (EXPERIMENTS.md maps the
- * outputs back to the paper).
+ * parsing (support/args.h) and fixed-width table rendering.  Every
+ * bench prints the rows the corresponding paper table reports
+ * (EXPERIMENTS.md maps the outputs back to the paper).
  */
 #pragma once
 
@@ -11,34 +11,29 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "apps/harness.h"
+#include "support/args.h"
 #include "support/str.h"
 
 namespace conair::bench {
 
-/** Parses "--runs N"-style flags; returns the default otherwise.  N
- *  must be plain decimal digits that fit an unsigned: anything else is
- *  a one-line error and exit status 2. */
-inline unsigned
-argUnsigned(int argc, char **argv, const char *flag, unsigned def)
+/** Parses the bench's argv against @p flags (it takes no positional
+ *  arguments).  Any problem is a one-line error and exit status 2. */
+inline Args
+benchArgs(int argc, char **argv, std::vector<FlagSpec> flags)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], flag) != 0)
-            continue;
-        uint64_t v = 0;
-        if (!parseU64(argv[i + 1], v) || v > UINT_MAX) {
-            std::fprintf(stderr, "%s: %s: '%s' is not a number in "
-                                 "[0, %u]\n",
-                         argv[0], flag, argv[i + 1], UINT_MAX);
-            std::exit(2);
-        }
-        return unsigned(v);
+    Args args;
+    std::string err;
+    if (!parseArgs({std::move(flags)},
+                   std::vector<std::string>(argv + 1, argv + argc), args,
+                   err)) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
+        std::exit(2);
     }
-    return def;
+    return args;
 }
 
 /** Simple fixed-width table printer. */

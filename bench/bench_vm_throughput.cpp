@@ -15,11 +15,11 @@
  *               wall time is reported (default 3)
  *   --smoke     shrink workloads for CI: verifies the harness and the
  *               JSON output without waiting on full-size runs
- *   --profile [FILE]
+ *   --profile FILE
  *               print the per-workload phase profile (hot-phase
- *               table) of the profiled Fused row; with FILE, also
- *               write the speedscope JSON there and folded flamegraph
- *               stacks next to it.  The profiled row itself always
+ *               table) of the profiled Fused row, write the
+ *               speedscope JSON to FILE and folded flamegraph stacks
+ *               next to it.  The profiled row itself always
  *               runs — its step-identity against the bare rows is
  *               part of the divergence gate — the flag only controls
  *               printing and export.
@@ -27,7 +27,6 @@
 #include "bench/bench_util.h"
 
 #include <chrono>
-#include <fstream>
 
 #include "frontend/compile.h"
 #include "obs/profile/profile_export.h"
@@ -196,20 +195,12 @@ measure(const ir::Module &m, vm::VmConfig cfg, unsigned runs,
 int
 main(int argc, char **argv)
 {
-    unsigned runs = argUnsigned(argc, argv, "--runs", 3);
-    if (runs == 0)
-        runs = 1;
-    bool smoke = false, profileOn = false;
-    std::string profilePath;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        if (std::strcmp(argv[i], "--profile") == 0) {
-            profileOn = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                profilePath = argv[i + 1];
-        }
-    }
+    using enum FlagKind;
+    const Args args = benchArgs(
+        argc, argv,
+        {{"--runs", Number, UINT_MAX}, {"--smoke"}, {"--profile", Text}});
+    const unsigned runs = std::max(unsigned(args.number("--runs", 3)), 1u);
+    const bool smoke = args.has("--smoke");
 
     const unsigned scale = smoke ? 200 : 20000;
     std::vector<Workload> workloads = {
@@ -318,37 +309,12 @@ main(int argc, char **argv)
     }
     t.print();
 
-    if (profileOn) {
-        std::printf("\n%s",
-                    obs::prof::hotPhaseTable(profDoc).c_str());
-        if (!profilePath.empty()) {
-            std::ofstream pf(profilePath);
-            if (!pf) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             profilePath.c_str());
-                return 1;
-            }
-            pf << obs::prof::speedscopeJson(profDoc, "vm_throughput")
-               << "\n";
-            pf.close();
-            std::printf("wrote %s (speedscope JSON)\n",
-                        profilePath.c_str());
-            std::string folded = profilePath;
-            size_t dot = folded.rfind('.');
-            if (dot != std::string::npos &&
-                folded.find('/', dot) == std::string::npos)
-                folded.resize(dot);
-            folded += ".folded";
-            std::ofstream ff(folded);
-            if (!ff) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             folded.c_str());
-                return 1;
-            }
-            ff << obs::prof::foldedStacks(profDoc);
-            ff.close();
-            std::printf("wrote %s (folded stacks)\n", folded.c_str());
-        }
+    if (args.has("--profile")) {
+        std::printf("\n%s", obs::prof::hotPhaseTable(profDoc).c_str());
+        if (!obs::prof::writeProfileArtifacts(profDoc, "vm_throughput",
+                                              args.text("--profile"),
+                                              stdout))
+            return 1;
     }
 
     JsonWriter w(2);
@@ -386,10 +352,8 @@ main(int argc, char **argv)
     }
     w.endArray();
     w.endObject();
-    std::ofstream out("BENCH_vm.json");
-    out << w.str() << "\n";
-    out.close();
-    std::printf("\nwrote BENCH_vm.json\n");
+    if (!writeFile("BENCH_vm.json", w.str() + "\n", stdout))
+        return 1;
 
     // The fused engine exists to be faster; hold the single-thread
     // dispatch workloads to the 3x floor over the reference engine

@@ -66,20 +66,6 @@ runBuggy(const PreparedApp &p, uint64_t seed)
     return vm::runProgram(*p.module, cfg);
 }
 
-vm::RunResult
-runBuggy(const PreparedApp &p, uint64_t seed, obs::FlightRecorder *rec,
-         obs::MetricsRegistry *met, bool recordSharedAccesses,
-         obs::prof::PhaseProfiler *prof)
-{
-    vm::VmConfig cfg = p.spec->buggyConfig;
-    cfg.seed = seed;
-    cfg.recorder = rec;
-    cfg.metrics = met;
-    cfg.recordSharedAccesses = recordSharedAccesses;
-    cfg.profiler = prof;
-    return vm::runProgram(*p.module, cfg);
-}
-
 bool
 runIsCorrect(const AppSpec &app, const vm::RunResult &r)
 {

@@ -48,18 +48,6 @@ vm::RunResult runClean(const PreparedApp &p, uint64_t seed);
 /** Runs one failure-forcing execution with @p seed. */
 vm::RunResult runBuggy(const PreparedApp &p, uint64_t seed);
 
-/** runBuggy with observability attached: @p rec / @p met / @p prof
- *  (any may be null) receive the run's flight-recorder events,
- *  metrics, and phase profile — the minicc --app/--trace/--metrics/
- *  --profile path for the ten kernels.  @p recordSharedAccesses
- *  additionally turns on diagnosis recording mode (SharedLoad/
- *  SharedStore events for the postmortem engine; requires @p rec). */
-vm::RunResult runBuggy(const PreparedApp &p, uint64_t seed,
-                       obs::FlightRecorder *rec,
-                       obs::MetricsRegistry *met,
-                       bool recordSharedAccesses = false,
-                       obs::prof::PhaseProfiler *prof = nullptr);
-
 /** Did this run behave correctly (outcome, output, exit code)? */
 bool runIsCorrect(const AppSpec &app, const vm::RunResult &r);
 
@@ -96,7 +84,8 @@ double measureOverhead(const AppSpec &app, const HardenOptions &opts,
  * A campaign needs the unhardened and the hardened build of one kernel
  * side by side, plus the correctness expectations and a calibrated
  * PCT horizon.  These helpers bridge the registry to the exploration
- * engine; bench_explore and the campaign tests are built on them.
+ * engine; bench_explore, tools/conair.cpp and the campaign tests are
+ * built on them.
  * @{
  */
 

@@ -139,8 +139,7 @@ parseScheduleToken(const std::string &tok, ScheduleSpec &out)
 std::string
 reproCommand(const std::string &app, const ScheduleSpec &s)
 {
-    return "./build/bench/bench_explore --repro " + app + " " +
-           s.token();
+    return "./build/tools/conair repro " + app + " " + s.token();
 }
 
 std::string

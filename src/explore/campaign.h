@@ -180,11 +180,12 @@ struct ScheduleOutcome
     uint64_t steps = 0; ///< unhardened Fused-leg step count
 
     /** Hardened-leg RunStats counters surfaced for the trace-vs-stats
-     *  validation (--repro --trace cross-checks event totals). */
+     *  validation (`conair repro --trace` cross-checks event
+     *  totals). */
     uint64_t hardenedRollbacks = 0;
     uint64_t hardenedCheckpoints = 0;
 
-    /** Full hardened-leg RunStats: the --repro --trace cross-check
+    /** Full hardened-leg RunStats: the `conair repro --trace` check
      *  compares EVERY per-kind event total against these, not just the
      *  two counters above. */
     vm::RunStats hardenedStats;
@@ -214,11 +215,11 @@ struct ScheduleOutcome
 };
 
 /**
- * Optional observability hooks for runOneSchedule (the --repro --trace
- * path).  Only the *Fused* unhardened/hardened legs are instrumented;
- * the Reference differential replicas always run bare — recording is
- * passive, so the tick-identity oracle doubles as a regression test
- * that instrumentation never perturbs execution.
+ * Optional observability hooks for runOneSchedule (the
+ * `conair repro --trace` path).  Only the *Fused* unhardened/hardened
+ * legs are instrumented; the Reference differential replicas always
+ * run bare — recording is passive, so the tick-identity oracle doubles
+ * as a regression test that instrumentation never perturbs execution.
  */
 struct ScheduleInstruments
 {
@@ -499,8 +500,8 @@ CampaignReport runCampaign(const std::vector<Target> &targets,
                            const CampaignOptions &opts);
 
 /** Runs a single (target, schedule) cell with all its legs — the
- *  --repro path for a triple printed by a campaign.  @p ins optionally
- *  attaches flight recorders to the Fused legs. */
+ *  `conair repro` path for a triple printed by a campaign.  @p ins
+ *  optionally attaches flight recorders to the Fused legs. */
 ScheduleOutcome runOneSchedule(const Target &t, const ScheduleSpec &s,
                                const CampaignOptions &opts,
                                const ScheduleInstruments *ins = nullptr);

@@ -174,4 +174,13 @@ hotPhaseTable(const ProfileDoc &doc, size_t topN)
     return out;
 }
 
+bool
+writeProfileArtifacts(const ProfileDoc &doc, const std::string &name,
+                      const std::string &path, std::FILE *log)
+{
+    return writeFile(path, speedscopeJson(doc, name) + "\n", log) &&
+           writeFile(withExtension(path, ".folded"), foldedStacks(doc),
+                     log);
+}
+
 } // namespace conair::obs::prof

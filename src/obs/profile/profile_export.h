@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,5 +69,12 @@ std::string foldedStacks(const ProfileDoc &doc);
 /** Human-readable top-@p topN hot-phase table over all groups, with
  *  the recovery-tax summary underneath. */
 std::string hotPhaseTable(const ProfileDoc &doc, size_t topN = 8);
+
+/** The --profile FILE artifacts every CLI writes: speedscopeJson() to
+ *  @p path and foldedStacks() next to it (@p path with a .folded
+ *  extension), each announced on @p log as writeFile() does.  False
+ *  when either file cannot be written. */
+bool writeProfileArtifacts(const ProfileDoc &doc, const std::string &name,
+                           const std::string &path, std::FILE *log);
 
 } // namespace conair::obs::prof

@@ -16,7 +16,7 @@
  * (RecorderMode::Grow) into a fresh exact ReplayLog with its own
  * fingerprint, and that log is verified by one strict replay before it
  * is returned.  The output therefore carries the same faithfulness
- * contract as any recording — `bench_explore --replay` on a minimised
+ * contract as any recording — `conair replay` on a minimised
  * log is still an O(1), differentially-checked repro.
  */
 #pragma once

@@ -1,7 +1,7 @@
 #include "support/str.h"
 
-#include <cstdio>
 #include <cstring>
+#include <fstream>
 
 namespace conair {
 
@@ -25,6 +25,22 @@ withExtension(const std::string &path, const std::string &ext)
     if (dot == std::string::npos || path.find('/', dot) != std::string::npos)
         dot = path.size();
     return path.substr(0, dot) + ext;
+}
+
+bool
+writeFile(const std::string &path, const std::string &content,
+          std::FILE *log)
+{
+    std::ofstream f(path, std::ios::binary);
+    f << content;
+    f.close();
+    if (!f) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return false;
+    }
+    if (log)
+        std::fprintf(log, "wrote %s\n", path.c_str());
+    return true;
 }
 
 std::vector<std::string>

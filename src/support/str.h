@@ -1,13 +1,14 @@
 /**
  * @file
  * Small string helpers shared across the project (printf-style formatting,
- * joining, numeric rendering).  Kept minimal: the project targets GCC 12,
- * whose libstdc++ does not ship std::format.
+ * joining, numeric rendering, writing one to a file).  Kept minimal: the
+ * project targets GCC 12, whose libstdc++ does not ship std::format.
  */
 #pragma once
 
 #include <cstdarg>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,12 @@ bool parseU64(const std::string &s, uint64_t &out);
 /** @p path with its last extension replaced by @p ext (".prom"), or
  *  @p ext appended when the file name has none. */
 std::string withExtension(const std::string &path, const std::string &ext);
+
+/** Writes @p content to the file @p path, then prints "wrote PATH" on
+ *  @p log unless it is null.  False, after a one-line error on stderr,
+ *  when the file cannot be written. */
+bool writeFile(const std::string &path, const std::string &content,
+               std::FILE *log);
 
 /** True if @p s starts with @p prefix. */
 bool startsWith(const std::string &s, const std::string &prefix);

@@ -4,7 +4,7 @@
  * run of a kernel's scripted buggy schedule, diagnose it postmortem,
  * and (optionally) build + ddmin-minimise the failing run's replay
  * log — everything synthesizeFix()/validatePatch() consume.  Each
- * step is the library piece bench_explore --fix uses
+ * step is the library piece `conair fix` uses
  * (apps::probeScriptedFailure, explore::diagnoseRecordedRun,
  * obs::replay::minimizeRecordedRun).
  */

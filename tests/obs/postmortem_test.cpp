@@ -63,7 +63,11 @@ diagnoseKernel(const apps::AppSpec &spec, uint64_t *seedUsed)
         apps::prepareApp(spec, apps::HardenOptions{});
     for (uint64_t seed = 1; seed <= 8; ++seed) {
         obs::FlightRecorder rec(65536);
-        vm::RunResult r = apps::runBuggy(p, seed, &rec, nullptr, true);
+        vm::VmConfig cfg = spec.buggyConfig;
+        cfg.seed = seed;
+        cfg.recorder = &rec;
+        cfg.recordSharedAccesses = true;
+        vm::RunResult r = vm::runProgram(*p.module, cfg);
         if (r.stats.rollbacks == 0)
             continue;
         if (seedUsed)

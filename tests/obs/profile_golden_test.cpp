@@ -36,7 +36,7 @@ goldenPath()
 }
 
 /** The artifact under test: the hardened-leg profile of one repro
- *  schedule, rendered the same way bench_explore --repro --profile
+ *  schedule, rendered the same way `conair repro --profile`
  *  renders it (minus the nondeterministic wall cells). */
 std::string
 currentGolden()

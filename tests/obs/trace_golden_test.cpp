@@ -3,8 +3,8 @@
  * Byte-for-byte golden regression test for the Chrome trace exporter.
  *
  * Replays one campaign repro token (ZSNES under pct:d2:s2 — a failing
- * schedule whose hardened leg recovers, the same cell bench_explore
- * --repro exercises) with flight recorders on both Fused legs,
+ * schedule whose hardened leg recovers, the same cell `conair repro`
+ * exercises) with flight recorders on both Fused legs,
  * renders the two-process Chrome trace JSON plus the recovery
  * timeline, and compares against trace.golden byte for byte.
  * Any change to event ordering, payload encoding, timestamp formatting,
@@ -34,7 +34,7 @@ goldenPath()
 }
 
 /** The artifact under test: both legs of one repro replay, rendered
- *  the same way bench_explore --repro --trace renders them, plus the
+ *  the same way `conair repro --trace` renders them, plus the
  *  human-readable timeline of the hardened leg. */
 std::string
 currentGolden()

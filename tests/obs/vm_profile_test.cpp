@@ -140,8 +140,8 @@ TEST(VmProfile, ProfiledChaosRunStaysPassive)
 
 TEST(VmProfile, HarnessOverloadAndRecorderComposePassively)
 {
-    // The minicc path attaches recorder + metrics + profiler at once;
-    // the composition must still be pure observation.
+    // `conair run --app` attaches recorder + metrics + profiler at
+    // once; the composition must still be pure observation.
     apps::PreparedApp p =
         apps::prepareApp(mysqlSpec(), apps::HardenOptions{});
     vm::RunResult bare = apps::runBuggy(p, 1);
@@ -149,9 +149,12 @@ TEST(VmProfile, HarnessOverloadAndRecorderComposePassively)
     obs::FlightRecorder rec(4096);
     obs::MetricsRegistry met;
     PhaseProfiler prof;
-    vm::RunResult all =
-        apps::runBuggy(p, 1, &rec, &met, /*recordSharedAccesses=*/false,
-                       &prof);
+    vm::VmConfig cfg = mysqlSpec().buggyConfig;
+    cfg.seed = 1;
+    cfg.recorder = &rec;
+    cfg.metrics = &met;
+    cfg.profiler = &prof;
+    vm::RunResult all = vm::runProgram(*p.module, cfg);
     expectIdentical(bare, all, "recorder+metrics+profiler");
 
     // Each instrument saw the same recovery story.
@@ -179,8 +182,10 @@ TEST(VmProfile, ProfileIsDeterministicAcrossRuns)
     for (auto [out, agg] : {std::pair{&first, &firstAgg},
                             std::pair{&second, &secondAgg}}) {
         PhaseProfiler prof;
-        vm::RunResult r = apps::runBuggy(p, 1, nullptr, nullptr, false,
-                                         &prof);
+        vm::VmConfig cfg = mysqlSpec().buggyConfig;
+        cfg.seed = 1;
+        cfg.profiler = &prof;
+        vm::RunResult r = vm::runProgram(*p.module, cfg);
         ASSERT_EQ(r.outcome, vm::Outcome::Success);
         agg->add(prof);
         obs::prof::ProfileDoc doc;
@@ -204,15 +209,16 @@ TEST(VmProfile, RecoveryTaxIsNonzeroOnEveryKernel)
         apps::PreparedApp p =
             apps::prepareApp(spec, apps::HardenOptions{});
         PhaseProfiler prof;
-        vm::RunResult r = apps::runBuggy(p, 1, nullptr, nullptr, false,
-                                         &prof);
+        vm::VmConfig cfg = spec.buggyConfig;
+        cfg.seed = 1;
+        cfg.profiler = &prof;
+        vm::runProgram(*p.module, cfg);
         ProfileAgg agg;
         agg.add(prof);
         EXPECT_GT(agg.episodes, 0u) << spec.name;
         EXPECT_GT(agg.reexecSteps, 0u) << spec.name;
         EXPECT_GT(agg.retries, 0u) << spec.name;
         EXPECT_FALSE(agg.episodesBySite.empty()) << spec.name;
-        (void)r;
     }
 }
 

@@ -33,6 +33,20 @@ mysqlSpec()
     return *spec;
 }
 
+/** @p p's failure-forcing run (seed 1) with @p rec and @p met attached;
+ *  @p shared turns on diagnosis recording mode. */
+vm::RunResult
+observedBuggyRun(const apps::PreparedApp &p, obs::FlightRecorder *rec,
+                 obs::MetricsRegistry *met, bool shared = false)
+{
+    vm::VmConfig cfg = p.spec->buggyConfig;
+    cfg.seed = 1;
+    cfg.recorder = rec;
+    cfg.metrics = met;
+    cfg.recordSharedAccesses = shared;
+    return vm::runProgram(*p.module, cfg);
+}
+
 TEST(VmTrace, RecordingDoesNotPerturbExecution)
 {
     apps::PreparedApp p =
@@ -41,7 +55,7 @@ TEST(VmTrace, RecordingDoesNotPerturbExecution)
 
     obs::FlightRecorder rec(4096);
     obs::MetricsRegistry met;
-    vm::RunResult traced = apps::runBuggy(p, 1, &rec, &met);
+    vm::RunResult traced = observedBuggyRun(p, &rec, &met);
 
     EXPECT_EQ(traced.outcome, bare.outcome);
     EXPECT_EQ(traced.exitCode, bare.exitCode);
@@ -70,7 +84,7 @@ TEST(VmTrace, DiagnosisModeDoesNotPerturbExecution)
 
     obs::FlightRecorder rec(65536);
     obs::MetricsRegistry met;
-    vm::RunResult diag = apps::runBuggy(p, 1, &rec, &met, true);
+    vm::RunResult diag = observedBuggyRun(p, &rec, &met, true);
 
     EXPECT_EQ(diag.outcome, bare.outcome);
     EXPECT_EQ(diag.exitCode, bare.exitCode);
@@ -97,7 +111,7 @@ TEST(VmTrace, SharedAccessesOffByDefault)
     apps::PreparedApp p =
         apps::prepareApp(mysqlSpec(), apps::HardenOptions{});
     obs::FlightRecorder rec(4096);
-    vm::RunResult r = apps::runBuggy(p, 1, &rec, nullptr);
+    vm::RunResult r = observedBuggyRun(p, &rec, nullptr);
     ASSERT_EQ(r.outcome, vm::Outcome::Success);
     EXPECT_GT(rec.totalOf(obs::EventKind::Rollback), 0u);
     EXPECT_EQ(rec.totalOf(obs::EventKind::SharedLoad), 0u);
@@ -112,7 +126,7 @@ TEST(VmTrace, DisabledModeRecordsNothing)
     apps::PreparedApp p =
         apps::prepareApp(mysqlSpec(), apps::HardenOptions{});
     obs::FlightRecorder rec(64);
-    vm::RunResult r = apps::runBuggy(p, 1, nullptr, nullptr);
+    vm::RunResult r = observedBuggyRun(p, nullptr, nullptr);
     EXPECT_EQ(r.outcome, vm::Outcome::Success);
     EXPECT_EQ(rec.totalRecordedAll(), 0u);
     EXPECT_EQ(rec.threadCount(), 0u);
@@ -124,7 +138,7 @@ TEST(VmTrace, TotalsMatchRunStats)
         apps::prepareApp(mysqlSpec(), apps::HardenOptions{});
     obs::FlightRecorder rec(4096);
     obs::MetricsRegistry met;
-    vm::RunResult r = apps::runBuggy(p, 1, &rec, &met);
+    vm::RunResult r = observedBuggyRun(p, &rec, &met);
     ASSERT_EQ(r.outcome, vm::Outcome::Success);
 
     using K = obs::EventKind;
@@ -156,7 +170,7 @@ TEST(VmTrace, TotalsSurviveRingWraparound)
         apps::prepareApp(mysqlSpec(), apps::HardenOptions{});
     // A tiny ring guarantees drops; totals must still match RunStats.
     obs::FlightRecorder rec(8);
-    vm::RunResult r = apps::runBuggy(p, 1, &rec, nullptr);
+    vm::RunResult r = observedBuggyRun(p, &rec, nullptr);
     ASSERT_EQ(r.outcome, vm::Outcome::Success);
     EXPECT_GT(rec.droppedAll(), 0u);
     EXPECT_EQ(rec.totalOf(obs::EventKind::Checkpoint),
@@ -172,7 +186,7 @@ TEST(VmTrace, TraceIsDeterministicAcrossRuns)
     for (std::string *out : {&first, &second}) {
         obs::FlightRecorder rec(4096);
         obs::MetricsRegistry met;
-        vm::RunResult r = apps::runBuggy(p, 1, &rec, &met);
+        vm::RunResult r = observedBuggyRun(p, &rec, &met);
         ASSERT_EQ(r.outcome, vm::Outcome::Success);
         *out = obs::chromeTraceJson(rec, "MySQL1") + "\n---\n" +
                met.toJson() + "\n---\n" + obs::recoveryTimeline(rec);
@@ -185,7 +199,7 @@ TEST(VmTrace, RecorderSeesLockTraffic)
     apps::PreparedApp p =
         apps::prepareApp(mysqlSpec(), apps::HardenOptions{});
     obs::FlightRecorder rec(4096);
-    vm::RunResult r = apps::runBuggy(p, 1, &rec, nullptr);
+    vm::RunResult r = observedBuggyRun(p, &rec, nullptr);
     ASSERT_EQ(r.outcome, vm::Outcome::Success);
     EXPECT_GT(rec.totalOf(obs::EventKind::LockAcquire), 0u);
 }
@@ -198,7 +212,7 @@ TEST(VmTrace, FailureSiteFiresOnUnhardenedFailure)
     plain.applyConAir = false;
     apps::PreparedApp p = apps::prepareApp(mysqlSpec(), plain);
     obs::FlightRecorder rec(4096);
-    vm::RunResult r = apps::runBuggy(p, 1, &rec, nullptr);
+    vm::RunResult r = observedBuggyRun(p, &rec, nullptr);
     ASSERT_NE(r.outcome, vm::Outcome::Success);
     EXPECT_EQ(rec.totalOf(obs::EventKind::FailureSite), 1u);
 }
