@@ -324,9 +324,6 @@ runOneSchedule(const Target &t, const ScheduleSpec &s,
         out.hardened = h.outcome;
         out.hardenedCorrect = correctRun(t, h);
         out.hardenedInconclusive = h.outcome == vm::Outcome::Timeout;
-        out.chaosRollbacks = h.stats.chaosRollbacks;
-        out.hardenedRollbacks = h.stats.rollbacks;
-        out.hardenedCheckpoints = h.stats.checkpointsExecuted;
         out.hardenedStats = h.stats;
 
         if (opts.differential && !out.chaos && !out.diverged) {
@@ -560,7 +557,7 @@ runCampaign(const std::vector<Target> &targets,
             rep.vmRuns +=
                 1 + (opts.differential && !o.chaos && !o.diverged);
             tr.chaosRuns += o.chaos;
-            tr.chaosRollbacks += o.chaosRollbacks;
+            tr.chaosRollbacks += o.hardenedStats.chaosRollbacks;
             if (o.hardenedInconclusive) {
                 ++tr.hardenedInconclusive;
             } else if (!o.hardenedCorrect) {

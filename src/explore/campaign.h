@@ -172,22 +172,16 @@ struct ScheduleOutcome
     vm::Outcome hardened = vm::Outcome::Success;
     bool hardenedCorrect = false;
     bool hardenedInconclusive = false;
-    uint64_t chaosRollbacks = 0;
 
     bool diverged = false; ///< Fused vs Reference mismatch
     std::string divergenceMsg;
 
     uint64_t steps = 0; ///< unhardened Fused-leg step count
 
-    /** Hardened-leg RunStats counters surfaced for the trace-vs-stats
-     *  validation (`conair repro --trace` cross-checks event
-     *  totals). */
-    uint64_t hardenedRollbacks = 0;
-    uint64_t hardenedCheckpoints = 0;
-
-    /** Full hardened-leg RunStats: the `conair repro --trace` check
-     *  compares EVERY per-kind event total against these, not just the
-     *  two counters above. */
+    /** Full hardened-leg RunStats (zero when the leg did not run):
+     *  the campaign sums its chaos rollbacks, and the
+     *  `conair repro --trace` check compares EVERY per-kind event
+     *  total against it. */
     vm::RunStats hardenedStats;
 
     /** Hardened-leg metrics (populated when opts.collectMetrics). */

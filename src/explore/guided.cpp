@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -420,32 +419,14 @@ parseCorpus(const std::string &text, Corpus &out, std::string &err)
 bool
 loadCorpus(const std::string &path, Corpus &out, std::string &err)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        err = "cannot open corpus file: " + path;
-        return false;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return parseCorpus(ss.str(), out, err);
+    std::string text;
+    return readFile(path, text, err) && parseCorpus(text, out, err);
 }
 
 bool
 saveCorpus(const std::string &path, const Corpus &c, std::string &err)
 {
-    std::ofstream outf(path, std::ios::binary | std::ios::trunc);
-    if (!outf) {
-        err = "cannot write corpus file: " + path;
-        return false;
-    }
-    outf << c.serialize();
-    outf.flush();
-    if (!outf) {
-        err = "short write to corpus file: " + path;
-        return false;
-    }
-    err.clear();
-    return true;
+    return writeFile(path, c.serialize(), err);
 }
 
 //

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 
 #include "explore/telemetry.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
+#include "support/str.h"
 #include "vm/interp.h"
 
 namespace conair::explore {
@@ -24,19 +24,6 @@ makeDirectory(const std::string &dir, std::string &err)
     if (!ec)
         return true;
     err = "cannot create directory '" + dir + "': " + ec.message();
-    return false;
-}
-
-bool
-writeArtifact(const std::string &path, const std::string &body,
-              std::string &err)
-{
-    std::ofstream f(path, std::ios::binary);
-    f << body;
-    f.close();
-    if (f)
-        return true;
-    err = "cannot write '" + path + "'";
     return false;
 }
 
@@ -135,7 +122,7 @@ abortFlushStage(const std::vector<Target> &targets,
         std::string err;
         if (makeDirectory(dir, err))
             for (const auto &[path, body] : files)
-                if (writeArtifact(path, body, err))
+                if (writeFile(path, body, err))
                     tr.abortArtifacts.push_back(path);
         if (firstErr.empty())
             firstErr = err;

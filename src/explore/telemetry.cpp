@@ -192,21 +192,7 @@ CampaignTelemetry::coverageJson() const
     w.beginObject();
     w.key("distinct_edges").value(uint64_t(edges.size()));
     w.key("dropped_edges").value(coverage_.dropped());
-    w.key("digest").value(
-        strfmt("%016llx",
-               (unsigned long long)obs::cov::coverageDigest(edges)));
-    w.key("edges").beginArray();
-    for (const obs::cov::Edge &e : edges) {
-        w.beginObject();
-        w.key("key").value(
-            strfmt("%016llx", (unsigned long long)e.key));
-        w.key("kind").value(obs::cov::edgeKindName(e.kind));
-        w.key("from").value(
-            strfmt("%016llx", (unsigned long long)e.from));
-        w.key("to").value(strfmt("%016llx", (unsigned long long)e.to));
-        w.endObject();
-    }
-    w.endArray();
+    obs::cov::writeEdgesJson(w, edges);
     w.endObject();
     return w.str();
 }

@@ -1,6 +1,7 @@
 #include "frontend/lexer.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <unordered_map>
 
@@ -164,7 +165,10 @@ lex(const std::string &src, DiagEngine &diags)
                 t.kind = Tk::FloatLit;
                 t.fval = std::strtod(num.c_str(), nullptr);
             } else {
+                errno = 0;
                 t.ival = std::strtoll(num.c_str(), nullptr, 10);
+                if (errno == ERANGE)
+                    diags.error(t.loc, "integer literal out of range");
             }
             toks.push_back(std::move(t));
             continue;

@@ -1,6 +1,7 @@
 #include "ir/parser.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <unordered_map>
 #include <vector>
@@ -153,8 +154,13 @@ class Lexer
                 t.kind = Tok::Float;
                 t.fval = std::strtod(text.c_str(), nullptr);
             } else {
+                // INT64_MIN stays in range: the printer emits it with
+                // %lld, and ir::clone round-trips modules as text.
                 t.kind = Tok::Int;
+                errno = 0;
                 t.ival = std::strtoll(text.c_str(), nullptr, 10);
+                if (errno == ERANGE)
+                    diags_.error(t.loc, "integer literal out of range");
             }
             return t;
         }

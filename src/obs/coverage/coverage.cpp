@@ -5,6 +5,8 @@
 #include <unordered_set>
 
 #include "obs/trace.h"
+#include "support/json.h"
+#include "support/str.h"
 
 namespace conair::obs::cov {
 
@@ -212,6 +214,25 @@ coverageDigest(const std::vector<Edge> &sortedEdges)
     for (const Edge &e : sortedEdges)
         h = fnvWord(h, e.key);
     return h;
+}
+
+void
+writeEdgesJson(JsonWriter &w, const std::vector<Edge> &sortedEdges)
+{
+    auto hex = [](uint64_t v) {
+        return strfmt("%016llx", (unsigned long long)v);
+    };
+    w.key("digest").value(hex(coverageDigest(sortedEdges)));
+    w.key("edges").beginArray();
+    for (const Edge &e : sortedEdges) {
+        w.beginObject();
+        w.key("key").value(hex(e.key));
+        w.key("kind").value(edgeKindName(e.kind));
+        w.key("from").value(hex(e.from));
+        w.key("to").value(hex(e.to));
+        w.endObject();
+    }
+    w.endArray();
 }
 
 void

@@ -52,6 +52,10 @@
 #include <memory>
 #include <vector>
 
+namespace conair {
+class JsonWriter;
+}
+
 namespace conair::obs {
 class FlightRecorder;
 }
@@ -112,6 +116,11 @@ uint64_t coverageDigest(const std::vector<uint64_t> &sortedKeys);
 
 /** Convenience: digest of a fold's (already sorted) edge list. */
 uint64_t coverageDigest(const std::vector<Edge> &sortedEdges);
+
+/** Writes a /coverage body's "digest" and "edges" members (hex hashes,
+ *  one {key, kind, from, to} object per edge) into @p w's open object;
+ *  callers write their own leading keys. */
+void writeEdgesJson(JsonWriter &w, const std::vector<Edge> &sortedEdges);
 
 /**
  * Appends CoverageNovel / CoverageSnapshot annotation events to

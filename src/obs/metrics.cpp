@@ -7,6 +7,7 @@
 #include "support/diag.h"
 #include "support/json.h"
 #include "support/str.h"
+#include "vm/stats.h"
 
 namespace conair::obs {
 
@@ -252,6 +253,30 @@ helpFor(const std::string &family)
 }
 
 } // namespace
+
+void
+MetricsRegistry::addRun(const vm::RunStats &run)
+{
+    auto count = [this](const std::string &name, uint64_t v) {
+        if (v)
+            add(name, v);
+    };
+    count("checkpoints", run.checkpointsExecuted);
+    count("rollbacks", run.rollbacks);
+    count("recoveries", run.recoveries.size());
+    count("backoffs", run.backoffs);
+    count("compensation_frees", run.compensationFrees);
+    count("compensation_unlocks", run.compensationUnlocks);
+    count("chaos_rollbacks", run.chaosRollbacks);
+    for (const vm::RecoveryEvent &ev : run.recoveries) {
+        count("retries_by_site/" + ev.siteTag, ev.retries);
+        observe("recovery_latency_us", uint64_t(ev.micros()),
+                latencyBucketsUs());
+        observe("recovery_retries", ev.retries, retryBuckets());
+    }
+    if (run.ckptToFailureTicks.count)
+        hists_["ckpt_to_failure_ticks"].merge(run.ckptToFailureTicks);
+}
 
 std::string
 MetricsRegistry::toPrometheusText() const

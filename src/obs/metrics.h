@@ -1,19 +1,13 @@
 /**
  * @file
  * A small metrics registry: named monotonic counters plus fixed-bucket
- * histograms, built for deterministic aggregation.  The VM populates
- * one per run (VmConfig::metrics); the campaign engine merges
- * per-schedule registries per (kernel, policy) in matrix order, so the
- * aggregated numbers are independent of worker count — pinned by
- * tests/explore/campaign_test.cpp.
- *
- * The stock instruments (see docs/OBSERVABILITY.md for the schema):
- *   counters    checkpoints, rollbacks, recoveries, backoffs,
- *               compensation_frees, compensation_unlocks,
- *               chaos_rollbacks, retries_by_site/<tag>
- *   histograms  recovery_latency_us        (latencyBucketsUs)
- *               recovery_retries           (retryBuckets)
- *               ckpt_to_failure_ticks      (tickDistanceBuckets)
+ * histograms, built for deterministic aggregation.  A registry is a
+ * fold of vm::RunStats: as a run ends, the VM folds its stats into
+ * VmConfig::metrics with addRun(), the one place that names the stock
+ * instruments (schema: docs/OBSERVABILITY.md).  The campaign engine
+ * merges per-schedule registries per (kernel, policy) in matrix order,
+ * so the aggregated numbers are independent of worker count — pinned
+ * by tests/explore/campaign_test.cpp.
  *
  * Map-backed on purpose: names serialize in sorted order, keeping the
  * JSON artifact byte-stable for the golden tests.
@@ -27,6 +21,10 @@
 
 namespace conair {
 class JsonWriter;
+}
+
+namespace conair::vm {
+struct RunStats;
 }
 
 namespace conair::obs {
@@ -87,6 +85,12 @@ class MetricsRegistry
 
     /** Folds @p other in: counters add, histograms merge. */
     void merge(const MetricsRegistry &other);
+
+    /** Folds one finished run in, naming the stock instruments and
+     *  picking their ladders.  Only nonzero counters and observed
+     *  histograms are touched; retries_by_site/<tag> sums the
+     *  retries of that site's recoveries. */
+    void addRun(const vm::RunStats &run);
 
     bool empty() const { return counters_.empty() && hists_.empty(); }
     void clear();

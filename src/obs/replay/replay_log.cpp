@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <tuple>
 
@@ -352,33 +351,15 @@ parseReplayLog(const std::string &text, ReplayLog &out, std::string &err)
 bool
 loadReplayLog(const std::string &path, ReplayLog &out, std::string &err)
 {
-    std::ifstream f(path, std::ios::binary);
-    if (!f) {
-        err = "cannot read " + path;
-        return false;
-    }
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    return parseReplayLog(ss.str(), out, err);
+    std::string text;
+    return readFile(path, text, err) && parseReplayLog(text, out, err);
 }
 
 bool
 saveReplayLog(const std::string &path, const ReplayLog &log,
               std::string &err)
 {
-    std::ofstream f(path, std::ios::binary);
-    if (!f) {
-        err = "cannot write " + path;
-        return false;
-    }
-    f << log.serialize();
-    f.close();
-    if (!f) {
-        err = "write to " + path + " failed";
-        return false;
-    }
-    err.clear();
-    return true;
+    return writeFile(path, log.serialize(), err);
 }
 
 std::pair<uint64_t, uint64_t>

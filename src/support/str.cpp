@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <iterator>
 
 namespace conair {
 
@@ -28,14 +29,37 @@ withExtension(const std::string &path, const std::string &ext)
 }
 
 bool
+readFile(const std::string &path, std::string &out, std::string &err)
+{
+    std::ifstream f(path, std::ios::binary);
+    if (!f) {
+        err = "cannot open " + path;
+        return false;
+    }
+    out.assign(std::istreambuf_iterator<char>(f), {});
+    return true;
+}
+
+bool
 writeFile(const std::string &path, const std::string &content,
-          std::FILE *log)
+          std::string &err)
 {
     std::ofstream f(path, std::ios::binary);
     f << content;
     f.close();
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    if (f)
+        return true;
+    err = "cannot write " + path;
+    return false;
+}
+
+bool
+writeFile(const std::string &path, const std::string &content,
+          std::FILE *log)
+{
+    std::string err;
+    if (!writeFile(path, content, err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
         return false;
     }
     if (log)

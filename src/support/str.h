@@ -1,8 +1,9 @@
 /**
  * @file
  * Small string helpers shared across the project (printf-style formatting,
- * joining, numeric rendering, writing one to a file).  Kept minimal: the
- * project targets GCC 12, whose libstdc++ does not ship std::format.
+ * joining, numeric rendering, reading and writing whole files).  Kept
+ * minimal: the project targets GCC 12, whose libstdc++ does not ship
+ * std::format.
  */
 #pragma once
 
@@ -40,9 +41,19 @@ bool parseU64(const std::string &s, uint64_t &out);
  *  @p ext appended when the file name has none. */
 std::string withExtension(const std::string &path, const std::string &ext);
 
-/** Writes @p content to the file @p path, then prints "wrote PATH" on
- *  @p log unless it is null.  False, after a one-line error on stderr,
- *  when the file cannot be written. */
+/** Reads the whole file @p path into @p out.  False, with
+ *  "cannot open PATH" in @p err, when it cannot be opened. */
+bool readFile(const std::string &path, std::string &out, std::string &err);
+
+/** Writes @p content to the file @p path.  False, with
+ *  "cannot write PATH" in @p err, when it cannot be written; @p err is
+ *  left alone on success. */
+bool writeFile(const std::string &path, const std::string &content,
+               std::string &err);
+
+/** The CLI form: writeFile(), then "wrote PATH" on @p log unless it is
+ *  null.  False, after the one-line error on stderr, when the file
+ *  cannot be written. */
 bool writeFile(const std::string &path, const std::string &content,
                std::FILE *log);
 

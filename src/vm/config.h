@@ -269,12 +269,12 @@ struct VmConfig
     /**
      * @name Observability (src/obs/)
      *
-     * Both hooks are pure observation: recording never perturbs the
-     * schedule, RNG streams, clock, or stats, so an instrumented run
-     * is tick-for-tick identical to an uninstrumented one (pinned by
-     * tests/obs/vm_trace_test.cpp).  nullptr (the default) disables a
-     * hook; the disabled path is a branch on the pointer with no
-     * allocation.  Neither pointer is owned by the VM.
+     * Both hooks (recorder, profiler) are pure observation: recording
+     * never perturbs the schedule, RNG streams, clock, or stats, so an
+     * instrumented run is tick-for-tick identical to an uninstrumented
+     * one (pinned by tests/obs/vm_trace_test.cpp).  nullptr (the
+     * default) disables a hook; the disabled path is a branch on the
+     * pointer with no allocation.  No pointer here is owned by the VM.
      * @{
      */
 
@@ -282,8 +282,8 @@ struct VmConfig
      *  decisions, checkpoints, rollbacks, lock traffic, ...). */
     obs::FlightRecorder *recorder = nullptr;
 
-    /** Metrics registry receiving counters and histograms (recovery
-     *  latency, retries per site, checkpoint-to-failure distance). */
+    /** Registry that run() folds the finished RunStats into as it
+     *  returns (MetricsRegistry::addRun); nothing fires mid-run. */
     obs::MetricsRegistry *metrics = nullptr;
 
     /** Phase profiler attributing retired steps and waited ticks to

@@ -92,7 +92,6 @@ Interp::Interp(const ir::Module &m, VmConfig cfg)
       prioRng_(cfg.seed ^ 0xda942042e4dd58b5ull)
 {
     rec_ = cfg_.recorder;
-    met_ = cfg_.metrics;
     diag_ = rec_ != nullptr && cfg_.recordSharedAccesses;
     prof_ = cfg_.profiler;
 
@@ -272,6 +271,8 @@ Interp::run()
     }
     result_.clock = clock_;
     result_.memDigest = computeMemDigest();
+    if (cfg_.metrics)
+        cfg_.metrics->addRun(result_.stats);
     return result_;
 }
 
@@ -2185,8 +2186,6 @@ Interp::doCheckpoint(Thread &t, const Instruction &inst)
                      result_.stats.steps,
                      inst.builtin() == Builtin::CaCheckpointLocals ? 1 : 0,
                      result_.stats.schedTicks);
-    if (met_)
-        met_->add("checkpoints");
 }
 
 namespace {
@@ -2230,8 +2229,6 @@ Interp::runCompensation(Thread &t)
             if (rec_)
                 rec_->record(t.id, obs::EventKind::CompensationFree,
                              clock_, result_.stats.steps, e.key.block);
-            if (met_)
-                met_->add("compensation_frees");
         }
     }
     t.allocLog.clear();
@@ -2244,8 +2241,6 @@ Interp::runCompensation(Thread &t)
             rec_->record(t.id, obs::EventKind::CompensationUnlock,
                          clock_, result_.stats.steps, e.key.block,
                          e.key.offset);
-        if (met_)
-            met_->add("compensation_unlocks");
     }
     t.lockLog.clear();
 }
@@ -2293,20 +2288,17 @@ Interp::doTryRollback(Thread &t, const Instruction &inst, int64_t site_id)
     }
     ++t.episode.retries;
 
+    uint64_t distance = result_.stats.schedTicks - t.ckpt.schedTicksAt;
+    obs::Histogram &tally = result_.stats.ckptToFailureTicks;
+    if (tally.counts.empty())
+        tally = obs::Histogram(obs::MetricsRegistry::tickDistanceBuckets());
+    tally.observe(distance);
     if (rec_)
         rec_->record(t.id, obs::EventKind::Rollback, clock_,
-                     result_.stats.steps, t.episode.retries,
-                     result_.stats.schedTicks - t.ckpt.schedTicksAt,
+                     result_.stats.steps, t.episode.retries, distance,
                      inst.tag());
-    if (met_) {
-        met_->add("rollbacks");
-        met_->observe("ckpt_to_failure_ticks",
-                      result_.stats.schedTicks - t.ckpt.schedTicksAt,
-                      obs::MetricsRegistry::tickDistanceBuckets());
-    }
     if (prof_)
-        prof_->onRollback(t.id, t.episode.siteTag,
-                          result_.stats.schedTicks - t.ckpt.schedTicksAt);
+        prof_->onRollback(t.id, t.episode.siteTag, distance);
 
     runCompensation(t);
     restoreCheckpoint(t);
@@ -2333,8 +2325,6 @@ Interp::doTryRollback(Thread &t, const Instruction &inst, int64_t site_id)
         if (rec_)
             rec_->record(t.id, obs::EventKind::Backoff, clock_,
                          result_.stats.steps, t.wakeAt - clock_, 1);
-        if (met_)
-            met_->add("backoffs");
         if (prof_)
             prof_->onBackoff(t.id, t.wakeAt - clock_);
     }
@@ -2358,8 +2348,6 @@ Interp::maybeChaosRollback(Thread &t)
     if (rec_)
         rec_->record(t.id, obs::EventKind::ChaosRollback, clock_,
                      result_.stats.steps, result_.stats.steps);
-    if (met_)
-        met_->add("chaos_rollbacks");
     runCompensation(t);
     restoreCheckpoint(t);
 }
@@ -2389,8 +2377,6 @@ Interp::execConAir(Thread &t, const Instruction &inst,
         if (rec_)
             rec_->record(t.id, obs::EventKind::Backoff, clock_,
                          result_.stats.steps, ticks, 0);
-        if (met_)
-            met_->add("backoffs");
         if (prof_)
             prof_->onBackoff(t.id, ticks);
         break;
@@ -2436,15 +2422,6 @@ Interp::execConAir(Thread &t, const Instruction &inst,
                 rec_->record(t.id, obs::EventKind::RecoveryDone, clock_,
                              result_.stats.steps, ev.retries,
                              ev.startClock, ev.siteTag);
-            if (met_) {
-                met_->add("recoveries");
-                met_->add("retries_by_site/" + ev.siteTag, ev.retries);
-                met_->observe("recovery_latency_us",
-                              uint64_t(ev.micros()),
-                              obs::MetricsRegistry::latencyBucketsUs());
-                met_->observe("recovery_retries", ev.retries,
-                              obs::MetricsRegistry::retryBuckets());
-            }
             if (prof_)
                 prof_->onRecovered(t.id, ev.retries, ev.startClock,
                                    ev.endClock);

@@ -88,8 +88,9 @@ class Interp
         uint32_t dPrevBlock = kNoBlock;
 
         /** RunStats::schedTicks when the checkpoint was taken — the
-         *  flight recorder's checkpoint-to-failure distance axis.
-         *  Observability only; never restored into VM state. */
+         *  checkpoint-to-failure distance axis of each rollback, which
+         *  feeds RunStats::ckptToFailureTicks, the flight recorder and
+         *  the profiler.  Never restored into VM state. */
         uint64_t schedTicksAt = 0;
 
         /** Fig 4 "local writes" design point: saved copies of the
@@ -460,11 +461,11 @@ class Interp
     std::vector<uint32_t> runnableScratch_; ///< pickThread, reused
     std::vector<RtValue> phiScratch_;       ///< phi parallel copies
 
-    // Observability hooks (aliases of cfg_.recorder / cfg_.metrics;
+    // Observability hooks (aliases of cfg_.recorder / cfg_.profiler;
     // nullptr = disabled, the common case).  Recording is passive:
-    // no RNG draws, no clock ticks, no stats mutations.
+    // no RNG draws, no clock ticks, no stats mutations.  Metrics are
+    // no hook: run() folds the finished RunStats into cfg_.metrics.
     obs::FlightRecorder *rec_ = nullptr;
-    obs::MetricsRegistry *met_ = nullptr;
     /** Diagnosis recording mode: rec_ set AND cfg_.recordSharedAccesses
      *  — shared loads/stores also emit SharedLoad/SharedStore events. */
     bool diag_ = false;

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace conair::ir {
 class Instruction;
 }
@@ -71,6 +73,12 @@ struct RunStats
     uint64_t compensationUnlocks = 0;
     uint64_t backoffs = 0;
     std::vector<RecoveryEvent> recoveries;
+
+    /** Checkpoint-to-failure distance of each rollback, in scheduling
+     *  ticks, on the MetricsRegistry::tickDistanceBuckets() ladder.
+     *  Empty and allocation-free until the first rollback; a fixed
+     *  set of buckets after it, however many rollbacks follow. */
+    obs::Histogram ckptToFailureTicks;
 
     /// @{ Whole-program checkpoint baseline counters.
     uint64_t wpSnapshots = 0;

@@ -1,3 +1,5 @@
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "frontend/lexer.h"
@@ -79,6 +81,16 @@ TEST(Lexer, UnterminatedStringIsError)
     DiagEngine d;
     lex("\"oops", d);
     EXPECT_TRUE(d.hasErrors());
+}
+
+TEST(Lexer, OutOfRangeIntegerIsError)
+{
+    DiagEngine d;
+    lex("int x = 99999999999999999999999999;", d);
+    EXPECT_EQ(d.str(), "1:9: error: integer literal out of range\n");
+
+    auto t = lexOk("9223372036854775807"); // INT64_MAX still fits
+    EXPECT_EQ(t[0].ival, INT64_MAX);
 }
 
 TEST(Lexer, StrayCharacterIsError)

@@ -75,6 +75,20 @@ entry:
 )");
 }
 
+TEST(ParserRobustness, RejectsOutOfRangeIntegers)
+{
+    for (const char *lit :
+         {"9223372036854775808", "-9223372036854775809",
+          "99999999999999999999999999"}) {
+        std::string text = "func @f() -> i64 {\nentry:\n    ret " +
+                           std::string(lit) + "\n}\n";
+        DiagEngine d;
+        EXPECT_EQ(parseModule(text, d), nullptr) << lit;
+        EXPECT_EQ(d.str(), "3:9: error: integer literal out of range\n")
+            << lit;
+    }
+}
+
 TEST(ParserRobustness, RejectsDuplicateDefinitions)
 {
     expectRejected(R"(

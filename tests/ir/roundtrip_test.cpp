@@ -37,6 +37,21 @@ entry:
 )");
 }
 
+TEST(RoundTrip, Int64Extremes)
+{
+    // The printer emits INT64_MIN with %lld; the parser must read it
+    // back, since ir::clone round-trips modules through text.
+    expectRoundTrip(R"(
+global @extremes : i64[2] = [-9223372036854775808, 9223372036854775807]
+
+func @main() -> i64 {
+entry:
+    %0 = add -9223372036854775808, 9223372036854775807
+    ret %0
+}
+)");
+}
+
 TEST(RoundTrip, GlobalsAndMutexes)
 {
     expectRoundTrip(R"(

@@ -56,7 +56,7 @@ currentGolden()
     EXPECT_FALSE(o.diverged) << o.divergenceMsg;
     // The schedule must exercise recovery so the golden pins a real
     // episode, not an empty report.
-    EXPECT_GT(o.hardenedRollbacks, 0u);
+    EXPECT_GT(o.hardenedStats.rollbacks, 0u);
 
     obs::pm::RecoveryReport rep = obs::pm::diagnose(
         hardRec, *target.hardened, "ZSNES", sched.token());

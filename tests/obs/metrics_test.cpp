@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "vm/stats.h"
 
 namespace conair::obs {
 namespace {
@@ -221,6 +222,46 @@ TEST(MetricsRegistry, PrometheusTextExposition)
     // Cumulative buckets: every le count is <= the +Inf count and
     // non-decreasing in bound order.
     EXPECT_EQ(t, reg.toPrometheusText()); // deterministic
+}
+
+TEST(MetricsRegistry, AddRunFoldsRunStats)
+{
+    MetricsRegistry none;
+    none.addRun(vm::RunStats{});
+    EXPECT_TRUE(none.empty()); // a run without recovery adds nothing
+
+    // Compensation and chaos counters stay zero, so they stay absent.
+    vm::RunStats run;
+    run.checkpointsExecuted = 12;
+    run.rollbacks = 4;
+    run.backoffs = 1;
+    run.recoveries.push_back({"assert.f.3", 2, 100, 150}); // 5 us
+    run.recoveries.push_back({"oracle.g.7", 1, 200, 210}); // 1 us
+    run.recoveries.push_back({"assert.f.3", 1, 400, 1400}); // 100 us
+    run.ckptToFailureTicks =
+        Histogram(MetricsRegistry::tickDistanceBuckets());
+    for (uint64_t d : {0u, 2u, 2u, 40u})
+        run.ckptToFailureTicks.observe(d);
+
+    MetricsRegistry reg;
+    reg.addRun(run);
+    EXPECT_EQ(
+        reg.toJson(0),
+        R"({"counters":{"backoffs":1,"checkpoints":12,"recoveries":3,)"
+        R"("retries_by_site/assert.f.3":3,"retries_by_site/oracle.g.7":1,)"
+        R"("rollbacks":4},"histograms":{)"
+        R"("ckpt_to_failure_ticks":{"count":4,"sum":44,"max":40,)"
+        R"("mean":11.000,"p50":1.500,"p95":40.000,"p99":40.000,)"
+        R"("bounds":[0,1,2,4,8,16,32,64,128,256,1024,8192],)"
+        R"("buckets":[1,0,2,0,0,0,0,1,0,0,0,0,0]},)"
+        R"("recovery_latency_us":{"count":3,"sum":106,"max":100,)"
+        R"("mean":35.333,"p50":3.500,"p95":92.500,"p99":98.500,)"
+        R"("bounds":[1,2,5,10,20,50,100,200,500,1000,2000,5000,10000,)"
+        R"(100000],"buckets":[1,0,1,0,0,0,1,0,0,0,0,0,0,0,0]},)"
+        R"("recovery_retries":{"count":3,"sum":4,"max":2,"mean":1.333,)"
+        R"("p50":0.750,"p95":1.850,"p99":1.970,)"
+        R"("bounds":[1,2,3,4,6,8,12,16,32],)"
+        R"("buckets":[2,1,0,0,0,0,0,0,0,0]}}})");
 }
 
 TEST(MetricsRegistry, BucketLaddersAreSorted)

@@ -65,7 +65,7 @@ currentGolden()
 
     // The hardened leg must actually recover here, so the golden file
     // pins recovery-episode rendering, not just checkpoints.
-    EXPECT_GT(o.hardenedRollbacks, 0u);
+    EXPECT_GT(o.hardenedStats.rollbacks, 0u);
     EXPECT_TRUE(o.hardenedCorrect);
 
     std::string json = obs::chromeTraceJson(

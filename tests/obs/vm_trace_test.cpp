@@ -9,8 +9,10 @@
  *     tick-identity differential oracle meaningful while tracing.
  *
  *  2. *Consistency.*  The recorder's per-kind totals and the metrics
- *     counters agree with RunStats, even when the ring wrapped and
- *     dropped events — totals are maintained outside the ring.
+ *     folded from RunStats agree with RunStats, even when the ring
+ *     wrapped and dropped events (totals are maintained outside the
+ *     ring).  A never-dropping trace also rebuilds RunStats' tally of
+ *     checkpoint-to-failure distances exactly.
  */
 #include <gtest/gtest.h>
 
@@ -162,6 +164,44 @@ TEST(VmTrace, TotalsMatchRunStats)
     const obs::Histogram *lat = met.histogram("recovery_latency_us");
     ASSERT_NE(lat, nullptr);
     EXPECT_EQ(lat->count, r.stats.recoveries.size());
+}
+
+/** ckpt_to_failure_ticks rebuilt from @p rec's Rollback events, each
+ *  of which carries its own checkpoint-to-failure distance (b). */
+obs::Histogram
+distancesFromTrace(const obs::FlightRecorder &rec)
+{
+    obs::Histogram h(obs::MetricsRegistry::tickDistanceBuckets());
+    for (const obs::TraceEvent &e : rec.merged())
+        if (e.kind == obs::EventKind::Rollback)
+            h.observe(e.b);
+    return h;
+}
+
+TEST(VmTrace, CkptToFailureTallyMatchesTrace)
+{
+    // RunStats keeps the distances as one tally; a trace that never
+    // drops keeps them one event at a time.  Both, and the histogram
+    // the registry folds from RunStats, must agree bucket for bucket.
+    for (const char *name : {"MySQL1", "ZSNES"}) {
+        const apps::AppSpec *spec = apps::findApp(name);
+        ASSERT_NE(spec, nullptr) << name;
+        apps::PreparedApp p =
+            apps::prepareApp(*spec, apps::HardenOptions{});
+        obs::FlightRecorder rec(4096, obs::RecorderMode::Grow);
+        obs::MetricsRegistry met;
+        vm::RunResult r = observedBuggyRun(p, &rec, &met);
+        ASSERT_GT(r.stats.rollbacks, 0u) << name;
+        ASSERT_EQ(rec.droppedAll(), 0u) << name;
+
+        obs::Histogram traced = distancesFromTrace(rec);
+        EXPECT_EQ(traced.count, r.stats.rollbacks) << name;
+        EXPECT_EQ(traced, r.stats.ckptToFailureTicks) << name;
+        const obs::Histogram *folded =
+            met.histogram("ckpt_to_failure_ticks");
+        ASSERT_NE(folded, nullptr) << name;
+        EXPECT_EQ(*folded, traced) << name;
+    }
 }
 
 TEST(VmTrace, TotalsSurviveRingWraparound)

@@ -61,6 +61,7 @@ expectSameRun(const vm::RunResult &a, const vm::RunResult &b,
     EXPECT_EQ(s.threadsSpawned, t.threadsSpawned) << ctx;
     EXPECT_EQ(s.checkpointsExecuted, t.checkpointsExecuted) << ctx;
     EXPECT_EQ(s.rollbacks, t.rollbacks) << ctx;
+    EXPECT_EQ(s.ckptToFailureTicks, t.ckptToFailureTicks) << ctx;
     EXPECT_EQ(s.compensationFrees, t.compensationFrees) << ctx;
     EXPECT_EQ(s.compensationUnlocks, t.compensationUnlocks) << ctx;
     EXPECT_EQ(s.backoffs, t.backoffs) << ctx;

@@ -1,5 +1,7 @@
 #include "support/str.h"
 
+#include <cstdio>
+
 #include <gtest/gtest.h>
 
 namespace conair {
@@ -61,6 +63,23 @@ TEST(ParseU64, AcceptsPlainDigitsOnly)
         EXPECT_FALSE(parseU64(bad, v)) << bad;
         EXPECT_EQ(v, 7u) << bad;
     }
+}
+
+TEST(WholeFile, RoundTripsBytesAndReportsErrors)
+{
+    const std::string path = ::testing::TempDir() + "str_test_file.bin";
+    const std::string bytes("a\0b\r\n", 5);
+    std::string err, back;
+    ASSERT_TRUE(writeFile(path, bytes, err)) << err;
+    ASSERT_TRUE(readFile(path, back, err)) << err;
+    EXPECT_EQ(back, bytes);
+    EXPECT_TRUE(err.empty());
+
+    EXPECT_FALSE(readFile(path + ".missing", back, err));
+    EXPECT_EQ(err, "cannot open " + path + ".missing");
+    EXPECT_FALSE(writeFile(path + "/under-a-file", "", err));
+    EXPECT_EQ(err, "cannot write " + path + "/under-a-file");
+    std::remove(path.c_str());
 }
 
 TEST(StartsWith, Basics)

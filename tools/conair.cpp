@@ -90,8 +90,6 @@
 #include <chrono>
 #include <climits>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -267,21 +265,7 @@ serveRunTelemetry(unsigned port, unsigned seconds,
     JsonWriter cw(2);
     cw.beginObject();
     cw.key("distinct_edges").value(uint64_t(cov.edges.size()));
-    cw.key("digest").value(
-        strfmt("%016llx",
-               (unsigned long long)obs::cov::coverageDigest(cov.edges)));
-    cw.key("edges").beginArray();
-    for (const obs::cov::Edge &e : cov.edges) {
-        cw.beginObject();
-        cw.key("key").value(
-            strfmt("%016llx", (unsigned long long)e.key));
-        cw.key("kind").value(obs::cov::edgeKindName(e.kind));
-        cw.key("from").value(
-            strfmt("%016llx", (unsigned long long)e.from));
-        cw.key("to").value(strfmt("%016llx", (unsigned long long)e.to));
-        cw.endObject();
-    }
-    cw.endArray();
+    obs::cov::writeEdgesJson(cw, cov.edges);
     cw.endObject();
     std::string coverage = cw.str() + "\n";
 
@@ -360,15 +344,11 @@ cmdRun(const Args &args)
         source = spec->source;
     } else {
         name = args.positionals[0];
-        std::ifstream in(name);
-        if (!in) {
-            std::fprintf(stderr, "conair run: cannot open %s\n",
-                         name.c_str());
+        std::string err;
+        if (!readFile(name, source, err)) {
+            std::fprintf(stderr, "conair run: %s\n", err.c_str());
             return 2;
         }
-        std::stringstream buf;
-        buf << in.rdbuf();
-        source = buf.str();
     }
 
     DiagEngine diags;
@@ -727,7 +707,7 @@ cmdRepro(const Args &args)
                     vm::outcomeName(o.hardened),
                     o.hardenedCorrect ? "yes" : "no",
                     o.chaos ? "on" : "off",
-                    (unsigned long long)o.chaosRollbacks);
+                    (unsigned long long)o.hardenedStats.chaosRollbacks);
     if (o.diverged)
         std::printf("ENGINE DIVERGENCE: %s\n", o.divergenceMsg.c_str());
     else
