@@ -235,9 +235,8 @@ main(int argc, char **argv)
     // them) want nonzero distinct-edge counts for every kernel.
     opts.collectCoverage = true;
     // Same for the recovery-cost profile: kernels[].profile and the
-    // full-mode recovery-tax gate want it on every run, and every
-    // profiled hardened leg's bare replicas live-prove the profiler's
-    // passivity.  --profile only adds printing/export on top.
+    // full-mode recovery-tax gate want it on every run.  --profile
+    // only adds printing/export on top.
     opts.collectProfile = true;
 
     // --serve: embedded telemetry endpoints for the campaign's
@@ -801,7 +800,7 @@ main(int argc, char **argv)
         // Recovery-tax gate: every kernel's profiled hardened legs
         // must have paid a measurable recovery tax — recovery means
         // rollback means re-execution, so zero episodes or zero
-        // re-executed steps says the profiler lost the recovery
+        // re-executed steps says the phase tally lost the recovery
         // story, not that recovery was free.
         for (const TargetReport &tr : rep.targets)
             if (tr.hasProfile && (tr.profile.episodes == 0 ||

@@ -17,12 +17,9 @@
  *               JSON output without waiting on full-size runs
  *   --profile FILE
  *               print the per-workload phase profile (hot-phase
- *               table) of the profiled Fused row, write the
- *               speedscope JSON to FILE and folded flamegraph stacks
- *               next to it.  The profiled row itself always
- *               runs — its step-identity against the bare rows is
- *               part of the divergence gate — the flag only controls
- *               printing and export.
+ *               table) of the Fused row — a fold of its RunStats,
+ *               which every run tallies — write the speedscope JSON
+ *               to FILE and folded flamegraph stacks next to it.
  */
 #include "bench/bench_util.h"
 
@@ -151,13 +148,13 @@ struct Cell
     double seconds = 0;
     double stepsPerSec = 0;
     vm::Outcome outcome = vm::Outcome::Success;
+    vm::RunStats stats; ///< the fastest run's (all runs are identical)
 };
 
 Cell
 measure(const ir::Module &m, vm::VmConfig cfg, unsigned runs,
         obs::FlightRecorder *rec = nullptr,
-        bool recordSharedAccesses = false,
-        obs::prof::PhaseProfiler *prof = nullptr)
+        bool recordSharedAccesses = false)
 {
     Cell best;
     for (unsigned r = 0; r < runs; ++r) {
@@ -165,13 +162,6 @@ measure(const ir::Module &m, vm::VmConfig cfg, unsigned runs,
             rec->clear();
             cfg.recorder = rec;
             cfg.recordSharedAccesses = recordSharedAccesses;
-        }
-        if (prof) {
-            // Cleared per repetition: every run is identical, so the
-            // profiler ends holding exactly one run's (deterministic)
-            // phase attribution.
-            prof->clear();
-            cfg.profiler = prof;
         }
         auto t0 = std::chrono::steady_clock::now();
         vm::RunResult res = vm::runProgram(m, cfg);
@@ -185,6 +175,7 @@ measure(const ir::Module &m, vm::VmConfig cfg, unsigned runs,
             best.seconds = sec;
             best.stepsPerSec = sps;
             best.outcome = res.outcome;
+            best.stats = std::move(res.stats);
         }
     }
     return best;
@@ -224,13 +215,13 @@ main(int argc, char **argv)
 
     Table t({"Workload", "Reference (steps/s)", "Fused (steps/s)",
              "Speedup", "Fused+trace (steps/s)", "Trace cost",
-             "Diag cost", "Prof cost"});
+             "Diag cost"});
 
     struct Row
     {
         std::string name;
         bool singleThread;
-        Cell ref, fus, traced, diag, prof;
+        Cell ref, fus, traced, diag;
     };
     std::vector<Row> rows;
     obs::prof::ProfileDoc profDoc;
@@ -259,36 +250,27 @@ main(int argc, char **argv)
         // cost of SharedLoad/SharedStore recording.  Like the trace
         // row, its *default-mode* counterpart (the plain fused row)
         // must stay unchanged — the guard below checks step identity
-        // across all five cells.
+        // across all four cells.
         obs::FlightRecorder diagRecorder(4096);
         row.diag = measure(*m, fused, runs, &diagRecorder, true);
-        // The profiler-on row: same fused config, phase profiler
-        // attached.  Its step identity against the bare rows is the
-        // passivity check; its distance from the plain fused row is
-        // the enabled cost of profiling.
-        obs::prof::PhaseProfiler profiler;
-        row.prof = measure(*m, fused, runs, nullptr, false,
-                           &profiler);
         {
             obs::prof::ProfileAgg agg;
-            agg.add(profiler);
+            agg.add(row.fus.stats);
             profDoc.phaseGroups.emplace_back(w.name, agg);
         }
         if (row.ref.outcome != vm::Outcome::Success ||
             row.fus.outcome != vm::Outcome::Success ||
             row.ref.steps != row.fus.steps ||
             row.traced.steps != row.fus.steps ||
-            row.diag.steps != row.fus.steps ||
-            row.prof.steps != row.fus.steps) {
+            row.diag.steps != row.fus.steps) {
             std::fprintf(stderr,
                          "engine divergence on %s: steps %llu vs %llu "
-                         "(traced %llu, diag %llu, profiled %llu)\n",
+                         "(traced %llu, diag %llu)\n",
                          w.name.c_str(),
                          (unsigned long long)row.ref.steps,
                          (unsigned long long)row.fus.steps,
                          (unsigned long long)row.traced.steps,
-                         (unsigned long long)row.diag.steps,
-                         (unsigned long long)row.prof.steps);
+                         (unsigned long long)row.diag.steps);
             return 1;
         }
         rows.push_back(row);
@@ -297,15 +279,12 @@ main(int argc, char **argv)
             1.0 - row.traced.stepsPerSec / row.fus.stepsPerSec;
         double diagCost =
             1.0 - row.diag.stepsPerSec / row.fus.stepsPerSec;
-        double profCost =
-            1.0 - row.prof.stepsPerSec / row.fus.stepsPerSec;
         t.row({row.name, fmt("%.0f", row.ref.stepsPerSec),
                fmt("%.0f", row.fus.stepsPerSec),
                fmt("%.2fx", speedup),
                fmt("%.0f", row.traced.stepsPerSec),
                fmt("%.1f%%", traceCost * 100),
-               fmt("%.1f%%", diagCost * 100),
-               fmt("%.1f%%", profCost * 100)});
+               fmt("%.1f%%", diagCost * 100)});
     }
     t.print();
 
@@ -342,11 +321,6 @@ main(int argc, char **argv)
             .value(r.diag.stepsPerSec, "%.0f");
         w.key("diag_overhead")
             .value(1.0 - r.diag.stepsPerSec / r.fus.stepsPerSec,
-                   "%.3f");
-        w.key("fused_prof_steps_per_sec")
-            .value(r.prof.stepsPerSec, "%.0f");
-        w.key("prof_overhead")
-            .value(1.0 - r.prof.stepsPerSec / r.fus.stepsPerSec,
                    "%.3f");
         w.endObject();
     }

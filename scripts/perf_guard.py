@@ -9,7 +9,7 @@ Usage:
 Knows both artifact shapes:
 
   * BENCH_vm.json  (bench == "vm_throughput"): per-workload
-    reference/fused/traced/diag/prof steps-per-second, matched
+    reference/fused/traced/diag steps-per-second, matched
     by workload name;
   * BENCH_explore.json (bench == "explore"): campaign
     schedules-per-second.
@@ -37,7 +37,6 @@ VM_WORKLOAD_METRICS = [
     "fused_steps_per_sec",
     "fused_traced_steps_per_sec",
     "fused_diag_steps_per_sec",
-    "fused_prof_steps_per_sec",
 ]
 EXPLORE_METRICS = ["schedules_per_sec"]
 

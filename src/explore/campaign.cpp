@@ -306,21 +306,10 @@ runOneSchedule(const Target &t, const ScheduleSpec &s,
         }
         if (opts.collectMetrics)
             hardCfg.metrics = &out.metrics;
-        // The profiler rides the instrumented Fused leg only; the
-        // bare differential replicas below prove on every schedule
-        // that attaching it never perturbed the run.
-        std::optional<obs::prof::PhaseProfiler> prof;
-        if (opts.collectProfile) {
-            prof.emplace();
-            hardCfg.profiler = &*prof;
-        }
         legBegin();
         vm::RunResult h = vm::runProgram(*t.hardened, hardCfg);
         legEnd(out.wallHardenedUs);
-        if (prof) {
-            out.profile.add(*prof);
-            out.hasProfile = true;
-        }
+        out.hasProfile = opts.collectProfile;
         out.hardened = h.outcome;
         out.hardenedCorrect = correctRun(t, h);
         out.hardenedInconclusive = h.outcome == vm::Outcome::Timeout;
@@ -334,7 +323,6 @@ runOneSchedule(const Target &t, const ScheduleSpec &s,
             // (diagnosis mode included).
             refCfg.recorder = nullptr;
             refCfg.metrics = nullptr;
-            refCfg.profiler = nullptr;
             refCfg.recordSharedAccesses = false;
             legBegin();
             vm::RunResult r = vm::runProgram(*t.hardened, refCfg);
@@ -352,6 +340,49 @@ runOneSchedule(const Target &t, const ScheduleSpec &s,
 //
 // The campaign runner.
 //
+
+void
+addGrowthSample(std::vector<std::pair<uint64_t, uint64_t>> &curve,
+                uint64_t schedule, uint64_t edges)
+{
+    curve.emplace_back(schedule, edges);
+    if (curve.size() <= 512)
+        return;
+    std::vector<std::pair<uint64_t, uint64_t>> kept;
+    kept.reserve(curve.size() / 2 + 1);
+    for (size_t k = 0; k < curve.size(); k += 2)
+        kept.push_back(curve[k]);
+    if (kept.back() != curve.back())
+        kept.push_back(curve.back());
+    curve.swap(kept);
+}
+
+void
+runPool(size_t n, unsigned workers,
+        const std::function<void(unsigned worker, size_t i)> &job)
+{
+    std::atomic<size_t> next{0};
+    auto work = [&](unsigned worker) {
+        for (;;) {
+            size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                return;
+            job(worker, i);
+        }
+    };
+    const unsigned threads =
+        unsigned(std::min<size_t>(std::max(1u, workers), n));
+    if (threads <= 1) {
+        work(0);
+        return;
+    }
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (unsigned w = 0; w < threads; ++w)
+        pool.emplace_back(work, w);
+    for (std::thread &th : pool)
+        th.join();
+}
 
 namespace {
 
@@ -388,51 +419,29 @@ runCampaign(const std::vector<Target> &targets,
 
     std::vector<ScheduleOutcome> results(jobs.size());
     std::vector<std::atomic<uint64_t>> failCount(targets.size());
-    std::atomic<size_t> next{0};
 
-    unsigned workers = std::max(1u, opts.workers);
     if (opts.telemetry)
         opts.telemetry->addPlanned(jobs.size());
 
-    auto work = [&](unsigned worker) {
-        for (;;) {
-            size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= jobs.size())
-                return;
-            const Job &j = jobs[i];
-            if (opts.stopAfterFailures > 0 &&
-                failCount[j.target].load(std::memory_order_relaxed) >=
-                    opts.stopAfterFailures) {
-                results[i].spec = j.spec; // ran stays false
-                if (opts.telemetry)
-                    opts.telemetry->noteSchedule(
-                        worker, targets[j.target].name, results[i]);
-                continue;
-            }
-            results[i] =
-                runOneSchedule(targets[j.target], j.spec, opts);
-            if (isFailingSchedule(results[i]))
-                failCount[j.target].fetch_add(
-                    1, std::memory_order_relaxed);
-            // Live telemetry only — the deterministic report below
-            // still aggregates from `results` in matrix order.
-            if (opts.telemetry)
-                opts.telemetry->noteSchedule(
-                    worker, targets[j.target].name, results[i]);
-        }
-    };
-
     auto t0 = std::chrono::steady_clock::now();
-    if (workers == 1 || jobs.size() <= 1) {
-        work(0);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w)
-            pool.emplace_back(work, w);
-        for (auto &th : pool)
-            th.join();
-    }
+    runPool(jobs.size(), opts.workers, [&](unsigned worker, size_t i) {
+        const Job &j = jobs[i];
+        if (opts.stopAfterFailures > 0 &&
+            failCount[j.target].load(std::memory_order_relaxed) >=
+                opts.stopAfterFailures) {
+            results[i].spec = j.spec; // ran stays false
+        } else {
+            results[i] = runOneSchedule(targets[j.target], j.spec, opts);
+            if (isFailingSchedule(results[i]))
+                failCount[j.target].fetch_add(1,
+                                              std::memory_order_relaxed);
+        }
+        // Live telemetry only — the deterministic report below still
+        // aggregates from `results` in matrix order.
+        if (opts.telemetry)
+            opts.telemetry->noteSchedule(worker, targets[j.target].name,
+                                         results[i], opts);
+    });
     auto t1 = std::chrono::steady_clock::now();
 
     // Aggregate in matrix order: the report is identical however the
@@ -444,15 +453,13 @@ runCampaign(const std::vector<Target> &targets,
     // matrix order — std::set iterates sorted, which is exactly the
     // order coverageDigest() wants.
     std::vector<std::set<uint64_t>> covKeys(targets.size());
-    // Wall-clock accumulation per (target, policy entry, leg) — the
-    // four legs of runOneSchedule in execution order.
+    // Wall-clock accumulation per (target, policy entry, leg), legs in
+    // kWallLegs order.
     struct WallAcc
     {
         uint64_t micros = 0;
         uint64_t spans = 0;
     };
-    static const char *const kWallLegs[4] = {
-        "unhardened", "differential", "hardened", "hardened_diff"};
     std::vector<std::vector<WallAcc>> wallAcc;
     if (opts.collectProfile)
         wallAcc.assign(targets.size(),
@@ -488,38 +495,18 @@ runCampaign(const std::vector<Target> &targets,
                 novel |= covKeys[j.target].insert(e.key).second;
             if (novel) {
                 ++tr.coverageNovelSchedules;
-                tr.coverageGrowth.emplace_back(
-                    tr.schedules, covKeys[j.target].size());
-                if (tr.coverageGrowth.size() > 512) {
-                    // Thin by two, keeping the newest point exact.
-                    auto &g = tr.coverageGrowth;
-                    std::vector<std::pair<uint64_t, uint64_t>> kept;
-                    for (size_t k = 0; k < g.size(); k += 2)
-                        kept.push_back(g[k]);
-                    if (kept.back() != g.back())
-                        kept.push_back(g.back());
-                    g.swap(kept);
-                }
+                addGrowthSample(tr.coverageGrowth, tr.schedules,
+                                covKeys[j.target].size());
             }
         }
 
-        if (opts.collectProfile) {
-            auto &wa = wallAcc[j.target];
-            auto span = [&](int leg, uint64_t us) {
-                wa[j.policyIdx * 4 + leg].micros += us;
-                ++wa[j.policyIdx * 4 + leg].spans;
-            };
-            span(0, o.wallUnhardenedUs);
-            if (opts.differential)
-                span(1, o.wallDifferentialUs);
-            if (o.hardenedRan) {
-                span(2, o.wallHardenedUs);
-                if (!o.chaos && !o.diverged && opts.differential)
-                    span(3, o.wallHardenedDiffUs);
-            }
-            if (o.hasProfile)
-                tr.policyProfiles[j.policyIdx].second.merge(o.profile);
-        }
+        forEachWallSpan(o, opts, [&](size_t leg, uint64_t us) {
+            WallAcc &a = wallAcc[j.target][j.policyIdx * 4 + leg];
+            a.micros += us;
+            ++a.spans;
+        });
+        if (o.hasProfile)
+            tr.policyProfiles[j.policyIdx].second.add(o.hardenedStats);
 
         if (o.unhardenedInconclusive) {
             ++tr.inconclusive;

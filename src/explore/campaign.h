@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -134,15 +135,12 @@ struct CampaignOptions
     bool collectCoverage = false;
 
     /**
-     * Recovery-cost profiling (src/obs/profile/): attach a
-     * PhaseProfiler to every hardened Fused leg and fold the phase
-     * ticks plus per-episode recovery tax into
-     * TargetReport::policyProfiles / TargetReport::profile, in matrix
-     * order like the metrics — identical for any worker count.  The
-     * bare Reference replicas keep re-proving on every schedule
-     * that profiling is passive (tick identity against the profiled
-     * leg).  Also times each leg's wall-clock span into
-     * TargetReport::wall.
+     * Recovery-cost profiling (src/obs/profile/): fold every hardened
+     * Fused leg's RunStats — its phase tally plus per-episode recovery
+     * tax — into TargetReport::policyProfiles / TargetReport::profile,
+     * in matrix order like the metrics, so identical for any worker
+     * count.  Also times each leg's wall-clock span into
+     * TargetReport::wall (see forEachWallSpan).
      */
     bool collectProfile = false;
 
@@ -179,9 +177,9 @@ struct ScheduleOutcome
     uint64_t steps = 0; ///< unhardened Fused-leg step count
 
     /** Full hardened-leg RunStats (zero when the leg did not run):
-     *  the campaign sums its chaos rollbacks, and the
-     *  `conair repro --trace` check compares EVERY per-kind event
-     *  total against it. */
+     *  the campaign sums its chaos rollbacks and folds its phase
+     *  profile, and the `conair repro --trace` check compares EVERY
+     *  per-kind event total against it. */
     vm::RunStats hardenedStats;
 
     /** Hardened-leg metrics (populated when opts.collectMetrics). */
@@ -192,16 +190,16 @@ struct ScheduleOutcome
      *  per run, each stamped with its first discovery, sorted by key. */
     std::vector<obs::cov::Edge> coverage;
 
-    /** Hardened-leg phase profile + recovery tax (populated when
-     *  opts.collectProfile and the target has a hardened build). */
+    /** hardenedStats carries a profile to fold (opts.collectProfile
+     *  and the target has a hardened build). */
     bool hasProfile = false;
-    obs::prof::ProfileAgg profile;
 
     /** Wall-clock leg spans in microseconds (populated when
      *  opts.collectProfile): the plain Fused leg, its differential
-     *  replicas, the hardened leg, and its differential replicas.
-     *  Wall time is the only nondeterministic field in the outcome;
-     *  everything else stays byte-identical run to run. */
+     *  replicas, the hardened leg, and its differential replicas;
+     *  forEachWallSpan says which of them count.  Wall time is the
+     *  only nondeterministic field in the outcome; everything else
+     *  stays byte-identical run to run. */
     uint64_t wallUnhardenedUs = 0;
     uint64_t wallDifferentialUs = 0;
     uint64_t wallHardenedUs = 0;
@@ -456,7 +454,7 @@ struct TargetReport
      *  across runs and worker counts. */
     uint64_t coverageDigest = 0;
     /** (schedule#, distinctEdges) samples in matrix order, one per
-     *  novel schedule (thinned to stay bounded). */
+     *  novel schedule (thinned by addGrowthSample). */
     std::vector<std::pair<uint64_t, uint64_t>> coverageGrowth;
     /** @} */
 
@@ -510,6 +508,51 @@ vm::VmConfig makeBaseConfig(const Target &t, const ScheduleSpec &s,
 /** The "pct:d2" / "random" label of one CampaignOptions::policies
  *  entry (a schedule token without the seed part). */
 std::string policyLabel(vm::SchedPolicy policy, uint32_t depth);
+
+/** The wall-clock legs runOneSchedule times, in execution order. */
+inline constexpr const char *kWallLegs[4] = {
+    "unhardened", "differential", "hardened", "hardened_diff"};
+
+/**
+ * The one rule for which legs of @p o count as wall-clock spans under
+ * @p opts: calls @p span(leg, micros), leg indexing kWallLegs, for the
+ * plain leg, its differential replica when opts.differential is on,
+ * the hardened leg when it ran, and that leg's differential replica
+ * when it ran too (differential on, no chaos, no divergence).  Nothing
+ * for a skipped schedule or when opts.collectProfile is off, which
+ * times no leg.
+ */
+template <typename F>
+void
+forEachWallSpan(const ScheduleOutcome &o, const CampaignOptions &opts,
+                F &&span)
+{
+    if (!opts.collectProfile || !o.ran)
+        return;
+    span(size_t(0), o.wallUnhardenedUs);
+    if (opts.differential)
+        span(size_t(1), o.wallDifferentialUs);
+    if (o.hardenedRan) {
+        span(size_t(2), o.wallHardenedUs);
+        if (opts.differential && !o.chaos && !o.diverged)
+            span(size_t(3), o.wallHardenedDiffUs);
+    }
+}
+
+/** Appends the (@p schedule, @p edges) sample to a coverage growth
+ *  curve.  Past 512 samples the curve is thinned by two, keeping the
+ *  newest point exact, so it stays a bounded sketch however long the
+ *  campaign runs. */
+void addGrowthSample(std::vector<std::pair<uint64_t, uint64_t>> &curve,
+                     uint64_t schedule, uint64_t edges);
+
+/** Runs @p job(worker, i) for every i in [0, @p n) on
+ *  min(@p workers, n) threads pulling indices from one atomic counter
+ *  (on the calling thread, as worker 0, when that is one thread).
+ *  Which worker runs which index is timing-dependent, so callers fold
+ *  results by index. */
+void runPool(size_t n, unsigned workers,
+             const std::function<void(unsigned worker, size_t i)> &job);
 
 /** Measures a clean RoundRobin run of @p m and returns its scheduling
  *  tick count (shared stores + sync ops, RunStats::schedTicks) — the

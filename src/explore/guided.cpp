@@ -1,10 +1,8 @@
 #include "explore/guided.h"
 
 #include <algorithm>
-#include <atomic>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <unordered_set>
 
 #include "explore/telemetry.h"
@@ -481,7 +479,6 @@ runGuided(const Target &t, const CampaignOptions &opts,
     uint64_t nextProbeSeed = 1;
     uint64_t freshGenerated = 0;
     uint64_t round = 0;
-    unsigned workers = std::max(1u, opts.workers);
     unsigned batchSize = std::max(1u, g.batch);
 
     // Telemetry deltas are published per batch (the campaign-wide
@@ -547,33 +544,17 @@ runGuided(const Target &t, const CampaignOptions &opts,
             batch.push_back(std::move(gen));
         }
 
-        // Run the batch on the worker pool.  Workers only execute;
-        // everything stateful happens in the batch-order fold below.
+        // Run the batch on the worker pool (at most one thread per
+        // schedule).  Workers only execute; everything stateful
+        // happens in the batch-order fold below.
         std::vector<ScheduleOutcome> outs(batch.size());
-        std::atomic<size_t> next{0};
-        auto work = [&](unsigned worker) {
-            for (;;) {
-                size_t i = next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= batch.size())
-                    return;
-                outs[i] = runOneSchedule(t, batch[i].spec, ropts);
-                if (opts.telemetry)
-                    opts.telemetry->noteSchedule(worker, t.name,
-                                                 outs[i]);
-            }
-        };
-        if (workers == 1 || batch.size() <= 1) {
-            work(0);
-        } else {
-            std::vector<std::thread> pool;
-            unsigned n = unsigned(
-                std::min<size_t>(workers, batch.size()));
-            pool.reserve(n);
-            for (unsigned w = 0; w < n; ++w)
-                pool.emplace_back(work, w);
-            for (auto &th : pool)
-                th.join();
-        }
+        runPool(batch.size(), opts.workers,
+                [&](unsigned worker, size_t i) {
+                    outs[i] = runOneSchedule(t, batch[i].spec, ropts);
+                    if (opts.telemetry)
+                        opts.telemetry->noteSchedule(worker, t.name,
+                                                     outs[i], ropts);
+                });
 
         // Fold in batch order.
         for (size_t i = 0; i < batch.size(); ++i) {

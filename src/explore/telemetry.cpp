@@ -8,14 +8,6 @@
 
 namespace conair::explore {
 
-namespace {
-
-/** Growth-curve cap: beyond it every other sample is dropped, so the
- *  curve stays a bounded sketch however long the campaign runs. */
-constexpr size_t kMaxGrowthSamples = 512;
-
-} // namespace
-
 CampaignTelemetry::CampaignTelemetry(unsigned workers)
     : workerCount_(std::max(1u, workers)),
       workers_(std::make_unique<WorkerCell[]>(workerCount_)),
@@ -31,7 +23,8 @@ CampaignTelemetry::addPlanned(uint64_t schedules)
 void
 CampaignTelemetry::noteSchedule(unsigned worker,
                                 const std::string &target,
-                                const ScheduleOutcome &o)
+                                const ScheduleOutcome &o,
+                                const CampaignOptions &opts)
 {
     uint64_t done = done_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (worker < workerCount_)
@@ -45,40 +38,23 @@ CampaignTelemetry::noteSchedule(unsigned worker,
     std::lock_guard<std::mutex> lock(mutex_);
     if (!o.metrics.empty())
         metrics_.merge(o.metrics);
-    if (o.hasProfile) {
+    if (opts.collectProfile) {
         const std::string policy =
             policyLabel(o.spec.policy, o.spec.depth);
-        profiles_[target + "/" + policy].merge(o.profile);
-        auto span = [&](const char *leg, uint64_t us, bool ran) {
-            if (!ran)
-                return;
+        if (o.hasProfile)
+            profiles_[target + "/" + policy].add(o.hardenedStats);
+        forEachWallSpan(o, opts, [&](size_t leg, uint64_t us) {
             obs::prof::WallCell &c =
-                wall_[target + ";" + policy + ";" + leg];
+                wall_[target + ";" + policy + ";" + kWallLegs[leg]];
             c.kernel = target;
             c.policy = policy;
-            c.leg = leg;
+            c.leg = kWallLegs[leg];
             c.micros += us;
             ++c.spans;
-        };
-        span("unhardened", o.wallUnhardenedUs, true);
-        span("differential", o.wallDifferentialUs, true);
-        span("hardened", o.wallHardenedUs, true);
-        span("hardened_diff", o.wallHardenedDiffUs,
-             !o.chaos && !o.diverged);
+        });
     }
-    if (novel > 0) {
-        growth_.emplace_back(done, coverage_.distinctEdges());
-        if (growth_.size() > kMaxGrowthSamples) {
-            // Thin by two, keeping the newest point exact.
-            std::vector<std::pair<uint64_t, uint64_t>> kept;
-            kept.reserve(growth_.size() / 2 + 1);
-            for (size_t i = 0; i < growth_.size(); i += 2)
-                kept.push_back(growth_[i]);
-            if (kept.back() != growth_.back())
-                kept.push_back(growth_.back());
-            growth_.swap(kept);
-        }
-    }
+    if (novel > 0)
+        addGrowthSample(growth_, done, coverage_.distinctEdges());
 }
 
 void

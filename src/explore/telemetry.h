@@ -35,6 +35,7 @@
 
 namespace conair::explore {
 
+struct CampaignOptions;
 struct ScheduleOutcome;
 
 class CampaignTelemetry
@@ -53,11 +54,13 @@ class CampaignTelemetry
     void addPlanned(uint64_t schedules);
 
     /** Publishes one finished schedule of target @p target from
-     *  worker @p worker: counters, the outcome's coverage fold, its
-     *  hardened-leg metrics, and its phase profile / wall spans (when
-     *  the campaign collects profiles).  Thread-safe. */
+     *  worker @p worker, run under @p opts: counters, the outcome's
+     *  coverage fold, its hardened-leg metrics, and its phase profile /
+     *  wall spans (when the campaign collects profiles).
+     *  Thread-safe. */
     void noteSchedule(unsigned worker, const std::string &target,
-                      const ScheduleOutcome &o);
+                      const ScheduleOutcome &o,
+                      const CampaignOptions &opts);
 
     /** Replay-corpus size (set by the replay-corpus stage). */
     void noteCorpusSize(uint64_t n);

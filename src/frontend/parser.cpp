@@ -1,6 +1,7 @@
 #include "frontend/parser.h"
 
 #include "frontend/lexer.h"
+#include "ir/type.h"
 #include "support/str.h"
 
 namespace conair::fe {
@@ -46,7 +47,57 @@ class Parser
     void
     err(const std::string &msg)
     {
-        diags_.error(cur().loc, msg);
+        if (!tooDeep_)
+            diags_.error(cur().loc, msg);
+    }
+
+    /** One level of statement/expression nesting, held while a parse
+     *  function descends. */
+    struct Nesting
+    {
+        explicit Nesting(unsigned &d) : depth(d) { ++depth; }
+        ~Nesting() { --depth; }
+        Nesting(const Nesting &) = delete;
+        Nesting &operator=(const Nesting &) = delete;
+        unsigned &depth;
+    };
+
+    /** True when one more level would pass kMaxNesting.  The first time,
+     *  reports "nesting too deep" at the current token and skips to the
+     *  end of input, so every enclosing level unwinds without
+     *  descending further or reporting again. */
+    bool
+    tooDeep()
+    {
+        if (depth_ < kMaxNesting)
+            return false;
+        if (!tooDeep_) {
+            err(strfmt("nesting too deep (more than %u levels)",
+                       kMaxNesting));
+            tooDeep_ = true;
+            pos_ = toks_.size() - 1; // the End token
+        }
+        return true;
+    }
+
+    /** The size of an array declaration, at the current token: a
+     *  literal of at most ir::kMaxBlockCells cells. */
+    bool
+    parseArraySize(int64_t &out)
+    {
+        if (cur().kind != Tk::IntLit) {
+            err("expected array size");
+            return false;
+        }
+        if (cur().ival > ir::kMaxBlockCells) {
+            err(strfmt("array size %lld exceeds the %lld-cell block limit",
+                       (long long)cur().ival,
+                       (long long)ir::kMaxBlockCells));
+            return false;
+        }
+        out = cur().ival;
+        bump();
+        return true;
     }
 
     bool
@@ -129,12 +180,8 @@ class Parser
         g.name = std::move(name);
         if (cur().kind == Tk::LBracket) {
             bump();
-            if (cur().kind != Tk::IntLit) {
-                err("expected array size");
+            if (!parseArraySize(g.arraySize))
                 return;
-            }
-            g.arraySize = cur().ival;
-            bump();
             expect(Tk::RBracket);
         }
         if (cur().kind == Tk::Assign) {
@@ -238,6 +285,9 @@ class Parser
     std::unique_ptr<Stmt>
     parseStmt()
     {
+        if (tooDeep())
+            return nullptr;
+        Nesting level(depth_);
         switch (cur().kind) {
           case Tk::LBrace:
             return parseBlock();
@@ -322,12 +372,8 @@ class Parser
             bump();
             if (cur().kind == Tk::LBracket) {
                 bump();
-                if (cur().kind != Tk::IntLit) {
-                    err("expected array size");
+                if (!parseArraySize(s->arraySize))
                     return s;
-                }
-                s->arraySize = cur().ival;
-                bump();
                 expect(Tk::RBracket);
             }
             if (cur().kind == Tk::Assign) {
@@ -372,7 +418,10 @@ class Parser
                                                       : "-=";
             bump();
             e->kids.push_back(std::move(lhs));
-            e->kids.push_back(parseAssign()); // right associative
+            if (!tooDeep()) {
+                Nesting level(depth_);
+                e->kids.push_back(parseAssign()); // right associative
+            }
             return e;
         }
         return lhs;
@@ -432,6 +481,9 @@ class Parser
     std::unique_ptr<Expr>
     parseUnary()
     {
+        if (tooDeep())
+            return makeExpr(ExprKind::IntLit, cur().loc);
+        Nesting level(depth_);
         switch (cur().kind) {
           case Tk::Minus: {
             auto e = makeExpr(ExprKind::Unary, cur().loc);
@@ -569,6 +621,8 @@ class Parser
     std::vector<Token> toks_;
     DiagEngine &diags_;
     size_t pos_ = 0;
+    unsigned depth_ = 0;   ///< current nesting (see kMaxNesting)
+    bool tooDeep_ = false; ///< reported "nesting too deep"; unwinding
 };
 
 } // namespace

@@ -399,6 +399,11 @@ class Parser
             err(strfmt("global @%s has non-positive size", name.c_str()));
             return;
         }
+        if (size > kMaxBlockCells) {
+            err(strfmt("global @%s exceeds the %lld-cell block limit",
+                       name.c_str(), (long long)kMaxBlockCells));
+            return;
+        }
         Global *g = module_->addGlobal(name, t, size);
         if (cur().kind == Tok::Equal) {
             bump();
@@ -610,6 +615,12 @@ class Parser
         if (opname == "alloca") {
             inst = std::make_unique<Instruction>(Opcode::Alloca, Type::Ptr);
             if (cur().kind == Tok::Int) {
+                if (cur().ival < 0 || cur().ival > kMaxBlockCells) {
+                    err(strfmt("alloca size %lld is outside 0..%lld",
+                               (long long)cur().ival,
+                               (long long)kMaxBlockCells));
+                    return;
+                }
                 inst->setAllocaSize(cur().ival);
                 bump();
             }

@@ -28,4 +28,13 @@ const char *typeName(Type t);
 /** Parses a type name back; returns false if @p s is not a type. */
 bool typeFromName(const std::string &s, Type &out);
 
+/**
+ * The most cells one memory block (a global, an alloca, a malloc) may
+ * hold: 2^24, the offset width of a packed cell address
+ * (obs::packCellAddr).  Both parsers reject a larger size and the VM
+ * traps a larger malloc, so no guest size reaches the host allocator
+ * unchecked.
+ */
+inline constexpr int64_t kMaxBlockCells = int64_t(1) << 24;
+
 } // namespace conair::ir

@@ -1,8 +1,7 @@
 #include "obs/profile/profile.h"
 
-#include <algorithm>
-
 #include "support/json.h"
+#include "vm/stats.h"
 
 namespace conair::obs::prof {
 
@@ -22,159 +21,13 @@ phaseName(Phase p)
     return "?";
 }
 
-Phase
-classifyPhase(ir::Opcode op, ir::Builtin builtin)
-{
-    switch (op) {
-      case ir::Opcode::Load:
-      case ir::Opcode::Store:
-        return Phase::Memory;
-      case ir::Opcode::Call:
-        switch (builtin) {
-          case ir::Builtin::ThreadCreate:
-          case ir::Builtin::ThreadJoin:
-          case ir::Builtin::MutexLock:
-          case ir::Builtin::MutexUnlock:
-          case ir::Builtin::MutexTimedLock:
-          case ir::Builtin::Yield:
-          case ir::Builtin::Sleep:
-            return Phase::Sync;
-          case ir::Builtin::Malloc:
-          case ir::Builtin::Free:
-            return Phase::Memory;
-          case ir::Builtin::CaCheckpoint:
-          case ir::Builtin::CaCheckpointLocals:
-            return Phase::CheckpointSave;
-          case ir::Builtin::CaTryRollback:
-            return Phase::Rollback;
-          case ir::Builtin::CaBackoff:
-            return Phase::Backoff;
-          default:
-            return Phase::Dispatch;
-        }
-      default:
-        return Phase::Dispatch;
-    }
-}
-
-PhaseProfiler::ThreadState &
-PhaseProfiler::thread(uint32_t tid)
-{
-    if (tid >= threads_.size())
-        threads_.resize(tid + 1);
-    return threads_[tid];
-}
-
 void
-PhaseProfiler::onStep(uint32_t tid, Phase p)
-{
-    onSteps(tid, p, 1);
-}
-
-void
-PhaseProfiler::onSteps(uint32_t tid, Phase p, uint64_t n)
-{
-    ticks_[size_t(p)] += n;
-    ThreadState &ts = thread(tid);
-    ts.stepsSinceCkpt += n;
-    if (p == Phase::Reexec && ts.episodeActive)
-        ts.reexecSteps += n;
-}
-
-void
-PhaseProfiler::onWait(Phase p, uint64_t ticks)
-{
-    ticks_[size_t(p)] += ticks;
-}
-
-void
-PhaseProfiler::onCheckpoint(uint32_t tid)
-{
-    thread(tid).stepsSinceCkpt = 0;
-}
-
-void
-PhaseProfiler::onRollback(uint32_t tid, const std::string &siteTag,
-                          uint64_t ckptDistanceTicks)
-{
-    ThreadState &ts = thread(tid);
-    if (!ts.episodeActive) {
-        ts.episodeActive = true;
-        ts.siteTag = siteTag;
-        ts.retries = 0;
-        ts.ckptDistanceTicks = ckptDistanceTicks;
-        ts.reexecSteps = 0;
-        ts.wastedSteps = 0;
-        ts.backoffTicks = 0;
-    }
-    ++ts.retries;
-    // The rollback discards everything executed since the checkpoint:
-    // that work is the episode's waste.  Re-execution restarts the
-    // window, so the counter resets with it.
-    ts.wastedSteps += ts.stepsSinceCkpt;
-    ts.stepsSinceCkpt = 0;
-}
-
-void
-PhaseProfiler::onBackoff(uint32_t tid, uint64_t ticks)
-{
-    ticks_[size_t(Phase::Backoff)] += ticks;
-    ThreadState &ts = thread(tid);
-    if (ts.episodeActive)
-        ts.backoffTicks += ticks;
-}
-
-void
-PhaseProfiler::onRecovered(uint32_t tid, uint64_t retries,
-                           uint64_t startClock, uint64_t endClock)
-{
-    ThreadState &ts = thread(tid);
-    if (!ts.episodeActive)
-        return; // CaRecovered without a preceding rollback: no episode
-    EpisodeCost ep;
-    ep.siteTag = ts.siteTag;
-    ep.tid = tid;
-    ep.retries = std::max(retries, ts.retries);
-    ep.ckptDistanceTicks = ts.ckptDistanceTicks;
-    ep.reexecSteps = ts.reexecSteps;
-    ep.wastedSteps = ts.wastedSteps;
-    ep.backoffTicks = ts.backoffTicks;
-    ep.startClock = startClock;
-    ep.endClock = endClock;
-    episodes_.push_back(std::move(ep));
-    ts.episodeActive = false;
-}
-
-uint64_t
-PhaseProfiler::totalTicks() const
-{
-    uint64_t sum = 0;
-    for (uint64_t t : ticks_)
-        sum += t;
-    return sum;
-}
-
-bool
-PhaseProfiler::empty() const
-{
-    return totalTicks() == 0 && episodes_.empty();
-}
-
-void
-PhaseProfiler::clear()
-{
-    ticks_.fill(0);
-    threads_.clear();
-    episodes_.clear();
-}
-
-void
-ProfileAgg::add(const PhaseProfiler &p)
+ProfileAgg::add(const vm::RunStats &run)
 {
     for (size_t i = 0; i < kPhaseCount; ++i)
-        ticks[i] += p.phaseTicks(Phase(i));
+        ticks[i] += run.phaseTicks[i];
     ++runs;
-    for (const EpisodeCost &ep : p.episodes()) {
+    for (const vm::RecoveryEvent &ep : run.recoveries) {
         ++episodes;
         retries += ep.retries;
         reexecSteps += ep.reexecSteps;

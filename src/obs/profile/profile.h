@@ -1,15 +1,15 @@
 /**
  * @file
- * The deterministic recovery-cost profiler (docs/OBSERVABILITY.md,
+ * The deterministic recovery-cost profile (docs/OBSERVABILITY.md,
  * "Profiling").
  *
- * A PhaseProfiler attaches to a run through VmConfig::profiler under
- * the same passivity contract as the flight recorder: nullptr (the
- * default) disables it, every hook site is one branch on the pointer,
- * and an instrumented run is tick- and memDigest-identical to a bare
- * one on both engines (pinned by tests/obs/vm_profile_test.cpp).
- * All mutable profiler state lives inside this object — the VM never
- * grows per-thread fields for it — so passivity holds by construction.
+ * Every run tallies its own cost as it executes: the VM books each
+ * retired step and each waited tick into RunStats::phaseTicks, and
+ * each recovery episode's cost into the episode's RecoveryEvent.
+ * The profile is a fold of that RunStats after the run:
+ * ProfileAgg::add(const vm::RunStats &) is the only code that turns a
+ * run into a profile, so profiling needs no VM hook and cannot perturb
+ * a run.
  *
  * Two things are attributed:
  *
@@ -25,29 +25,31 @@
  *
  *  2. *Recovery tax.*  Per recovery episode — first rollback at a
  *     failure site to the CaRecovered on its success path — the
- *     profiler rolls up the checkpoint distance (scheduling ticks from
- *     the checkpoint to the failure), the steps re-executed to reach
- *     the resume point, the work discarded by each rollback ("wasted"
- *     steps since the last checkpoint), and the back-off ticks slept,
- *     joined with the episode's failure-site tag.
+ *     RecoveryEvent carries the checkpoint distance (scheduling ticks
+ *     from the checkpoint to the failure), the steps re-executed to
+ *     reach the resume point, the work discarded by each rollback
+ *     ("wasted" steps since the last checkpoint), and the back-off
+ *     ticks slept, joined with the episode's failure-site tag.
  *
- * The per-run data folds into a ProfileAgg; the campaign engine merges
- * those per (kernel, policy) in matrix order, so aggregated profiles
- * are independent of worker count (tests/explore/campaign_test.cpp).
+ * The campaign engine folds each hardened leg's RunStats per
+ * (kernel, policy) in matrix order, so aggregated profiles are
+ * independent of worker count (tests/explore/campaign_test.cpp).
  */
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "ir/builtins.h"
 #include "ir/instruction.h"
 
 namespace conair {
 class JsonWriter;
+}
+
+namespace conair::vm {
+struct RunStats;
 }
 
 namespace conair::obs::prof {
@@ -73,102 +75,50 @@ const char *phaseName(Phase p);
  *  both the reference walker and the fused engine carry the
  *  same (opcode, builtin) pair.  CaRecovered steps are refunded by the
  *  VM and must not be attributed at all — callers skip them. */
-Phase classifyPhase(ir::Opcode op, ir::Builtin builtin);
-
-/** One completed recovery episode's cost breakdown. */
-struct EpisodeCost
+inline Phase
+classifyPhase(ir::Opcode op, ir::Builtin builtin)
 {
-    std::string siteTag;   ///< failure-site tag ("assert.f.12")
-    uint32_t tid = 0;      ///< recovering thread
-    uint64_t retries = 0;  ///< rollbacks performed
-    /** Checkpoint-to-failure distance in scheduling ticks at the
-     *  episode's first rollback. */
-    uint64_t ckptDistanceTicks = 0;
-    /** Steps retired between rollback and the site finally passing. */
-    uint64_t reexecSteps = 0;
-    /** Steps discarded by the episode's rollbacks (work since the
-     *  last checkpoint, summed over retries). */
-    uint64_t wastedSteps = 0;
-    uint64_t backoffTicks = 0; ///< virtual ticks slept between retries
-    uint64_t startClock = 0;
-    uint64_t endClock = 0;
-
-    bool operator==(const EpisodeCost &) const = default;
-};
-
-/**
- * The per-run profiler the VM's hooks feed.  Deterministic: a given
- * (program, VmConfig) run produces bit-identical profiler contents on
- * every execution.
- */
-class PhaseProfiler
-{
-  public:
-    /// @{ Hot hooks (called by the interpreter, one branch per site).
-    void onStep(uint32_t tid, Phase p);
-    void onSteps(uint32_t tid, Phase p, uint64_t n);
-    /** Waiting ticks not tied to a retired step (LockWait). */
-    void onWait(Phase p, uint64_t ticks);
-    /// @}
-
-    /// @{ Recovery lifecycle hooks.
-    void onCheckpoint(uint32_t tid);
-    /** One rollback at @p tid's failure site; opens the episode on the
-     *  first retry.  @p ckptDistanceTicks is schedTicks from the live
-     *  checkpoint to this failure. */
-    void onRollback(uint32_t tid, const std::string &siteTag,
-                    uint64_t ckptDistanceTicks);
-    /** Back-off sleep of @p ticks; booked globally and into the open
-     *  episode, if any. */
-    void onBackoff(uint32_t tid, uint64_t ticks);
-    /** The failure site finally passed: closes the episode. */
-    void onRecovered(uint32_t tid, uint64_t retries,
-                     uint64_t startClock, uint64_t endClock);
-    /// @}
-
-    uint64_t phaseTicks(Phase p) const
-    {
-        return ticks_[size_t(p)];
+    switch (op) {
+      case ir::Opcode::Load:
+      case ir::Opcode::Store:
+        return Phase::Memory;
+      case ir::Opcode::Call:
+        switch (builtin) {
+          case ir::Builtin::ThreadCreate:
+          case ir::Builtin::ThreadJoin:
+          case ir::Builtin::MutexLock:
+          case ir::Builtin::MutexUnlock:
+          case ir::Builtin::MutexTimedLock:
+          case ir::Builtin::Yield:
+          case ir::Builtin::Sleep:
+            return Phase::Sync;
+          case ir::Builtin::Malloc:
+          case ir::Builtin::Free:
+            return Phase::Memory;
+          case ir::Builtin::CaCheckpoint:
+          case ir::Builtin::CaCheckpointLocals:
+            return Phase::CheckpointSave;
+          case ir::Builtin::CaTryRollback:
+            return Phase::Rollback;
+          case ir::Builtin::CaBackoff:
+            return Phase::Backoff;
+          default:
+            return Phase::Dispatch;
+        }
+      default:
+        return Phase::Dispatch;
     }
-    /** Sum over all phases (steps + waited ticks). */
-    uint64_t totalTicks() const;
-    const std::vector<EpisodeCost> &episodes() const
-    {
-        return episodes_;
-    }
-
-    bool empty() const;
-    void clear();
-
-  private:
-    struct ThreadState
-    {
-        bool episodeActive = false;
-        std::string siteTag;
-        uint64_t retries = 0;
-        uint64_t ckptDistanceTicks = 0;
-        uint64_t reexecSteps = 0;
-        uint64_t wastedSteps = 0;
-        uint64_t backoffTicks = 0;
-        uint64_t stepsSinceCkpt = 0;
-    };
-
-    ThreadState &thread(uint32_t tid);
-
-    std::array<uint64_t, kPhaseCount> ticks_{};
-    std::vector<ThreadState> threads_;
-    std::vector<EpisodeCost> episodes_;
-};
+}
 
 /**
  * A mergeable profile aggregate: phase totals plus the recovery-tax
- * rollup.  ScheduleOutcome carries one per profiled schedule; the
- * campaign folds them per (kernel, policy) in matrix order.
+ * rollup.  The campaign folds one hardened-leg RunStats per schedule
+ * into it, per (kernel, policy), in matrix order.
  */
 struct ProfileAgg
 {
     uint64_t ticks[kPhaseCount] = {};
-    uint64_t runs = 0; ///< profiled runs folded in
+    uint64_t runs = 0; ///< runs folded in
 
     /// @{ Recovery tax.
     uint64_t episodes = 0;
@@ -182,8 +132,9 @@ struct ProfileAgg
     std::map<std::string, uint64_t> reexecBySite;
     /// @}
 
-    /** Folds one finished run's profiler in. */
-    void add(const PhaseProfiler &p);
+    /** Folds one finished run in: its phase tally, and one episode per
+     *  RunStats::recoveries entry. */
+    void add(const vm::RunStats &run);
     void merge(const ProfileAgg &o);
 
     uint64_t totalTicks() const;
@@ -201,5 +152,9 @@ struct ProfileAgg
 
     bool operator==(const ProfileAgg &) const = default;
 };
+
+/** Another name for ProfileAgg, the type of VmConfig::profiler; kept
+ *  only because the benchmark program (perfbench/) names it. */
+using PhaseProfiler = ProfileAgg;
 
 } // namespace conair::obs::prof

@@ -1,10 +1,10 @@
 /**
  * @file
- * Exporters for the recovery-cost profiler: speedscope JSON, folded
+ * Exporters for the recovery-cost profile: speedscope JSON, folded
  * flamegraph stacks, and the top-N hot-phase table the CLIs print
  * (docs/OBSERVABILITY.md, "Profiling").
  *
- * A ProfileDoc carries both profiler axes:
+ * A ProfileDoc carries both profile axes:
  *
  *  - *phaseGroups*: the deterministic per-run phase/episode aggregates,
  *    one labelled group per (kernel, policy) — or a single group for a

@@ -89,7 +89,6 @@ replayLog(const ir::Module &m, const ReplayLog &log,
         cfg.recorder = ins->recorder;
         cfg.recordSharedAccesses =
             ins->recorder && ins->recordSharedAccesses;
-        cfg.profiler = ins->profiler;
     }
 
     ReplayRun rr;

@@ -25,10 +25,6 @@ namespace conair::ir {
 class Module;
 }
 
-namespace conair::obs::prof {
-class PhaseProfiler;
-}
-
 namespace conair::obs::replay {
 
 /** One replayed run plus its faithfulness verdict. */
@@ -59,11 +55,6 @@ struct ReplayInstruments
     /** Check the replayed LockAcquire order against the log's (needs
      *  @ref recorder). */
     bool checkLockOrder = false;
-
-    /** Phase-profile the replay (VmConfig::profiler passivity
-     *  contract: attaching it cannot change the fingerprint, so a
-     *  profiled replay is still held to byte-exact faithfulness). */
-    prof::PhaseProfiler *profiler = nullptr;
 };
 
 /**

@@ -103,8 +103,8 @@ inline constexpr size_t kEventKindCount =
  * A VM memory cell is (segment, block, offset).  Diagnosis events pack
  * that triple into one uint64 so the recorder's fixed-width payload
  * words can carry it: segment in the top 2 bits, block in the middle
- * 38, offset (non-negative, < 2^24 in practice — blocks are small) in
- * the low 24.  The VM packs with packCellAddr(); the diagnosis engine
+ * 38, offset (non-negative, < 2^24 because no block may hold more
+ * than ir::kMaxBlockCells cells) in the low 24.  The VM packs with packCellAddr(); the diagnosis engine
  * unpacks with the accessors, so both sides agree by construction.
  * @{
  */

@@ -16,7 +16,7 @@ class MetricsRegistry;
 }
 
 namespace conair::obs::prof {
-class PhaseProfiler;
+struct ProfileAgg;
 }
 
 namespace conair::vm {
@@ -269,12 +269,14 @@ struct VmConfig
     /**
      * @name Observability (src/obs/)
      *
-     * Both hooks (recorder, profiler) are pure observation: recording
-     * never perturbs the schedule, RNG streams, clock, or stats, so an
+     * The one hook (recorder) is pure observation: recording never
+     * perturbs the schedule, RNG streams, clock, or stats, so an
      * instrumented run is tick-for-tick identical to an uninstrumented
      * one (pinned by tests/obs/vm_trace_test.cpp).  nullptr (the
-     * default) disables a hook; the disabled path is a branch on the
-     * pointer with no allocation.  No pointer here is owned by the VM.
+     * default) disables it; the disabled path is a branch on the
+     * pointer with no allocation.  The two sinks (metrics, profiler)
+     * are no hooks at all: run() folds the finished RunStats into them
+     * as it returns.  No pointer here is owned by the VM.
      * @{
      */
 
@@ -286,12 +288,10 @@ struct VmConfig
      *  returns (MetricsRegistry::addRun); nothing fires mid-run. */
     obs::MetricsRegistry *metrics = nullptr;
 
-    /** Phase profiler attributing retired steps and waited ticks to
-     *  VM phases plus per-recovery-episode cost breakdowns
-     *  (src/obs/profile/).  Same passivity contract as the recorder:
-     *  a profiled run is tick- and memDigest-identical to a bare one
-     *  on both engines (tests/obs/vm_profile_test.cpp). */
-    obs::prof::PhaseProfiler *profiler = nullptr;
+    /** Profile that run() folds the finished RunStats into as it
+     *  returns (ProfileAgg::add): its phase tally and recovery tax,
+     *  which every run keeps anyway (src/obs/profile/). */
+    obs::prof::ProfileAgg *profiler = nullptr;
 
     /**
      * Diagnosis recording mode: additionally record a SharedLoad /

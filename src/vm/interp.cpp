@@ -93,7 +93,6 @@ Interp::Interp(const ir::Module &m, VmConfig cfg)
 {
     rec_ = cfg_.recorder;
     diag_ = rec_ != nullptr && cfg_.recordSharedAccesses;
-    prof_ = cfg_.profiler;
 
     // Replay mode: the recorded switch list *is* the schedule, so the
     // exploration machinery stays dormant — no scheduling points are
@@ -273,48 +272,14 @@ Interp::run()
     result_.memDigest = computeMemDigest();
     if (cfg_.metrics)
         cfg_.metrics->addRun(result_.stats);
+    if (cfg_.profiler)
+        cfg_.profiler->add(result_.stats);
     return result_;
 }
 
 //
 // Execution core.
 //
-
-void
-Interp::profStep(const Thread &t, Opcode op, Builtin builtin)
-{
-    // CaRecovered is the zero-cost measurement hook: execConAir
-    // refunds its clock tick and step, so it must not be attributed.
-    if (op == Opcode::Call && builtin == Builtin::CaRecovered)
-        return;
-    obs::prof::Phase p = obs::prof::classifyPhase(op, builtin);
-    // Inside an open recovery episode, ordinary work is re-execution
-    // toward the resume point; the recovery machinery's own steps
-    // (rollback, back-off, checkpoint) keep their class.
-    if (t.episode.active &&
-        (p == obs::prof::Phase::Dispatch ||
-         p == obs::prof::Phase::Memory || p == obs::prof::Phase::Sync))
-        p = obs::prof::Phase::Reexec;
-    prof_->onStep(t.id, p);
-}
-
-void
-Interp::profFusedSegment(const Thread &t, uint64_t steps,
-                         uint64_t memSteps)
-{
-    using obs::prof::Phase;
-    // Within one deferred segment the episode flag is constant: only
-    // Solo-delegated instructions can open or close an episode, and
-    // those settle the segment first.
-    if (t.episode.active) {
-        prof_->onSteps(t.id, Phase::Reexec, steps);
-        return;
-    }
-    if (memSteps)
-        prof_->onSteps(t.id, Phase::Memory, memSteps);
-    if (steps > memSteps)
-        prof_->onSteps(t.id, Phase::Dispatch, steps - memSteps);
-}
 
 void
 Interp::stepThread(Thread &t)
@@ -325,15 +290,13 @@ Interp::stepThread(Thread &t)
     if (f.dfn) {
         const DecodedInst &di = f.dfn->insts[f.dPc];
         ++f.dPc; // terminators re-aim it; calls rely on it pointing past
-        if (prof_)
-            profStep(t, di.op, di.builtin);
+        tallyStep(t, di.op, di.builtin);
         execDecoded(t, di);
         chaosAfterStep(t, di.dirties);
     } else {
         const Instruction &inst = **f.pc;
         ++f.pc;
-        if (prof_)
-            profStep(t, inst.opcode(), inst.builtin());
+        tallyStep(t, inst.opcode(), inst.builtin());
         execInst(t, inst);
         chaosAfterStep(t, dirtiesWindow(inst));
     }
@@ -557,9 +520,8 @@ Interp::runBurstFused(Thread &t)
     // steps only.
     uint64_t comps = 0;
     uint64_t phiTicks = 0;
-    // Deferred profiler attribution: memory fast-path charges retired
-    // since the last flush (the rest of a segment is plain dispatch).
-    // Only ever nonzero when prof_ is set.
+    // Deferred phase tally: memory fast-path charges retired since the
+    // last flush (the rest of a segment is plain dispatch).
     uint64_t profMem = 0;
 
 // Settles the deferred charges into the member counters, in the same
@@ -577,18 +539,21 @@ Interp::runBurstFused(Thread &t)
         phiTicks = 0;                                                  \
     } while (0)
 
-// Attributes the deferred segment to the profiler, excluding the last
-// @p excl charges (a delegated instruction the caller attributes by
-// class through profStep instead).  Must run before VM_FLUSH_ACCT()
-// zeroes the locals.
+// Tallies the deferred segment's phases, excluding the last @p excl
+// charges (a delegated instruction the caller tallies by class through
+// tallyStep instead): profMem memory fast-path charges, the rest plain
+// dispatch.  Within one segment the episode flag is constant — only
+// delegated instructions can open or close an episode, and those
+// settle the segment first.  Must run before VM_FLUSH_ACCT() zeroes
+// the locals.
 #define VM_PROF_SEG(excl)                                              \
     do {                                                               \
-        if (prof_ && comps + phiTicks > (excl)) {                      \
-            profFusedSegment(t, comps + phiTicks - (excl), profMem);   \
-            profMem = 0;                                               \
-        } else {                                                       \
-            profMem = 0;                                               \
+        if (comps + phiTicks > (excl)) {                               \
+            tallySteps(t, obs::prof::Phase::Memory, profMem);          \
+            tallySteps(t, obs::prof::Phase::Dispatch,                  \
+                       comps + phiTicks - (excl) - profMem);           \
         }                                                              \
+        profMem = 0;                                                   \
     } while (0)
 
 // The common settle: attribute the whole segment, then account it.
@@ -698,8 +663,7 @@ resync:
         frp->dPc = idx + 1;
         VM_CHARGE();
         VM_PROF_SEG(1); // the solo step classifies by opcode below
-        if (prof_)
-            profStep(t, insts[idx].op, insts[idx].builtin);
+        tallyStep(t, insts[idx].op, insts[idx].builtin);
         VM_FLUSH_ACCT();
         execDecoded(t, insts[idx]);
         chaosAfterStep(t, insts[idx].dirties);
@@ -710,8 +674,7 @@ resync:
         frp->dPc = idx + 1;
         VM_CHARGE();
         VM_PROF_SEG(1); // see Solo
-        if (prof_)
-            profStep(t, insts[idx].op, insts[idx].builtin);
+        tallyStep(t, insts[idx].op, insts[idx].builtin);
         VM_FLUSH_ACCT();
         execDecoded(t, insts[idx]);
         if (!running_ || wpPendingRestore_)
@@ -806,13 +769,11 @@ resync:
         frp->dPc = idx + 1;
         VM_CHARGE();
         if (fusedTryLoad(t, insts[idx], regs, consts) == FastMem::Done) {
-            if (prof_)
-                ++profMem;
+            ++profMem;
             VM_NEXT();
         }
         VM_PROF_SEG(1); // the load classifies by opcode below
-        if (prof_)
-            profStep(t, insts[idx].op, insts[idx].builtin);
+        tallyStep(t, insts[idx].op, insts[idx].builtin);
         VM_FLUSH_ACCT();
         doLoadDecoded(t, insts[idx]);
         if (!running_ || wpPendingRestore_)
@@ -825,20 +786,17 @@ resync:
         VM_CHARGE();
         const FastMem fm = fusedTryStore(t, insts[idx], regs, consts);
         if (fm == FastMem::Done) {
-            if (prof_)
-                ++profMem;
+            ++profMem;
             VM_NEXT();
         }
         if (fm == FastMem::SharedDone) {
-            if (prof_)
-                ++profMem;
+            ++profMem;
             if (result_.stats.schedTicks >= nextSchedPointAt_)
                 goto resync; // the store crossed a scheduling point
             VM_NEXT();
         }
         VM_PROF_SEG(1); // the store classifies by opcode below
-        if (prof_)
-            profStep(t, insts[idx].op, insts[idx].builtin);
+        tallyStep(t, insts[idx].op, insts[idx].builtin);
         VM_FLUSH_ACCT();
         doStoreDecoded(t, insts[idx]);
         if (!running_ || wpPendingRestore_)
@@ -853,13 +811,12 @@ resync:
         VM_CHARGE();
         if (fusedTryLoad(t, insts[idx], regs, consts) != FastMem::Done) {
             VM_PROF_SEG(1); // see Load
-            if (prof_)
-                profStep(t, insts[idx].op, insts[idx].builtin);
+            tallyStep(t, insts[idx].op, insts[idx].builtin);
             VM_FLUSH_ACCT();
             doLoadDecoded(t, insts[idx]);
             if (!running_ || wpPendingRestore_)
                 goto resync;
-        } else if (prof_) {
+        } else {
             ++profMem;
         }
         if (budget <= 0)
@@ -885,20 +842,17 @@ resync:
         const FastMem fm =
             fusedTryStore(t, insts[idx + 1], regs, consts);
         if (fm == FastMem::Done) {
-            if (prof_)
-                ++profMem;
+            ++profMem;
             VM_NEXT();
         }
         if (fm == FastMem::SharedDone) {
-            if (prof_)
-                ++profMem;
+            ++profMem;
             if (result_.stats.schedTicks >= nextSchedPointAt_)
                 goto resync;
             VM_NEXT();
         }
         VM_PROF_SEG(1); // see Store
-        if (prof_)
-            profStep(t, insts[idx + 1].op, insts[idx + 1].builtin);
+        tallyStep(t, insts[idx + 1].op, insts[idx + 1].builtin);
         VM_FLUSH_ACCT();
         doStoreDecoded(t, insts[idx + 1]);
         if (!running_ || wpPendingRestore_)
@@ -1070,8 +1024,7 @@ Interp::jumpTo(Thread &t, const ir::BasicBlock *target)
         ++f.pc;
         ++clock_;
         ++result_.stats.steps;
-        if (prof_)
-            profStep(t, Opcode::Phi, Builtin::None);
+        tallyStep(t, Opcode::Phi, Builtin::None);
     }
     for (auto &[inst, v] : updates)
         setReg(f, inst, v);
@@ -1119,8 +1072,7 @@ Interp::jumpToDecoded(Thread &t, uint32_t target)
         ++j;
         ++clock_;
         ++result_.stats.steps;
-        if (prof_)
-            profStep(t, Opcode::Phi, Builtin::None);
+        tallyStep(t, Opcode::Phi, Builtin::None);
     }
     for (uint32_t k = 0; k < db.phiCount; ++k)
         f.regs[dfn.phiCopies[edge->begin + k].dst] = phiScratch_[k];
@@ -1337,6 +1289,10 @@ valueBits(const RtValue &v)
     }
 }
 
+// Every cell of the largest block keeps its offset in a packed address.
+static_assert(obs::cellOffset(obs::packCellAddr(
+                  0, 0, ir::kMaxBlockCells - 1)) == ir::kMaxBlockCells - 1);
+
 } // namespace
 
 void
@@ -1473,8 +1429,6 @@ Interp::lockMutex(Thread &t, Ptr p, bool timed, uint64_t timeout,
     if (timed) {
         // Saturate instead of wrapping: an enormous timeout must mean
         // "wait forever", not a deadline in the past.
-        // Saturate instead of wrapping: an enormous timeout must mean
-        // "wait forever", not a deadline in the past.
         uint64_t deadline = clock_ + timeout;
         t.wakeAt = deadline < clock_ ? UINT64_MAX : deadline;
         t.lockResultReg = dstReg;
@@ -1506,9 +1460,8 @@ Interp::grantLock(MutexState &m)
         if (rec_)
             rec_->record(wid, obs::EventKind::LockAcquire, clock_,
                          result_.stats.steps, w.lockKey.block, 1);
-        if (prof_)
-            prof_->onWait(obs::prof::Phase::LockWait,
-                          clock_ - w.blockStart);
+        result_.stats.phaseTicks[size_t(obs::prof::Phase::LockWait)] +=
+            clock_ - w.blockStart;
         if (w.lockWantsResult) {
             w.frames.back().regs[w.lockResultReg] = RtValue::ofInt(0);
             w.lockWantsResult = false;
@@ -2071,6 +2024,14 @@ Interp::execBuiltin(Thread &t, const Instruction &inst,
         break;
       case Builtin::Malloc: {
         int64_t n = std::max<int64_t>(vals[0].i, 0);
+        if (n > ir::kMaxBlockCells) {
+            fail(Outcome::Trap,
+                 strfmt("malloc of %lld cells exceeds the %lld-cell block "
+                        "limit",
+                        (long long)n, (long long)ir::kMaxBlockCells),
+                 &inst);
+            break;
+        }
         uint32_t id = nextHeapId_++;
         heap_[id] = HeapBlock{std::vector<RtValue>(n), false};
         t.pendingNote = true;
@@ -2172,15 +2133,13 @@ Interp::doCheckpoint(Thread &t, const Instruction &inst)
         uint64_t cost = cells / 4;
         clock_ += cost;
         result_.stats.steps += cost;
-        if (prof_ && cost)
-            prof_->onSteps(t.id, obs::prof::Phase::CheckpointSave, cost);
+        tallySteps(t, obs::prof::Phase::CheckpointSave, cost);
     }
     t.ckpt.schedTicksAt = result_.stats.schedTicks;
     t.cleanSinceCkpt = true;
+    t.stepsSinceCkpt = 0;
     ++t.epoch;
     ++result_.stats.checkpointsExecuted;
-    if (prof_)
-        prof_->onCheckpoint(t.id);
     if (rec_)
         rec_->record(t.id, obs::EventKind::Checkpoint, clock_,
                      result_.stats.steps,
@@ -2279,26 +2238,32 @@ Interp::doTryRollback(Thread &t, const Instruction &inst, int64_t site_id)
     ++t.retryCount;
     ++result_.stats.rollbacks;
 
+    uint64_t distance = result_.stats.schedTicks - t.ckpt.schedTicksAt;
     if (!t.episode.active || t.episode.siteId != site_id) {
         t.episode.active = true;
         t.episode.siteId = site_id;
-        t.episode.siteTag = inst.tag();
-        t.episode.startClock = clock_;
-        t.episode.retries = 0;
+        t.episode.cost = RecoveryEvent{};
+        t.episode.cost.siteTag = inst.tag();
+        t.episode.cost.tid = t.id;
+        t.episode.cost.ckptDistanceTicks = distance;
+        t.episode.cost.startClock = clock_;
     }
-    ++t.episode.retries;
+    RecoveryEvent &ep = t.episode.cost;
+    ++ep.retries;
+    // The rollback discards everything executed since the checkpoint:
+    // that work is the episode's waste.  Re-execution restarts the
+    // window, so the count restarts with it.
+    ep.wastedSteps += t.stepsSinceCkpt;
+    t.stepsSinceCkpt = 0;
 
-    uint64_t distance = result_.stats.schedTicks - t.ckpt.schedTicksAt;
     obs::Histogram &tally = result_.stats.ckptToFailureTicks;
     if (tally.counts.empty())
         tally = obs::Histogram(obs::MetricsRegistry::tickDistanceBuckets());
     tally.observe(distance);
     if (rec_)
         rec_->record(t.id, obs::EventKind::Rollback, clock_,
-                     result_.stats.steps, t.episode.retries, distance,
+                     result_.stats.steps, ep.retries, distance,
                      inst.tag());
-    if (prof_)
-        prof_->onRollback(t.id, t.episode.siteTag, distance);
 
     runCompensation(t);
     restoreCheckpoint(t);
@@ -2311,11 +2276,11 @@ Interp::doTryRollback(Thread &t, const Instruction &inst, int64_t site_id)
     // single-stream VM a strict-priority policy (PCT) would starve it,
     // so model the paper's retry-loop usleep with a short randomized
     // back-off from the thread's own decision stream.
-    if (t.episode.retries >= 2) {
+    if (ep.retries >= 2) {
         // Exponential: the waited-for thread may itself sit behind a
         // long-running higher-priority thread, so the total sleep over
         // the retry budget must be able to outlast whole threads.
-        uint64_t shift = std::min<uint64_t>(t.episode.retries - 2, 12);
+        uint64_t shift = std::min<uint64_t>(ep.retries - 2, 12);
         uint64_t bound = std::min<uint64_t>(
             std::max<uint64_t>(cfg_.backoffMax, 1) << shift, 8192);
         t.state = ThreadState::Sleeping;
@@ -2325,8 +2290,7 @@ Interp::doTryRollback(Thread &t, const Instruction &inst, int64_t site_id)
         if (rec_)
             rec_->record(t.id, obs::EventKind::Backoff, clock_,
                          result_.stats.steps, t.wakeAt - clock_, 1);
-        if (prof_)
-            prof_->onBackoff(t.id, t.wakeAt - clock_);
+        tallyBackoff(t, t.wakeAt - clock_);
     }
 }
 
@@ -2377,8 +2341,7 @@ Interp::execConAir(Thread &t, const Instruction &inst,
         if (rec_)
             rec_->record(t.id, obs::EventKind::Backoff, clock_,
                          result_.stats.steps, ticks, 0);
-        if (prof_)
-            prof_->onBackoff(t.id, ticks);
+        tallyBackoff(t, ticks);
         break;
       }
       case Builtin::CaNoteAlloc: {
@@ -2413,18 +2376,12 @@ Interp::execConAir(Thread &t, const Instruction &inst,
         --result_.stats.steps;
         int64_t site_id = vals[0].i;
         if (t.episode.active && t.episode.siteId == site_id) {
-            RecoveryEvent ev;
-            ev.siteTag = t.episode.siteTag;
-            ev.retries = t.episode.retries;
-            ev.startClock = t.episode.startClock;
+            RecoveryEvent ev = std::move(t.episode.cost);
             ev.endClock = clock_;
             if (rec_)
                 rec_->record(t.id, obs::EventKind::RecoveryDone, clock_,
                              result_.stats.steps, ev.retries,
                              ev.startClock, ev.siteTag);
-            if (prof_)
-                prof_->onRecovered(t.id, ev.retries, ev.startClock,
-                                   ev.endClock);
             result_.stats.recoveries.push_back(std::move(ev));
             t.episode.active = false;
         }
@@ -2806,8 +2763,7 @@ Interp::wpTakeSnapshot()
     ++result_.stats.wpSnapshots;
     // Whole-program snapshots are global (no owning thread): charge
     // the main thread, which always exists.
-    if (prof_)
-        prof_->onSteps(0, obs::prof::Phase::CheckpointSave, cost);
+    tallySteps(*threads_[0], obs::prof::Phase::CheckpointSave, cost);
 }
 
 void
@@ -2838,6 +2794,13 @@ Interp::wpRestore()
     // Output produced after the snapshot is rolled back too (the
     // sandboxing traditional systems need OS support for).
     result_.output.resize(snap.outputLen);
+    // The threads above rewound their share of the phase tally (steps
+    // since the checkpoint, the open episode's cost) while the phase
+    // totals in result_.stats stand.  Harmless: every caller that
+    // turns whole-program checkpointing on runs an unhardened build
+    // (src/baselines/ for bench_fig4_ablation and its tests, the
+    // wp-checkpoint, replay-log and decode-diff tests), which takes no
+    // ConAir checkpoint or rollback that would read that state.
     // Survive by nondeterminism: reexecute under a perturbed schedule.
     schedRng_.reseed(cfg_.seed + 7919 * (wpRecoveriesUsed_ + 1));
     ++wpRecoveriesUsed_;

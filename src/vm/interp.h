@@ -90,7 +90,8 @@ class Interp
         /** RunStats::schedTicks when the checkpoint was taken — the
          *  checkpoint-to-failure distance axis of each rollback, which
          *  feeds RunStats::ckptToFailureTicks, the flight recorder and
-         *  the profiler.  Never restored into VM state. */
+         *  RecoveryEvent::ckptDistanceTicks.  Never restored into VM
+         *  state. */
         uint64_t schedTicksAt = 0;
 
         /** Fig 4 "local writes" design point: saved copies of the
@@ -108,9 +109,9 @@ class Interp
     {
         bool active = false;
         int64_t siteId = 0;
-        std::string siteTag;
-        uint64_t startClock = 0;
-        uint64_t retries = 0;
+        /** The open episode's cost so far; CaRecovered stamps endClock
+         *  and moves it into RunStats::recoveries. */
+        RecoveryEvent cost;
     };
 
     enum class ThreadState : uint8_t {
@@ -180,6 +181,9 @@ class Interp
         std::vector<CompensationEntry> allocLog;
         std::vector<CompensationEntry> lockLog;
         RecoveryEpisode episode;
+        /** Steps retired since the checkpoint: the work the next
+         *  rollback discards (RecoveryEvent::wastedSteps). */
+        uint64_t stepsSinceCkpt = 0;
 
         /** No idempotency-destroying instruction since the checkpoint
          *  (chaos mode may roll back only while this holds). */
@@ -461,31 +465,58 @@ class Interp
     std::vector<uint32_t> runnableScratch_; ///< pickThread, reused
     std::vector<RtValue> phiScratch_;       ///< phi parallel copies
 
-    // Observability hooks (aliases of cfg_.recorder / cfg_.profiler;
-    // nullptr = disabled, the common case).  Recording is passive:
-    // no RNG draws, no clock ticks, no stats mutations.  Metrics are
-    // no hook: run() folds the finished RunStats into cfg_.metrics.
+    // The one observability hook (alias of cfg_.recorder; nullptr =
+    // disabled, the common case).  Recording is passive: no RNG draws,
+    // no clock ticks, no stats mutations.  Metrics and the profile are
+    // no hooks: run() folds the finished RunStats into cfg_.metrics
+    // and cfg_.profiler.
     obs::FlightRecorder *rec_ = nullptr;
     /** Diagnosis recording mode: rec_ set AND cfg_.recordSharedAccesses
      *  — shared loads/stores also emit SharedLoad/SharedStore events. */
     bool diag_ = false;
-    /** Phase profiler (alias of cfg_.profiler; nullptr = disabled).
-     *  Same passivity contract as rec_: all profiler state lives in
-     *  the profiler object, never in the VM. */
-    obs::prof::PhaseProfiler *prof_ = nullptr;
 
-    /** Attributes one retired step about to execute (opcode already
-     *  fetched): classifies the phase, redirecting plain work inside
-     *  an open recovery episode to Phase::Reexec.  CaRecovered steps
-     *  are refunded by execConAir and never reach attribution. */
-    void profStep(const Thread &t, ir::Opcode op, ir::Builtin builtin);
+    /** Books @p n retired steps of class @p p by @p t into the phase
+     *  tally (RunStats::phaseTicks).  Inside an open recovery episode
+     *  plain work is re-execution toward the resume point: it lands in
+     *  Phase::Reexec and the episode's reexecSteps; the recovery
+     *  machinery's own steps (rollback, back-off, checkpoint) keep
+     *  their class.  Every step counts toward the steps since @p t's
+     *  checkpoint. */
+    void
+    tallySteps(Thread &t, obs::prof::Phase p, uint64_t n)
+    {
+        using obs::prof::Phase;
+        if (t.episode.active &&
+            (p == Phase::Dispatch || p == Phase::Memory ||
+             p == Phase::Sync)) {
+            p = Phase::Reexec;
+            t.episode.cost.reexecSteps += n;
+        }
+        result_.stats.phaseTicks[size_t(p)] += n;
+        t.stepsSinceCkpt += n;
+    }
 
-    /** Attributes a deferred fused-burst segment: @p memSteps retired
-     *  memory fast-path charges, the remainder plain dispatch (both
-     *  redirected to Phase::Reexec inside an open episode).  Only
-     *  called with prof_ set and steps > 0. */
-    void profFusedSegment(const Thread &t, uint64_t steps,
-                          uint64_t memSteps);
+    /** Tallies the one step about to execute, by its opcode.
+     *  CaRecovered steps are refunded by execConAir and never
+     *  tallied. */
+    void
+    tallyStep(Thread &t, ir::Opcode op, ir::Builtin builtin)
+    {
+        if (op == ir::Opcode::Call && builtin == ir::Builtin::CaRecovered)
+            return;
+        tallySteps(t, obs::prof::classifyPhase(op, builtin), 1);
+    }
+
+    /** Books @p ticks slept in back-off by @p t, into the phase tally
+     *  and the open episode, if any. */
+    void
+    tallyBackoff(Thread &t, uint64_t ticks)
+    {
+        result_.stats.phaseTicks[size_t(obs::prof::Phase::Backoff)] +=
+            ticks;
+        if (t.episode.active)
+            t.episode.cost.backoffTicks += ticks;
+    }
 
     /** Records a SharedLoad/SharedStore event for a successful
      *  non-stack access (diagnosis mode only). */

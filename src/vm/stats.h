@@ -4,12 +4,14 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/profile/profile.h"
 
 namespace conair::ir {
 class Instruction;
@@ -37,7 +39,8 @@ std::ostream &operator<<(std::ostream &os, Outcome o);
  *  One VM step models a handful of machine instructions. */
 constexpr double kNanosPerStep = 100.0;
 
-/** One completed failure-recovery episode (ConAir runtime). */
+/** One completed failure-recovery episode (ConAir runtime), with its
+ *  cost breakdown (the recovery tax of obs::prof::ProfileAgg). */
 struct RecoveryEvent
 {
     std::string siteTag;   ///< tag of the failure site ("assert.f.12")
@@ -45,11 +48,24 @@ struct RecoveryEvent
     uint64_t startClock = 0;
     uint64_t endClock = 0; ///< clock when the site finally passed
 
+    uint32_t tid = 0;      ///< recovering thread
+    /** Checkpoint-to-failure distance in scheduling ticks at the
+     *  episode's first rollback. */
+    uint64_t ckptDistanceTicks = 0;
+    /** Steps retired between rollback and the site finally passing. */
+    uint64_t reexecSteps = 0;
+    /** Steps discarded by the episode's rollbacks (work since the
+     *  last checkpoint, summed over retries). */
+    uint64_t wastedSteps = 0;
+    uint64_t backoffTicks = 0; ///< virtual ticks slept between retries
+
     double
     micros() const
     {
         return double(endClock - startClock) * kNanosPerStep / 1000.0;
     }
+
+    bool operator==(const RecoveryEvent &) const = default;
 };
 
 /** One chaos-injected rollback (site identity for the determinism
@@ -73,6 +89,12 @@ struct RunStats
     uint64_t compensationUnlocks = 0;
     uint64_t backoffs = 0;
     std::vector<RecoveryEvent> recoveries;
+
+    /** Retired steps and waited ticks per obs::prof::Phase (indexed by
+     *  the enum): the run's phase profile, which ProfileAgg::add
+     *  folds.  The phases sum to steps plus the LockWait ticks plus
+     *  the ticks slept in back-off. */
+    std::array<uint64_t, obs::prof::kPhaseCount> phaseTicks{};
 
     /** Checkpoint-to-failure distance of each rollback, in scheduling
      *  ticks, on the MetricsRegistry::tickDistanceBuckets() ladder.

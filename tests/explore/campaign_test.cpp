@@ -51,6 +51,51 @@ TEST(ScheduleToken, AppliesToConfig)
     EXPECT_EQ(cfg.pctDepth, 4u);
 }
 
+/** The legs forEachWallSpan counts for @p o under @p opts, by name. */
+std::vector<std::string>
+countedLegs(const ScheduleOutcome &o, const CampaignOptions &opts)
+{
+    std::vector<std::string> legs;
+    forEachWallSpan(o, opts, [&](size_t leg, uint64_t) {
+        legs.push_back(kWallLegs[leg]);
+    });
+    return legs;
+}
+
+TEST(WallSpans, OneRuleDecidesWhichLegsCount)
+{
+    using Legs = std::vector<std::string>;
+    CampaignOptions opts;
+    opts.collectProfile = true;
+    ScheduleOutcome o;
+    o.ran = true;
+    // A target without a hardened build: the plain leg and its replica.
+    EXPECT_EQ(countedLegs(o, opts), (Legs{"unhardened", "differential"}));
+    o.hardenedRan = true;
+    EXPECT_EQ(countedLegs(o, opts),
+              (Legs{"unhardened", "differential", "hardened",
+                    "hardened_diff"}));
+    // Chaos and divergence skip the hardened replica.
+    o.chaos = true;
+    EXPECT_EQ(countedLegs(o, opts),
+              (Legs{"unhardened", "differential", "hardened"}));
+    o.chaos = false;
+    o.diverged = true;
+    EXPECT_EQ(countedLegs(o, opts),
+              (Legs{"unhardened", "differential", "hardened"}));
+    o.diverged = false;
+    // Without the differential no replica ran, however long it took.
+    opts.differential = false;
+    o.wallDifferentialUs = 5;
+    EXPECT_EQ(countedLegs(o, opts), (Legs{"unhardened", "hardened"}));
+    // Nothing was timed: a skipped schedule, or profiling off.
+    o.ran = false;
+    EXPECT_TRUE(countedLegs(o, opts).empty());
+    o.ran = true;
+    opts.collectProfile = false;
+    EXPECT_TRUE(countedLegs(o, opts).empty());
+}
+
 //
 // Campaign matrix on real kernels.  Small seed counts keep this in
 // tier-1 time budgets; bench_explore runs the full-scale version.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "frontend/compile.h"
 #include "frontend/parser.h"
+#include "ir/type.h"
 
 namespace conair::fe {
 namespace {
@@ -130,6 +132,84 @@ TEST(Parser, Errors)
     parseErr("int main( { return 0; }");     // bad parameter list
     parseErr("banana main() { return 0; }"); // unknown type
     parseErr("int main() { int a[x]; return 0; }"); // non-const size
+}
+
+/** @p n nested parentheses around a literal, returned from main. */
+std::string
+nestedParens(size_t n)
+{
+    return "int main() { return " + std::string(n, '(') + "1" +
+           std::string(n, ')') + "; }\n";
+}
+
+/** @p n nested empty blocks in main's body. */
+std::string
+nestedBlocks(size_t n)
+{
+    return "int main() { " + std::string(n, '{') + std::string(n, '}') +
+           " return 0; }\n";
+}
+
+/** Parses @p src expecting exactly one diagnostic: nesting too deep. */
+void
+expectTooDeep(const std::string &src)
+{
+    DiagEngine d;
+    EXPECT_FALSE(parseProgram(src, d));
+    ASSERT_EQ(d.diags().size(), 1u) << d.str();
+    EXPECT_NE(d.str().find("nesting too deep"), std::string::npos)
+        << d.str();
+    EXPECT_TRUE(d.diags()[0].loc.valid());
+}
+
+TEST(Parser, DeepNestingIsADiagnosticNotACrash)
+{
+    // Both overflowed the host stack before the nesting limit.
+    expectTooDeep(nestedParens(100'000));
+    expectTooDeep(nestedBlocks(50'000));
+    // Prefix operators and chained assignments nest too.
+    std::string negs;
+    for (int i = 0; i < 50'000; ++i)
+        negs += "- ";
+    expectTooDeep("int main() { return " + negs + "1; }");
+    std::string assigns;
+    for (int i = 0; i < 50'000; ++i)
+        assigns += "a = ";
+    expectTooDeep("int main() { int a; " + assigns + "1; return a; }");
+}
+
+TEST(Parser, NestingAtTheLimitStillCompiles)
+{
+    // Each block is one level; main's body itself is not.
+    DiagEngine d;
+    EXPECT_TRUE(fe::compileMiniC(nestedBlocks(kMaxNesting), d)) << d.str();
+    expectTooDeep(nestedBlocks(kMaxNesting + 1));
+    // The return statement and the literal take one level each, every
+    // parenthesis one more.
+    DiagEngine dp;
+    EXPECT_TRUE(fe::compileMiniC(nestedParens(kMaxNesting - 2), dp))
+        << dp.str();
+    expectTooDeep(nestedParens(kMaxNesting - 1));
+}
+
+TEST(Parser, RejectsArraysLargerThanABlock)
+{
+    // Parsing a size allocates nothing; never run a program at the
+    // limit (2^24 cells are about 640 MB).
+    const std::string limit = std::to_string(ir::kMaxBlockCells);
+    const std::string over = std::to_string(ir::kMaxBlockCells + 1);
+    parseOk("int g[" + limit + "];");
+    parseOk("int main() { int a[" + limit + "]; return 0; }");
+    for (const std::string &src :
+         {"int g[" + over + "];",
+          "int main() { int a[" + over + "]; return 0; }",
+          std::string("int g[99999999999];")}) {
+        DiagEngine d;
+        EXPECT_FALSE(parseProgram(src, d)) << src;
+        EXPECT_NE(d.str().find("exceeds the 16777216-cell block limit"),
+                  std::string::npos)
+            << d.str();
+    }
 }
 
 } // namespace

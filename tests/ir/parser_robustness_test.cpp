@@ -147,5 +147,27 @@ b:
     SUCCEED();
 }
 
+TEST(ParserRobustness, RejectsBlocksLargerThanTheLimit)
+{
+    const std::string over = std::to_string(kMaxBlockCells + 1);
+    expectRejected("global @g : i64[" + over + "]");
+    expectRejected("global @g : i64[99999999999]");
+    for (const std::string &size : {over, std::string("-1")})
+        expectRejected(R"(
+func @main() -> i64 {
+entry:
+    %p = alloca )" + size + R"(
+    ret 0
+}
+)");
+    // At the limit parses (and is never run: 2^24 cells are ~640 MB).
+    DiagEngine d;
+    EXPECT_NE(parseModule("global @g : i64[" +
+                              std::to_string(kMaxBlockCells) + "]",
+                          d),
+              nullptr)
+        << d.str();
+}
+
 } // namespace
 } // namespace conair::ir

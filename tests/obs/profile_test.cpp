@@ -1,10 +1,11 @@
 /**
  * @file
- * Recovery-cost profiler unit tests (src/obs/profile/): step
- * classification, episode lifecycle bookkeeping, aggregate fold/merge
- * algebra, and the exporters' structural invariants.  The end-to-end
- * properties — passivity on all three engine variants and worker-count
- * independence — live in vm_profile_test.cpp and campaign_test.cpp;
+ * Recovery-cost profile unit tests (src/obs/profile/): step
+ * classification, the fold of a hand-built RunStats, aggregate merge
+ * algebra, and the exporters' structural invariants.  How the VM
+ * fills the tally (wasted steps, lock waits, per-thread episodes, and
+ * agreement with the trace on all three engine variants) lives in
+ * vm_profile_test.cpp; worker-count independence in campaign_test.cpp;
  * byte-exact rendering is pinned by profile_golden_test.cpp.
  */
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "obs/profile/profile.h"
 #include "obs/profile/profile_export.h"
 #include "support/json.h"
+#include "vm/stats.h"
 
 namespace conair::obs::prof {
 namespace {
@@ -65,113 +67,85 @@ TEST(PhaseName, AllEightAreStableAndDistinct)
         EXPECT_STREQ(phaseName(Phase(i)), expected[i]);
 }
 
-TEST(PhaseProfiler, EpisodeLifecycleRollsUpTheTax)
+/** A hand-built run: 10 dispatch steps, then one two-retry episode at
+ *  assert.f.1 (9 re-executed steps, 14 wasted, 3 back-off ticks) and a
+ *  one-retry episode at oracle.g.2 on another thread. */
+vm::RunStats
+sampleRun()
 {
-    PhaseProfiler p;
-    EXPECT_TRUE(p.empty());
-
-    // Normal execution: 10 dispatch steps since the last checkpoint.
-    p.onCheckpoint(0);
-    p.onSteps(0, Phase::Dispatch, 10);
-
-    // First rollback opens the episode: the 10 steps are wasted, the
-    // checkpoint distance is recorded.
-    p.onRollback(0, "assert.f.1", 7);
-    p.onSteps(0, Phase::Reexec, 4); // re-execution toward the site
-    p.onBackoff(0, 3);
-
-    // Second retry wastes the 4 re-executed steps too.
-    p.onRollback(0, "assert.f.1", 7);
-    p.onSteps(0, Phase::Reexec, 5);
-    p.onRecovered(0, 2, 100, 140);
-
-    ASSERT_EQ(p.episodes().size(), 1u);
-    const EpisodeCost &ep = p.episodes()[0];
-    EXPECT_EQ(ep.siteTag, "assert.f.1");
-    EXPECT_EQ(ep.tid, 0u);
-    EXPECT_EQ(ep.retries, 2u);
-    EXPECT_EQ(ep.ckptDistanceTicks, 7u);
-    EXPECT_EQ(ep.reexecSteps, 9u);
-    EXPECT_EQ(ep.wastedSteps, 14u); // 10 before + 4 re-executed
-    EXPECT_EQ(ep.backoffTicks, 3u);
-    EXPECT_EQ(ep.startClock, 100u);
-    EXPECT_EQ(ep.endClock, 140u);
-
-    EXPECT_EQ(p.phaseTicks(Phase::Dispatch), 10u);
-    EXPECT_EQ(p.phaseTicks(Phase::Reexec), 9u);
-    EXPECT_EQ(p.phaseTicks(Phase::Backoff), 3u);
-    EXPECT_EQ(p.totalTicks(), 22u);
-
-    p.clear();
-    EXPECT_TRUE(p.empty());
-    EXPECT_EQ(p.episodes().size(), 0u);
+    vm::RunStats run;
+    run.phaseTicks[size_t(Phase::Dispatch)] = 10;
+    run.phaseTicks[size_t(Phase::Rollback)] = 3;
+    run.phaseTicks[size_t(Phase::Reexec)] = 13;
+    run.phaseTicks[size_t(Phase::Backoff)] = 3;
+    vm::RecoveryEvent a{"assert.f.1", 2, 100, 140};
+    a.ckptDistanceTicks = 7;
+    a.reexecSteps = 9;
+    a.wastedSteps = 14;
+    a.backoffTicks = 3;
+    vm::RecoveryEvent b{"oracle.g.2", 1, 150, 160};
+    b.tid = 1;
+    b.ckptDistanceTicks = 2;
+    b.reexecSteps = 4;
+    b.wastedSteps = 6;
+    run.recoveries = {a, b};
+    return run;
 }
 
-TEST(PhaseProfiler, RecoveredWithoutRollbackIsNoEpisode)
+TEST(ProfileAgg, AddFoldsRunStatsIntoTheExactJson)
+{
+    ProfileAgg a;
+    a.add(sampleRun());
+    JsonWriter w(0);
+    a.writeJson(w);
+    EXPECT_EQ(
+        w.str(),
+        R"({"runs":1,"total_ticks":29,"phases":{"dispatch":10,"memory":0,)"
+        R"("sync":0,"lock_wait":0,"checkpoint_save":0,"rollback":3,)"
+        R"("reexec":13,"backoff":3},"recovery_tax":{"episodes":2,)"
+        R"("retries":3,"reexec_steps":13,"reexec_steps_per_episode":6.500,)"
+        R"("wasted_steps":20,"backoff_ticks":3,"ckpt_distance_ticks":9,)"
+        R"("by_site":{"assert.f.1":{"episodes":1,"reexec_steps":9},)"
+        R"("oracle.g.2":{"episodes":1,"reexec_steps":4}}}})");
+}
+
+TEST(ProfileAgg, RunWithoutRecoveriesAddsNoEpisode)
 {
     // CaRecovered fires on every success pass of a hardened site; only
-    // sites that actually rolled back have an episode to close.
-    PhaseProfiler p;
-    p.onStep(1, Phase::Dispatch);
-    p.onRecovered(1, 0, 10, 10);
-    EXPECT_TRUE(p.episodes().empty());
-}
-
-TEST(PhaseProfiler, ThreadsKeepIndependentEpisodes)
-{
-    PhaseProfiler p;
-    p.onRollback(1, "site.a", 2);
-    p.onRollback(2, "site.b", 5);
-    p.onSteps(1, Phase::Reexec, 3);
-    p.onSteps(2, Phase::Reexec, 8);
-    p.onRecovered(2, 1, 0, 9);
-    p.onRecovered(1, 1, 0, 11);
-    ASSERT_EQ(p.episodes().size(), 2u);
-    // Closed in completion order, each with its own thread's numbers.
-    EXPECT_EQ(p.episodes()[0].siteTag, "site.b");
-    EXPECT_EQ(p.episodes()[0].reexecSteps, 8u);
-    EXPECT_EQ(p.episodes()[1].siteTag, "site.a");
-    EXPECT_EQ(p.episodes()[1].reexecSteps, 3u);
-}
-
-TEST(PhaseProfiler, WaitsBookTicksNotSteps)
-{
-    PhaseProfiler p;
-    p.onWait(Phase::LockWait, 12);
-    p.onWait(Phase::LockWait, 3);
-    EXPECT_EQ(p.phaseTicks(Phase::LockWait), 15u);
-    // Waits never touch the per-thread step-since-checkpoint counter:
-    // a rollback right after sees zero wasted steps.
-    p.onRollback(0, "s", 1);
-    p.onRecovered(0, 1, 0, 1);
-    EXPECT_EQ(p.episodes()[0].wastedSteps, 0u);
+    // sites that actually rolled back leave a RecoveryEvent to fold.
+    vm::RunStats run;
+    run.phaseTicks[size_t(Phase::Dispatch)] = 5;
+    ProfileAgg a;
+    a.add(run);
+    EXPECT_EQ(a.runs, 1u);
+    EXPECT_EQ(a.totalTicks(), 5u);
+    EXPECT_EQ(a.episodes, 0u);
+    EXPECT_EQ(a.retries, 0u);
+    EXPECT_TRUE(a.episodesBySite.empty());
+    EXPECT_DOUBLE_EQ(a.reexecPerEpisode(), 0.0);
 }
 
 TEST(ProfileAgg, AddFoldsARunAndMergeIsAssociative)
 {
-    PhaseProfiler p;
-    p.onSteps(0, Phase::Dispatch, 6);
-    p.onRollback(0, "assert.f.1", 4);
-    p.onSteps(0, Phase::Reexec, 2);
-    p.onRecovered(0, 1, 0, 10);
+    const vm::RunStats run = sampleRun();
 
     ProfileAgg a;
     EXPECT_TRUE(a.empty());
-    a.add(p);
+    a.add(run);
     EXPECT_FALSE(a.empty());
     EXPECT_EQ(a.runs, 1u);
-    EXPECT_EQ(a.episodes, 1u);
-    EXPECT_EQ(a.retries, 1u);
-    EXPECT_EQ(a.reexecSteps, 2u);
-    EXPECT_EQ(a.wastedSteps, 6u);
-    EXPECT_EQ(a.ckptDistanceTicks, 4u);
+    EXPECT_EQ(a.episodes, 2u);
+    EXPECT_EQ(a.retries, 3u);
+    EXPECT_EQ(a.reexecSteps, 13u);
+    EXPECT_EQ(a.wastedSteps, 20u);
+    EXPECT_EQ(a.ckptDistanceTicks, 9u);
     EXPECT_EQ(a.episodesBySite.at("assert.f.1"), 1u);
-    EXPECT_EQ(a.reexecBySite.at("assert.f.1"), 2u);
-    EXPECT_DOUBLE_EQ(a.reexecPerEpisode(), 2.0);
+    EXPECT_EQ(a.reexecBySite.at("assert.f.1"), 9u);
+    EXPECT_DOUBLE_EQ(a.reexecPerEpisode(), 6.5);
 
     ProfileAgg b;
-    b.add(p);
-    b.add(p);
+    b.add(run);
+    b.add(run);
 
     // (a + b) == (b + a): merge is commutative on every field, which
     // is what lets the campaign fold per-cell aggregates in matrix
@@ -181,18 +155,17 @@ TEST(ProfileAgg, AddFoldsARunAndMergeIsAssociative)
     ba.merge(a);
     EXPECT_EQ(ab, ba);
     EXPECT_EQ(ab.runs, 3u);
-    EXPECT_EQ(ab.episodes, 3u);
-    EXPECT_EQ(ab.totalTicks(), 3 * p.totalTicks());
+    EXPECT_EQ(ab.episodes, 6u);
+    EXPECT_EQ(ab.totalTicks(), 3 * a.totalTicks());
 }
 
 TEST(ProfileAgg, JsonShapeIsStable)
 {
     ProfileAgg a;
-    PhaseProfiler p;
-    p.onSteps(0, Phase::Memory, 5);
-    p.onRollback(0, "oracle.g.2", 1);
-    p.onRecovered(0, 1, 0, 2);
-    a.add(p);
+    vm::RunStats run;
+    run.phaseTicks[size_t(Phase::Memory)] = 5;
+    run.recoveries.push_back({"oracle.g.2", 1, 0, 2});
+    a.add(run);
 
     JsonWriter w(0);
     a.writeJson(w);
@@ -214,20 +187,23 @@ TEST(ProfileAgg, JsonShapeIsStable)
 ProfileDoc
 sampleDoc()
 {
-    PhaseProfiler p;
-    p.onSteps(0, Phase::Dispatch, 70);
-    p.onSteps(0, Phase::Memory, 20);
-    p.onRollback(0, "assert.f.1", 3);
-    p.onSteps(0, Phase::Reexec, 10);
-    p.onRecovered(0, 1, 0, 50);
+    vm::RunStats run;
+    run.phaseTicks[size_t(Phase::Dispatch)] = 70;
+    run.phaseTicks[size_t(Phase::Memory)] = 20;
+    run.phaseTicks[size_t(Phase::Reexec)] = 10;
+    vm::RecoveryEvent ep{"assert.f.1", 1, 0, 50};
+    ep.ckptDistanceTicks = 3;
+    ep.reexecSteps = 10;
+    ep.wastedSteps = 90;
+    run.recoveries.push_back(ep);
 
     ProfileDoc doc;
     ProfileAgg a;
-    a.add(p);
+    a.add(run);
     doc.phaseGroups.emplace_back("ZSNES/pct:d2", a);
     ProfileAgg b;
-    b.add(p);
-    b.add(p);
+    b.add(run);
+    b.add(run);
     doc.phaseGroups.emplace_back("ZSNES/random", b);
     doc.wall.push_back({"ZSNES", "pct:d2", "hardened", 1234, 2});
     return doc;

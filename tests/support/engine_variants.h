@@ -70,15 +70,12 @@ expectSameRun(const vm::RunResult &a, const vm::RunResult &b,
     EXPECT_EQ(s.wpSnapshotCost, t.wpSnapshotCost) << ctx;
     EXPECT_EQ(s.chaosRollbacks, t.chaosRollbacks) << ctx;
     EXPECT_EQ(s.chaosSites, t.chaosSites) << ctx;
+    EXPECT_EQ(s.phaseTicks, t.phaseTicks) << ctx;
     ASSERT_EQ(s.recoveries.size(), t.recoveries.size()) << ctx;
-    for (size_t i = 0; i < s.recoveries.size(); ++i) {
-        const vm::RecoveryEvent &x = s.recoveries[i];
-        const vm::RecoveryEvent &y = t.recoveries[i];
-        EXPECT_EQ(x.siteTag, y.siteTag) << ctx << " recovery " << i;
-        EXPECT_EQ(x.retries, y.retries) << ctx << " recovery " << i;
-        EXPECT_EQ(x.startClock, y.startClock) << ctx << " recovery " << i;
-        EXPECT_EQ(x.endClock, y.endClock) << ctx << " recovery " << i;
-    }
+    for (size_t i = 0; i < s.recoveries.size(); ++i)
+        EXPECT_EQ(s.recoveries[i], t.recoveries[i])
+            << ctx << " recovery " << i << " (" << s.recoveries[i].siteTag
+            << ")";
 }
 
 } // namespace conair::testutil

@@ -1,3 +1,4 @@
+#include "tests/support/engine_variants.h"
 #include "tests/vm/vm_test_util.h"
 
 namespace conair::vm {
@@ -189,6 +190,34 @@ int main() {
 }
 )");
     EXPECT_EQ(r.exitCode, 1);
+}
+
+TEST(InterpMemory, OversizedMallocTrapsOnEveryEngine)
+{
+    // A block past ir::kMaxBlockCells would abort the host with
+    // std::bad_alloc; the guest gets a trap instead.
+    auto m = testutil::compileC(R"(
+int main() {
+    int *p = malloc(1 << 40);
+    p[0] = 1;
+    return 0;
+}
+)");
+    ASSERT_TRUE(m);
+    RunResult first;
+    for (const conair::testutil::EngineVariant &v :
+         conair::testutil::kEngineVariants) {
+        VmConfig cfg;
+        v.applyTo(cfg);
+        RunResult r = runProgram(*m, cfg);
+        EXPECT_EQ(r.outcome, Outcome::Trap) << v.name;
+        EXPECT_NE(r.failureMsg.find("block limit"), std::string::npos)
+            << v.name << ": " << r.failureMsg;
+        if (&v == &conair::testutil::kEngineVariants[0])
+            first = r;
+        else
+            conair::testutil::expectSameRun(first, r, v.name);
+    }
 }
 
 } // namespace

@@ -25,8 +25,8 @@
  *         --trace FILE        Chrome trace_event JSON of the run
  *                             (Perfetto; docs/OBSERVABILITY.md)
  *         --metrics FILE      the run's metrics registry JSON
- *         --profile FILE      attach the (passive) recovery-cost phase
- *                             profiler: hot-phase table to stderr,
+ *         --profile FILE      the run's recovery-cost phase profile:
+ *                             hot-phase table to stderr,
  *                             speedscope JSON to FILE, folded
  *                             flamegraph stacks next to it (.folded)
  *         --timeline          print the recovery timeline to stderr
@@ -170,13 +170,12 @@ findKernel(const std::string &name)
     return nullptr;
 }
 
-/** A one-group profile of one observed run. */
+/** A one-group profile of one run. */
 obs::prof::ProfileDoc
-runProfile(const obs::prof::PhaseProfiler &profiler,
-           const std::string &label)
+runProfile(const vm::RunStats &run, const std::string &label)
 {
     obs::prof::ProfileAgg agg;
-    agg.add(profiler);
+    agg.add(run);
     obs::prof::ProfileDoc doc;
     doc.phaseGroups.emplace_back(label, agg);
     return doc;
@@ -407,14 +406,11 @@ cmdRun(const Args &args)
     const bool recordShared = args.has("--diagnose") || serve;
     obs::FlightRecorder recorder(recordShared ? 65536 : 8192);
     obs::MetricsRegistry metrics;
-    obs::prof::PhaseProfiler profiler;
     if (recordShared || profile || args.has("--trace") ||
         args.has("--metrics") || args.has("--timeline")) {
         cfg.recorder = &recorder;
         cfg.metrics = &metrics;
         cfg.recordSharedAccesses = recordShared;
-        if (profile)
-            cfg.profiler = &profiler;
     }
     vm::RunResult run = vm::runProgram(*module, cfg);
     std::fputs(run.output.c_str(), stdout);
@@ -435,7 +431,7 @@ cmdRun(const Args &args)
         !writeFile(args.text("--metrics"), metrics.toJson() + "\n",
                    stderr))
         return 2;
-    obs::prof::ProfileDoc profileDoc = runProfile(profiler, name);
+    obs::prof::ProfileDoc profileDoc = runProfile(run.stats, name);
     if (profile) {
         std::fprintf(stderr, "%s",
                      obs::prof::hotPhaseTable(profileDoc).c_str());
@@ -717,16 +713,10 @@ cmdRepro(const Args &args)
     if (profile) {
         obs::prof::ProfileDoc doc;
         if (o.hasProfile)
-            doc.phaseGroups.emplace_back(appName + " " + token,
-                                         o.profile);
-        auto wallCell = [&](const char *leg, uint64_t us) {
-            if (us)
-                doc.wall.push_back({appName, token, leg, us, 1});
-        };
-        wallCell("unhardened", o.wallUnhardenedUs);
-        wallCell("differential", o.wallDifferentialUs);
-        wallCell("hardened", o.wallHardenedUs);
-        wallCell("hardened_diff", o.wallHardenedDiffUs);
+            doc = runProfile(o.hardenedStats, appName + " " + token);
+        forEachWallSpan(o, opts, [&](size_t leg, uint64_t us) {
+            doc.wall.push_back({appName, token, kWallLegs[leg], us, 1});
+        });
         std::printf("%s", obs::prof::hotPhaseTable(doc).c_str());
         if (!o.hasProfile)
             std::printf("(hardened leg did not run — no "
@@ -800,17 +790,13 @@ cmdReplay(const Args &args)
 
     // Replay with every referee armed: the re-recording feeds the
     // lock-order check, the optional trace artifact, and the optional
-    // diagnosis.  Profiling rides the passivity contract: the profiled
-    // replay is still held to the byte-exact fingerprint.
+    // diagnosis.  The profile is a fold of the replayed run's RunStats.
     obs::FlightRecorder rec(4096, obs::RecorderMode::Grow);
-    obs::prof::PhaseProfiler prof;
     obs::replay::ReplayInstruments ins;
     ins.recorder = &rec;
     ins.recordSharedAccesses =
         args.has("--diagnose") || log.accessCount > 0;
     ins.checkLockOrder = true;
-    if (args.has("--profile"))
-        ins.profiler = &prof;
     obs::replay::ReplayRun rr =
         obs::replay::replayLog(*target.plain, log, engine, &ins);
 
@@ -830,7 +816,7 @@ cmdReplay(const Args &args)
         return 1;
     if (args.has("--profile")) {
         obs::prof::ProfileDoc doc =
-            runProfile(prof, log.program + " replay " + token);
+            runProfile(rr.result.stats, log.program + " replay " + token);
         std::printf("%s", obs::prof::hotPhaseTable(doc).c_str());
         if (!obs::prof::writeProfileArtifacts(doc,
                                               log.program + " replay",
