@@ -76,6 +76,9 @@ struct Expr
     double fval = 0.0;
     std::string text;
     std::vector<std::unique_ptr<Expr>> kids;
+    /** Levels in this subtree, a leaf being 1; the parser keeps it and
+     *  bounds it by kMaxExprDepth (parser.h). */
+    unsigned height = 1;
 
     /** Filled in by the code generator's type checker. */
     TypeRef type;

@@ -1,5 +1,7 @@
 #include "frontend/parser.h"
 
+#include <algorithm>
+
 #include "frontend/lexer.h"
 #include "ir/type.h"
 #include "support/str.h"
@@ -62,42 +64,67 @@ class Parser
         unsigned &depth;
     };
 
-    /** True when one more level would pass kMaxNesting.  The first time,
-     *  reports "nesting too deep" at the current token and skips to the
-     *  end of input, so every enclosing level unwinds without
-     *  descending further or reporting again. */
+    /** Reports @p msg at the current token, the first time only, and
+     *  skips to the end of input, so every enclosing level unwinds
+     *  without descending further or reporting again. */
+    void
+    unwind(const std::string &msg)
+    {
+        if (tooDeep_)
+            return;
+        err(msg);
+        tooDeep_ = true;
+        pos_ = toks_.size() - 1; // the End token
+    }
+
+    /** True when one more level would pass kMaxNesting ("nesting too
+     *  deep"). */
     bool
     tooDeep()
     {
         if (depth_ < kMaxNesting)
             return false;
-        if (!tooDeep_) {
-            err(strfmt("nesting too deep (more than %u levels)",
-                       kMaxNesting));
-            tooDeep_ = true;
-            pos_ = toks_.size() - 1; // the End token
-        }
+        unwind(strfmt("nesting too deep (more than %u levels)",
+                      kMaxNesting));
         return true;
     }
 
+    /** Appends @p kid to @p e, keeping e's height; a tree that would
+     *  pass kMaxExprDepth is "expression too deep". */
+    void
+    adopt(Expr &e, std::unique_ptr<Expr> kid)
+    {
+        if (kid->height >= kMaxExprDepth)
+            unwind(strfmt("expression too deep (more than %u levels)",
+                          kMaxExprDepth));
+        e.height = std::max(e.height, kid->height + 1);
+        e.kids.push_back(std::move(kid));
+    }
+
     /** The size of an array declaration, at the current token: a
-     *  literal of at most ir::kMaxBlockCells cells. */
+     *  literal of at most ir::kMaxBlockCells cells.  A rejected size is
+     *  skipped through its ']' (or up to the ';' when the ']' is
+     *  missing), so the declaration's error is the only one. */
     bool
     parseArraySize(int64_t &out)
     {
-        if (cur().kind != Tk::IntLit) {
-            err("expected array size");
-            return false;
+        if (cur().kind == Tk::IntLit && cur().ival <= ir::kMaxBlockCells) {
+            out = cur().ival;
+            bump();
+            return true;
         }
-        if (cur().ival > ir::kMaxBlockCells) {
+        if (cur().kind != Tk::IntLit)
+            err("expected array size");
+        else
             err(strfmt("array size %lld exceeds the %lld-cell block limit",
                        (long long)cur().ival,
                        (long long)ir::kMaxBlockCells));
-            return false;
-        }
-        out = cur().ival;
-        bump();
-        return true;
+        while (cur().kind != Tk::RBracket && cur().kind != Tk::Semi &&
+               cur().kind != Tk::End)
+            bump();
+        if (cur().kind == Tk::RBracket)
+            bump();
+        return false;
     }
 
     bool
@@ -278,7 +305,10 @@ class Parser
             if (s)
                 block->kids.push_back(std::move(s));
         }
-        expect(Tk::RBrace);
+        // A statement's error ends the loop early, short of the '}';
+        // reporting the brace would only echo that error.
+        if (!diags_.hasErrors())
+            expect(Tk::RBrace);
         return block;
     }
 
@@ -417,10 +447,10 @@ class Parser
                       : cur().kind == Tk::PlusAssign ? "+="
                                                       : "-=";
             bump();
-            e->kids.push_back(std::move(lhs));
+            adopt(*e, std::move(lhs));
             if (!tooDeep()) {
                 Nesting level(depth_);
-                e->kids.push_back(parseAssign()); // right associative
+                adopt(*e, parseAssign()); // right associative
             }
             return e;
         }
@@ -472,8 +502,8 @@ class Parser
             auto rhs = parseBinary(info.prec + 1);
             auto e = makeExpr(ExprKind::Binary, loc);
             e->text = info.spelling;
-            e->kids.push_back(std::move(lhs));
-            e->kids.push_back(std::move(rhs));
+            adopt(*e, std::move(lhs));
+            adopt(*e, std::move(rhs));
             lhs = std::move(e);
         }
     }
@@ -489,26 +519,26 @@ class Parser
             auto e = makeExpr(ExprKind::Unary, cur().loc);
             e->text = "-";
             bump();
-            e->kids.push_back(parseUnary());
+            adopt(*e, parseUnary());
             return e;
           }
           case Tk::Bang: {
             auto e = makeExpr(ExprKind::Unary, cur().loc);
             e->text = "!";
             bump();
-            e->kids.push_back(parseUnary());
+            adopt(*e, parseUnary());
             return e;
           }
           case Tk::Star: {
             auto e = makeExpr(ExprKind::Deref, cur().loc);
             bump();
-            e->kids.push_back(parseUnary());
+            adopt(*e, parseUnary());
             return e;
           }
           case Tk::Amp: {
             auto e = makeExpr(ExprKind::AddrOf, cur().loc);
             bump();
-            e->kids.push_back(parseUnary());
+            adopt(*e, parseUnary());
             return e;
           }
           case Tk::PlusPlus:
@@ -517,10 +547,10 @@ class Parser
             auto e = makeExpr(ExprKind::Assign, cur().loc);
             e->text = cur().kind == Tk::PlusPlus ? "+=" : "-=";
             bump();
-            e->kids.push_back(parseUnary());
+            adopt(*e, parseUnary());
             auto one = makeExpr(ExprKind::IntLit, e->loc);
             one->ival = 1;
-            e->kids.push_back(std::move(one));
+            adopt(*e, std::move(one));
             return e;
           }
           default:
@@ -536,8 +566,8 @@ class Parser
             if (cur().kind == Tk::LBracket) {
                 auto idx = makeExpr(ExprKind::Index, cur().loc);
                 bump();
-                idx->kids.push_back(std::move(e));
-                idx->kids.push_back(parseExpr());
+                adopt(*idx, std::move(e));
+                adopt(*idx, parseExpr());
                 expect(Tk::RBracket);
                 e = std::move(idx);
             } else if (cur().kind == Tk::PlusPlus ||
@@ -546,10 +576,10 @@ class Parser
                 auto a = makeExpr(ExprKind::Assign, cur().loc);
                 a->text = cur().kind == Tk::PlusPlus ? "+=" : "-=";
                 bump();
-                a->kids.push_back(std::move(e));
+                adopt(*a, std::move(e));
                 auto one = makeExpr(ExprKind::IntLit, a->loc);
                 one->ival = 1;
-                a->kids.push_back(std::move(one));
+                adopt(*a, std::move(one));
                 e = std::move(a);
             } else {
                 return e;
@@ -589,7 +619,7 @@ class Parser
                 bump();
                 while (cur().kind != Tk::RParen && cur().kind != Tk::End &&
                        !diags_.hasErrors()) {
-                    e->kids.push_back(parseExpr());
+                    adopt(*e, parseExpr());
                     if (cur().kind == Tk::Comma)
                         bump();
                     else
@@ -622,7 +652,7 @@ class Parser
     DiagEngine &diags_;
     size_t pos_ = 0;
     unsigned depth_ = 0;   ///< current nesting (see kMaxNesting)
-    bool tooDeep_ = false; ///< reported "nesting too deep"; unwinding
+    bool tooDeep_ = false; ///< reported a depth limit; unwinding
 };
 
 } // namespace

@@ -22,6 +22,15 @@ namespace conair::fe {
  *  stack overflow. */
 constexpr unsigned kMaxNesting = 256;
 
+/** How tall an expression tree may grow, counting every operator,
+ *  subscript, call and literal on its longest path.  A flat chain
+ *  (`1 + 1 + ... + 1`, `a[0][0]...`) is parsed in a loop and never
+ *  meets kMaxNesting, but code generation and the tree's destructor
+ *  recurse once per level, so a taller tree is an "expression too
+ *  deep" error.  The bound leaves ASan-built code generation well
+ *  inside an 8 MB stack. */
+constexpr unsigned kMaxExprDepth = 1024;
+
 /**
  * Parses MiniC source into an AST.  Returns nullptr (with diagnostics in
  * @p diags) on error.

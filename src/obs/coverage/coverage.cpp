@@ -148,10 +148,10 @@ foldCoverage(const FlightRecorder &rec)
     };
     std::unordered_map<uint64_t, LastStore> lastStoreByAddr;
 
-    for (const TraceEvent &ev : rec.merged()) {
+    rec.visitMerged([&](const TraceEvent &ev) {
         if (ev.kind == EventKind::CoverageNovel ||
             ev.kind == EventKind::CoverageSnapshot)
-            continue; // re-folding an annotated trace stays stable
+            return; // re-folding an annotated trace stays stable
         if (ev.kind == EventKind::SchedSwitch) {
             // The window opens at the last real event before the
             // switch and closes at the first real event after it.
@@ -159,10 +159,10 @@ foldCoverage(const FlightRecorder &rec)
                 pendingSwitch = true;
                 pendingSwitchFrom = lastEvSig;
             }
-            continue;
+            return;
         }
         if (isSchedulerNoise(ev.kind))
-            continue;
+            return;
 
         uint64_t sig = siteSig(ev);
 
@@ -191,7 +191,7 @@ foldCoverage(const FlightRecorder &rec)
 
         lastEvSig = sig;
         haveLastEv = true;
-    }
+    });
 
     std::sort(fold.edges.begin(), fold.edges.end(),
               [](const Edge &x, const Edge &y) { return x.key < y.key; });
@@ -240,10 +240,10 @@ annotateRecorder(FlightRecorder &rec, const std::vector<Edge> &novel,
                  uint64_t distinctAfter)
 {
     uint64_t endClock = 0, endStep = 0;
-    for (const TraceEvent &ev : rec.merged()) {
+    rec.visitMerged([&](const TraceEvent &ev) {
         endClock = std::max(endClock, ev.clock);
         endStep = std::max(endStep, ev.step);
-    }
+    });
     for (const Edge &e : novel)
         rec.record(e.tid, EventKind::CoverageNovel, e.clock, e.step,
                    e.key, uint64_t(e.kind));

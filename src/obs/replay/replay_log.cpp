@@ -365,7 +365,7 @@ saveReplayLog(const std::string &path, const ReplayLog &log,
 std::pair<uint64_t, uint64_t>
 accessDigestOf(const FlightRecorder &rec)
 {
-    // Order-sensitive FNV-1a over the shared-access stream.  merged()
+    // Order-sensitive FNV-1a over the shared-access stream.  The visit
     // is seq-ordered, so the digest pins both values and their global
     // interleaving.
     uint64_t h = 0xcbf29ce484222325ull;
@@ -376,16 +376,16 @@ accessDigestOf(const FlightRecorder &rec)
         }
     };
     uint64_t count = 0;
-    for (const TraceEvent &ev : rec.merged()) {
+    rec.visitMerged([&](const TraceEvent &ev) {
         if (ev.kind != EventKind::SharedLoad &&
             ev.kind != EventKind::SharedStore)
-            continue;
+            return;
         ++count;
         mix(ev.kind == EventKind::SharedStore ? 1 : 0);
         mix(ev.tid);
         mix(ev.a);
         mix(ev.b);
-    }
+    });
     return {count, count ? h : 0};
 }
 
@@ -437,21 +437,24 @@ buildReplayLog(const std::string &program,
 
     uint64_t prevStep = 0;
     bool first = true;
-    for (const TraceEvent &ev : rec.merged()) {
+    std::string corrupt; // the first out-of-order switch, if any
+    rec.visitMerged([&](const TraceEvent &ev) {
         if (ev.kind == EventKind::SchedSwitch) {
-            if (!first && ev.step <= prevStep) {
-                err = strfmt("corrupt recording: switch at step %llu "
-                             "after step %llu",
-                             (unsigned long long)ev.step,
-                             (unsigned long long)prevStep);
-                return false;
-            }
+            if (!first && ev.step <= prevStep && corrupt.empty())
+                corrupt = strfmt("corrupt recording: switch at step %llu "
+                                 "after step %llu",
+                                 (unsigned long long)ev.step,
+                                 (unsigned long long)prevStep);
             first = false;
             prevStep = ev.step;
             log.switches.push_back({ev.step, ev.tid});
         } else if (ev.kind == EventKind::LockAcquire) {
             log.locks.push_back({ev.step, ev.tid, ev.a});
         }
+    });
+    if (!corrupt.empty()) {
+        err = std::move(corrupt);
+        return false;
     }
     std::tie(log.accessCount, log.accessDigest) = accessDigestOf(rec);
 

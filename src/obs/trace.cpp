@@ -73,25 +73,20 @@ FlightRecorder::threadEvents(uint32_t tid) const
         return out;
     const Ring &r = rings_[tid];
     out.reserve(r.buf.size());
-    // Once full, r.next points at the oldest retained event.
     for (size_t i = 0; i < r.buf.size(); ++i)
-        out.push_back(r.buf[(r.next + i) % r.buf.size()]);
+        out.push_back(r.at(i));
     return out;
 }
 
 std::vector<TraceEvent>
 FlightRecorder::merged() const
 {
+    size_t n = 0;
+    for (const Ring &r : rings_)
+        n += r.buf.size();
     std::vector<TraceEvent> out;
-    for (uint32_t tid = 0; tid < rings_.size(); ++tid) {
-        std::vector<TraceEvent> evs = threadEvents(tid);
-        out.insert(out.end(), std::make_move_iterator(evs.begin()),
-                   std::make_move_iterator(evs.end()));
-    }
-    std::sort(out.begin(), out.end(),
-              [](const TraceEvent &x, const TraceEvent &y) {
-                  return x.seq < y.seq;
-              });
+    out.reserve(n);
+    visitMerged([&out](const TraceEvent &ev) { out.push_back(ev); });
     return out;
 }
 

@@ -192,6 +192,44 @@ class FlightRecorder
     /** All retained events of all threads, in record (seq) order. */
     std::vector<TraceEvent> merged() const;
 
+    /**
+     * Calls @p fn on each event merged() would return, in the same
+     * order, without copying any: a k-way merge on seq of the
+     * per-thread rings, each walked oldest-first as threadEvents()
+     * orders it.  Each step hands over the whole run of a ring that
+     * precedes every other ring's head, so a thread's quantum costs
+     * one scan of the heads, not one per event.
+     */
+    template <class Fn>
+    void
+    visitMerged(Fn &&fn) const
+    {
+        std::vector<size_t> pos(rings_.size(), 0); // per ring: visited
+        for (;;) {
+            size_t best = rings_.size();
+            uint64_t bestSeq = UINT64_MAX, bound = UINT64_MAX;
+            for (size_t k = 0; k < rings_.size(); ++k) {
+                if (pos[k] == rings_[k].buf.size())
+                    continue;
+                const uint64_t seq = rings_[k].at(pos[k]).seq;
+                if (seq < bestSeq) {
+                    bound = bestSeq;
+                    bestSeq = seq;
+                    best = k;
+                } else if (seq < bound) {
+                    bound = seq;
+                }
+            }
+            if (best == rings_.size())
+                return;
+            const Ring &r = rings_[best];
+            size_t &i = pos[best];
+            do
+                fn(r.at(i++));
+            while (i < r.buf.size() && r.at(i).seq < bound);
+        }
+    }
+
     /** Events ever recorded for @p tid (including overwritten ones). */
     uint64_t totalRecorded(uint32_t tid) const;
 
@@ -221,6 +259,15 @@ class FlightRecorder
         std::vector<TraceEvent> buf; ///< grows to cap_, then wraps
         size_t next = 0;             ///< overwrite position once full
         uint64_t total = 0;          ///< events ever recorded
+
+        /** The @p i-th oldest retained event (once full, next is the
+         *  oldest). */
+        const TraceEvent &
+        at(size_t i) const
+        {
+            const size_t j = next + i;
+            return buf[j < buf.size() ? j : j - buf.size()];
+        }
     };
 
     size_t cap_;

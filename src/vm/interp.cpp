@@ -888,10 +888,16 @@ Interp::pushFrame(Thread &t, const ir::Function *fn, const RtValue *args,
     f.fn = fn;
     f.wantsRet = wants_ret;
     f.retReg = ret_reg;
+    // A recycled register file (see freeRegFiles_), zero-filled to the
+    // callee's register count exactly like a fresh one.
+    if (!freeRegFiles_.empty()) {
+        f.regs = std::move(freeRegFiles_.back());
+        freeRegFiles_.pop_back();
+    }
     if (decoded_) {
         f.dfn = dfn ? dfn : decoded_->of(fn);
         f.map = nullptr;
-        f.regs.resize(f.dfn->regCount);
+        f.regs.assign(f.dfn->regCount, RtValue{});
         // RegMap numbers arguments first: argument i is register i.
         for (unsigned i = 0; i < nArgs; ++i)
             f.regs[i] = args[i];
@@ -903,7 +909,7 @@ Interp::pushFrame(Thread &t, const ir::Function *fn, const RtValue *args,
         f.dPrevBlock = kNoBlock;
     } else {
         f.map = &regMaps_.of(fn);
-        f.regs.resize(f.map->count());
+        f.regs.assign(f.map->count(), RtValue{});
         for (unsigned i = 0; i < nArgs; ++i)
             f.regs[f.map->indexOf(fn->arg(i))] = args[i];
         f.block = fn->entry();
@@ -913,8 +919,9 @@ Interp::pushFrame(Thread &t, const ir::Function *fn, const RtValue *args,
 }
 
 void
-Interp::releaseFrameSlots(Frame &f)
+Interp::dropFrame(Thread &t)
 {
+    Frame &f = t.frames.back();
     for (uint32_t id : f.allocaSlots) {
         stackSlots_.erase(id);
         // Slot ids are never reused, but a thread may hold a cached
@@ -924,14 +931,16 @@ Interp::releaseFrameSlots(Frame &f)
             if (th->mem.stack && th->mem.stackId == id)
                 th->mem.stack = nullptr;
     }
+    freeRegFiles_.push_back(std::move(f.regs));
+    t.frames.pop_back();
 }
 
 void
 Interp::popFrame(Thread &t, RtValue ret)
 {
-    Frame done = std::move(t.frames.back());
-    t.frames.pop_back();
-    releaseFrameSlots(done);
+    const bool wantsRet = t.frames.back().wantsRet;
+    const uint32_t retReg = t.frames.back().retReg;
+    dropFrame(t);
     if (t.frames.empty()) {
         t.state = ThreadState::Done;
         t.exitValue = ret.kind == ir::Type::I64 ? ret.i : 0;
@@ -947,9 +956,8 @@ Interp::popFrame(Thread &t, RtValue ret)
             finish(t.exitValue);
         return;
     }
-    Frame &caller = t.frames.back();
-    if (done.wantsRet)
-        caller.regs[done.retReg] = ret;
+    if (wantsRet)
+        t.frames.back().regs[retReg] = ret;
 }
 
 //
@@ -1000,8 +1008,9 @@ Interp::jumpTo(Thread &t, const ir::BasicBlock *target)
     f.block = target;
     f.pc = target->insts().begin();
 
-    // Evaluate the leading phis as one parallel copy.
-    std::vector<std::pair<const Instruction *, RtValue>> updates;
+    // Evaluate the leading phis as one parallel copy: every incoming
+    // value first (into phiScratch_, in phi order), then every write.
+    phiScratch_.clear();
     for (auto it = target->insts().begin(); it != target->insts().end();
          ++it) {
         const Instruction *inst = it->get();
@@ -1010,7 +1019,7 @@ Interp::jumpTo(Thread &t, const ir::BasicBlock *target)
         bool matched = false;
         for (unsigned i = 0; i < inst->numBlockOps(); ++i) {
             if (inst->incomingBlock(i) == f.prevBlock) {
-                updates.push_back({inst, getValue(f, inst->operand(i))});
+                phiScratch_.push_back(getValue(f, inst->operand(i)));
                 matched = true;
                 break;
             }
@@ -1026,8 +1035,9 @@ Interp::jumpTo(Thread &t, const ir::BasicBlock *target)
         ++result_.stats.steps;
         tallyStep(t, Opcode::Phi, Builtin::None);
     }
-    for (auto &[inst, v] : updates)
-        setReg(f, inst, v);
+    auto phi = target->insts().begin();
+    for (const RtValue &v : phiScratch_)
+        setReg(f, (phi++)->get(), v);
 }
 
 void
@@ -1211,8 +1221,8 @@ Interp::cellAtCached(Thread &t, Ptr p, const char *what)
                 return nullptr;
             }
             ++result_.stats.memCacheMisses;
-            // Destroyed slots invalidate caches eagerly
-            // (releaseFrameSlots), so a cached handle is always live.
+            // Destroyed slots invalidate caches eagerly (dropFrame),
+            // so a cached handle is always live.
             t.mem.stackId = p.block;
             t.mem.stack = &it->second;
             slot = &it->second;
@@ -2208,10 +2218,8 @@ void
 Interp::restoreCheckpoint(Thread &t)
 {
     // longjmp: unwind to the checkpoint's frame and restore registers.
-    while (t.frames.size() > t.ckpt.frameIndex + 1) {
-        releaseFrameSlots(t.frames.back());
-        t.frames.pop_back();
-    }
+    while (t.frames.size() > t.ckpt.frameIndex + 1)
+        dropFrame(t);
     Frame &target = t.frames.back();
     target.regs = t.ckpt.regs;
     target.block = t.ckpt.block;

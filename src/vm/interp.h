@@ -241,7 +241,9 @@ class Interp
                    uint32_t ret_reg,
                    const DecodedFunction *dfn = nullptr);
     void popFrame(Thread &t, RtValue ret);
-    void releaseFrameSlots(Frame &f);
+    /** Pops @p t's innermost frame: frees its stack slots and hands
+     *  its register file to freeRegFiles_. */
+    void dropFrame(Thread &t);
     void finishLoad(Frame &f, uint32_t dstReg, ir::Type type,
                     const RtValue &cell, const ir::Instruction *site);
 
@@ -464,6 +466,10 @@ class Interp
     uint64_t hangCheckCountdown_ = 1024;
     std::vector<uint32_t> runnableScratch_; ///< pickThread, reused
     std::vector<RtValue> phiScratch_;       ///< phi parallel copies
+    /** Register files of popped frames, reused by pushFrame so a call
+     *  allocates only when it needs more registers than any file
+     *  released before it. */
+    std::vector<std::vector<RtValue>> freeRegFiles_;
 
     // The one observability hook (alias of cfg_.recorder; nullptr =
     // disabled, the common case).  Recording is passive: no RNG draws,

@@ -1,5 +1,8 @@
 #include "vm/regmap.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "support/diag.h"
 
 namespace conair::vm {
@@ -9,25 +12,35 @@ RegMap::RegMap(const ir::Function &f)
     size_t values = f.numArgs();
     for (const auto &bb : f.blocks())
         values += bb->insts().size();
-    index_.reserve(values);
+    // At most half full, so every probe sequence ends at an empty slot.
+    const size_t cap = std::bit_ceil(std::max<size_t>(2 * values, 2));
+    slots_.resize(cap);
+    mask_ = cap - 1;
+    shift_ = 64 - unsigned(std::countr_zero(cap));
     // Arguments first — argument i IS register i, an invariant the
     // pre-decoded call path relies on to seed callee frames without
     // looking anything up (see Interp::pushFrame).
     for (unsigned i = 0; i < f.numArgs(); ++i)
-        index_[f.arg(i)] = count_++;
+        insert(f.arg(i));
     for (const auto &bb : f.blocks())
         for (const auto &inst : bb->insts())
             if (inst->producesValue())
-                index_[inst.get()] = count_++;
+                insert(inst.get());
 }
 
-uint32_t
-RegMap::indexOf(const ir::Value *v) const
+void
+RegMap::insert(const ir::Value *v)
 {
-    auto it = index_.find(v);
-    if (it == index_.end())
-        fatal("RegMap: value not numbered in this function");
-    return it->second;
+    size_t i = home(v);
+    while (slots_[i].key)
+        i = (i + 1) & mask_;
+    slots_[i] = {v, count_++};
+}
+
+void
+RegMap::unnumbered()
+{
+    fatal("RegMap: value not numbered in this function");
 }
 
 const RegMap &

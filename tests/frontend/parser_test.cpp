@@ -150,16 +150,23 @@ nestedBlocks(size_t n)
            " return 0; }\n";
 }
 
-/** Parses @p src expecting exactly one diagnostic: nesting too deep. */
+/** Parses @p src expecting exactly one diagnostic, at a line:col,
+ *  that contains @p what. */
 void
-expectTooDeep(const std::string &src)
+expectOneError(const std::string &src, const std::string &what)
 {
     DiagEngine d;
     EXPECT_FALSE(parseProgram(src, d));
     ASSERT_EQ(d.diags().size(), 1u) << d.str();
-    EXPECT_NE(d.str().find("nesting too deep"), std::string::npos)
-        << d.str();
+    EXPECT_NE(d.str().find(what), std::string::npos) << d.str();
     EXPECT_TRUE(d.diags()[0].loc.valid());
+}
+
+/** Parses @p src expecting exactly one diagnostic: nesting too deep. */
+void
+expectTooDeep(const std::string &src)
+{
+    expectOneError(src, "nesting too deep");
 }
 
 TEST(Parser, DeepNestingIsADiagnosticNotACrash)
@@ -190,6 +197,60 @@ TEST(Parser, NestingAtTheLimitStillCompiles)
     EXPECT_TRUE(fe::compileMiniC(nestedParens(kMaxNesting - 2), dp))
         << dp.str();
     expectTooDeep(nestedParens(kMaxNesting - 1));
+}
+
+/** main returning @p n copies of @p term joined by @p op, after
+ *  declaring `int x = 1;`. */
+std::string
+flatChain(size_t n, const std::string &op, const std::string &term)
+{
+    std::string src = "int main() { int x = 1; return " + term;
+    for (size_t i = 1; i < n; ++i)
+        src += op + term;
+    return src + "; }\n";
+}
+
+TEST(Parser, LongOperatorChainsAreADiagnosticNotACrash)
+{
+    // The parser builds a flat chain in a loop, so only the expression
+    // depth limit sees it; both overflowed the host stack in code
+    // generation (+) and condition lowering (&&) before it.
+    expectOneError(flatChain(100'000, "+", "1"), "expression too deep");
+    expectOneError(flatChain(100'000, " && ", "x"), "expression too deep");
+    // Subscripts chain the same way.
+    std::string subscripts = "int main() { int a[1]; return a";
+    for (int i = 0; i < 100'000; ++i)
+        subscripts += "[0]";
+    expectOneError(subscripts + "; }", "expression too deep");
+}
+
+TEST(Parser, ChainAtTheDepthLimitStillCompiles)
+{
+    // n terms make a tree n levels tall.
+    for (const char *op : {"+", " && "}) {
+        DiagEngine d;
+        EXPECT_TRUE(
+            fe::compileMiniC(flatChain(kMaxExprDepth, op, "x"), d))
+            << op << ": " << d.str();
+        expectOneError(flatChain(kMaxExprDepth + 1, op, "x"),
+                       "expression too deep");
+    }
+}
+
+TEST(Parser, RejectedArraySizeIsOneDiagnostic)
+{
+    const std::string limitMsg = "exceeds the 16777216-cell block limit";
+    expectOneError("int main() { int a[99999999999]; return 0; }",
+                   limitMsg);
+    expectOneError("int main() { int a[x]; return 0; }",
+                   "expected array size");
+    expectOneError("int g[99999999999]; int main() { return 0; }",
+                   limitMsg);
+    expectOneError("int g[x]; int main() { return 0; }",
+                   "expected array size");
+    // Without its ']', the size is skipped up to the ';'.
+    expectOneError("int main() { int a[x; return 0; }",
+                   "expected array size");
 }
 
 TEST(Parser, RejectsArraysLargerThanABlock)

@@ -1,9 +1,15 @@
 /**
  * @file
  * FlightRecorder unit tests: ring wraparound keeps the newest events,
- * per-kind totals survive overwrites, merged() respects record order,
- * and the exporters render deterministically.
+ * per-kind totals survive overwrites, merged() respects record order
+ * and the in-place visit yields exactly its sequence, and the
+ * exporters render deterministically.
  */
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "obs/trace.h"
@@ -70,6 +76,101 @@ TEST(FlightRecorder, MergedIsInRecordOrderAcrossThreads)
     EXPECT_EQ(evs[2].kind, EventKind::RecoveryDone);
     EXPECT_EQ(evs[0].seq, 0u);
     EXPECT_EQ(evs[2].seq, 2u);
+}
+
+/** What merged() returns, built independently of it: every thread's
+ *  ring oldest-first, concatenated and sorted on seq. */
+std::vector<TraceEvent>
+sortedThreadEvents(const FlightRecorder &rec)
+{
+    std::vector<TraceEvent> out;
+    for (uint32_t tid = 0; tid < rec.threadCount(); ++tid)
+        for (TraceEvent &ev : rec.threadEvents(tid))
+            out.push_back(std::move(ev));
+    std::sort(out.begin(), out.end(),
+              [](const TraceEvent &x, const TraceEvent &y) {
+                  return x.seq < y.seq;
+              });
+    return out;
+}
+
+/** The in-order visit yields exactly merged()'s sequence. */
+void
+expectVisitIsMerged(const FlightRecorder &rec)
+{
+    std::vector<TraceEvent> visited;
+    rec.visitMerged(
+        [&visited](const TraceEvent &ev) { visited.push_back(ev); });
+    const std::vector<TraceEvent> want = sortedThreadEvents(rec);
+    EXPECT_EQ(visited, want);
+    EXPECT_EQ(rec.merged(), want);
+}
+
+TEST(FlightRecorder, VisitMergedOnAnEmptyRecorder)
+{
+    FlightRecorder rec(4);
+    size_t calls = 0;
+    rec.visitMerged([&calls](const TraceEvent &) { ++calls; });
+    EXPECT_EQ(calls, 0u);
+    expectVisitIsMerged(rec);
+}
+
+TEST(FlightRecorder, VisitMergedOnOneWrappedThread)
+{
+    FlightRecorder rec(4);
+    for (uint64_t i = 0; i < 10; ++i)
+        rec.record(0, EventKind::Rollback, i, i, i);
+    expectVisitIsMerged(rec);
+    EXPECT_EQ(rec.merged().front().seq, 6u);
+}
+
+/** Records @p n events over @p tids in an uneven, bursty order: runs
+ *  of 1 to 4 events per thread, some tags longer than the small-string
+ *  buffer. */
+void
+recordInterleaved(FlightRecorder &rec, const std::vector<uint32_t> &tids,
+                  uint64_t n)
+{
+    uint64_t step = 0;
+    for (uint64_t i = 0; step < n; ++i) {
+        const uint32_t tid = tids[(i * 7 + i / 3) % tids.size()];
+        for (uint64_t k = 0; k <= i % 4 && step < n; ++k, ++step)
+            rec.record(tid, EventKind(step % kEventKindCount), step * 3,
+                       step, step ^ tid, tid,
+                       step % 2 ? "site.tag.longer.than.sso." +
+                                      std::to_string(step)
+                                : std::string());
+    }
+}
+
+TEST(FlightRecorder, VisitMergedAcrossRingsWrappedAtDifferentPoints)
+{
+    // A tiny ring: threads 0, 1, 3 and 4 each wrap at their own point;
+    // thread 2 records nothing and thread 5 only once.
+    FlightRecorder rec(3);
+    recordInterleaved(rec, {0, 1, 3, 4, 0, 3, 0}, 60);
+    // End round-robin, so the retained windows interleave.
+    for (uint64_t k = 0; k < 2; ++k)
+        for (uint32_t tid : {4u, 0u, 3u, 1u})
+            rec.record(tid, EventKind::LockAcquire, 990 + k, 60 + k, tid);
+    rec.record(5, EventKind::Checkpoint, 999, 62);
+    EXPECT_EQ(rec.threadEvents(2).size(), 0u);
+    std::set<uint64_t> drops;
+    for (uint32_t tid : {0u, 1u, 3u, 4u}) {
+        EXPECT_GT(rec.dropped(tid), 0u) << tid;
+        drops.insert(rec.dropped(tid));
+    }
+    EXPECT_GT(drops.size(), 1u);
+    expectVisitIsMerged(rec);
+}
+
+TEST(FlightRecorder, VisitMergedInGrowMode)
+{
+    FlightRecorder rec(2, RecorderMode::Grow);
+    recordInterleaved(rec, {2, 0, 1, 2}, 50);
+    EXPECT_EQ(rec.droppedAll(), 0u);
+    expectVisitIsMerged(rec);
+    EXPECT_EQ(rec.merged().size(), 50u);
 }
 
 TEST(FlightRecorder, ClearForgetsEventsAndTotals)
