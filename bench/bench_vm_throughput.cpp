@@ -1,8 +1,8 @@
 /**
  * @file
  * VM execution-engine throughput: the production Fused engine
- * (pre-decoded arrays, superinstruction burst, per-thread
- * memory-handle cache) versus the reference tree-walking interpreter.
+ * (pre-decoded arrays, superinstruction burst) versus the reference
+ * tree-walking interpreter.
  *
  * Unlike the table benches, this one measures *wall-clock* interpreter
  * speed, not virtual time: both engines execute the identical
@@ -67,8 +67,8 @@ int main() {
 )";
 }
 
-/** Loads/stores against a local array plus calls: exercises the
- *  memory-handle cache and the pre-decoded call path. */
+/** Loads/stores against a local array plus calls: every call creates
+ *  and drops a stack slot, and the pre-decoded call path runs. */
 std::string
 srcMemCalls(unsigned outer)
 {

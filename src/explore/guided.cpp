@@ -21,6 +21,9 @@ isFailing(const ScheduleOutcome &o)
     return o.ran && !o.unhardenedCorrect && !o.unhardenedInconclusive;
 }
 
+/** Base seed of the per-round mutation RNG streams. */
+constexpr uint64_t kMutationSeed = 1;
+
 bool
 takesPoints(SchedPolicy p)
 {
@@ -80,25 +83,9 @@ mutOpFromName(const std::string &name, MutOp &out)
 std::vector<uint64_t>
 derivePoints(const ScheduleSpec &s, uint64_t horizon)
 {
-    if (!s.points.empty()) {
-        std::vector<uint64_t> pts = s.points;
-        std::sort(pts.begin(), pts.end());
-        return pts;
-    }
-    if (!takesPoints(s.policy))
-        return {};
-    // Exact mirror of the Interp's sampling (src/vm/interp.cpp): the
-    // split point stream, PCT's depth-1 / PreemptBound's depth draws,
-    // 1 + range(horizon) each, then sorted.
-    Rng pointRng(s.seed ^ 0x8f14f4e7c3a2c9b1ull);
-    uint64_t n = s.policy == SchedPolicy::Pct
-                     ? (s.depth > 0 ? s.depth - 1 : 0)
-                     : s.depth;
-    horizon = std::max<uint64_t>(horizon, 1);
-    std::vector<uint64_t> pts;
-    pts.reserve(n);
-    for (uint64_t i = 0; i < n; ++i)
-        pts.push_back(1 + pointRng.range(horizon));
+    if (s.points.empty())
+        return vm::sampleSchedPoints(s.policy, s.seed, s.depth, horizon);
+    std::vector<uint64_t> pts = s.points;
     std::sort(pts.begin(), pts.end());
     return pts;
 }
@@ -489,9 +476,9 @@ runGuided(const Target &t, const CampaignOptions &opts,
     bool stop = g.budget == 0;
     while (!stop && r.schedules < g.budget) {
         ++round;
-        // Per-round stream: generation depends only on (mutationSeed,
-        // round, corpus state) — never on worker timing.
-        Rng rng(g.mutationSeed ^ (0x9e3779b97f4a7c15ull * round));
+        // Per-round stream: generation depends only on (round, corpus
+        // state) — never on worker timing.
+        Rng rng(kMutationSeed ^ (0x9e3779b97f4a7c15ull * round));
 
         uint64_t want = std::min<uint64_t>(batchSize,
                                            g.budget - r.schedules);
@@ -523,12 +510,19 @@ runGuided(const Target &t, const CampaignOptions &opts,
             }
             if (gen.fresh) {
                 // Fresh stream: base-policy seeds alternating with
-                // Random-policy probes (see GuidedOptions::
-                // randomProbes) — the parity of the fresh *counter*,
-                // not the slot, keeps the interleave deterministic
-                // across batch boundaries.
-                bool probe =
-                    g.randomProbes && (freshGenerated % 2 == 1);
+                // Random-policy probes.  Change points live on the
+                // scheduling-tick axis (shared stores + sync ops), so
+                // a point schedule can never preempt between two
+                // consecutive *loads*; atomicity violations in
+                // load-load windows (MySQL2's double read of in_use)
+                // are reachable only through the Random policy's
+                // instruction-granularity quanta.  Probe discoveries
+                // are not admitted to the corpus (no points to
+                // mutate), but their edges fold into the coverage set
+                // like any other run's.  The parity of the fresh
+                // *counter*, not the slot, keeps the interleave
+                // deterministic across batch boundaries.
+                bool probe = freshGenerated % 2 == 1;
                 ++freshGenerated;
                 if (probe) {
                     gen.spec.policy = SchedPolicy::Random;

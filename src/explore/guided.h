@@ -35,11 +35,11 @@
  * concentrates its nudge/near mutations around such entries and walks
  * the change points into the racy window.  An entry that contributed
  * more never-seen edges is selected for mutation more often.  All
- * selection draws come from a per-round RNG seeded by
- * (mutationSeed, round), and batches are generated *between* worker
- * phases from corpus state folded in batch order — so the whole
- * search, its corpus, and its seeds-to-first-failure are bit-identical
- * for any worker count (pinned by tests/explore/guided_test.cpp).
+ * selection draws come from a per-round RNG seeded by the round
+ * number, and batches are generated *between* worker phases from
+ * corpus state folded in batch order — so the whole search, its
+ * corpus, and its seeds-to-first-failure are bit-identical for any
+ * worker count (pinned by tests/explore/guided_test.cpp).
  *
  * Corpora serialise to a versioned on-disk line format
  * ("conair-corpus v1") with the same strictness contract as the
@@ -141,11 +141,10 @@ bool saveCorpus(const std::string &path, const Corpus &c,
 
 /**
  * Materialises the change points the scheduler would sample for
- * @p s at @p horizon — the exact mirror of the Interp's seed-derived
- * sampling (same split RNG stream, same draw order, sorted).  Specs
- * with explicit points are returned verbatim (sorted).  Running the
- * returned points as ScheduleSpec::points reproduces the original
- * schedule tick for tick.
+ * @p s at @p horizon (vm::sampleSchedPoints, which the Interp itself
+ * samples with).  Specs with explicit points are returned verbatim
+ * (sorted).  Running the returned points as ScheduleSpec::points
+ * reproduces the original schedule tick for tick.
  */
 std::vector<uint64_t> derivePoints(const ScheduleSpec &s,
                                    uint64_t horizon);
@@ -176,22 +175,8 @@ struct GuidedOptions
     /** Schedules generated per round (worker-phase granularity). */
     unsigned batch = 16;
 
-    /** Base seed of the per-round mutation RNG streams. */
-    uint64_t mutationSeed = 1;
-
     /** Nudge radius: a change point moves by 1..nudgeMax ticks. */
     uint64_t nudgeMax = 24;
-
-    /** Interleave Random-policy probe seeds into the fresh stream
-     *  (every second fresh schedule).  Change points live on the
-     *  scheduling-tick axis (shared stores + sync ops), so a point
-     *  schedule can never preempt between two consecutive *loads*;
-     *  atomicity violations in load-load windows (MySQL2's double
-     *  read of in_use) are reachable only through the Random policy's
-     *  instruction-granularity quanta.  Probe discoveries are not
-     *  admitted to the corpus (no points to mutate), but their edges
-     *  fold into the coverage set like any other run's. */
-    bool randomProbes = true;
 
     /** Stop at the first failing schedule (the seeds-to-first-failure
      *  measurement); false explores the whole budget. */

@@ -11,6 +11,10 @@ namespace {
 
 using SwitchList = std::vector<vm::ReplaySchedule::Switch>;
 
+/** Candidate evaluation, re-recording and the final strict
+ *  verification run on the production engine. */
+constexpr vm::ExecEngine kEngine = vm::ExecEngine::Fused;
+
 /** Headline diagnosis verdict of a diagnosis-mode trace ("" if the
  *  postmortem pass resolved nothing). */
 std::string
@@ -46,7 +50,7 @@ minimizeReplayLog(const ir::Module &m, const ReplayLog &log,
             ins.recorder = &rec;
             ins.recordSharedAccesses = true;
         }
-        vm::RunResult r = replayTolerant(m, log, cand, opts.engine,
+        vm::RunResult r = replayTolerant(m, log, cand, kEngine,
                                          ins.recorder ? &ins : nullptr);
         if (vm::outcomeName(r.outcome) != log.outcome ||
             r.failureTag != log.failureTag)
@@ -122,7 +126,7 @@ minimizeReplayLog(const ir::Module &m, const ReplayLog &log,
     ReplayInstruments ins;
     ins.recorder = &rec;
     ins.recordSharedAccesses = diagMode;
-    vm::RunResult run = replayTolerant(m, log, cur, opts.engine, &ins);
+    vm::RunResult run = replayTolerant(m, log, cur, kEngine, &ins);
     if (vm::outcomeName(run.outcome) != log.outcome ||
         run.failureTag != log.failureTag) {
         res.err = "re-recording run lost the failure (got " +
@@ -132,14 +136,14 @@ minimizeReplayLog(const ir::Module &m, const ReplayLog &log,
 
     vm::VmConfig cfg;
     log.applyTo(cfg);
-    cfg.engine = opts.engine;
+    cfg.engine = kEngine;
     if (!buildReplayLog(log.program, log.scheduleToken, cfg, rec, run,
                         res.minimized, res.err))
         return res;
 
     // The output carries the standard faithfulness contract: one
     // strict replay must match its fingerprint before we hand it out.
-    ReplayRun verify = replayLog(m, res.minimized, opts.engine);
+    ReplayRun verify = replayLog(m, res.minimized, kEngine);
     if (!verify.faithful) {
         res.err =
             "minimised log failed strict verification: " +

@@ -32,10 +32,6 @@ namespace conair::obs::replay {
 /** Knobs for minimizeReplayLog(). */
 struct MinimizeOptions
 {
-    /** Engine used for candidate evaluation, re-recording, and the
-     *  final strict verification. */
-    vm::ExecEngine engine = vm::ExecEngine::Fused;
-
     /** Additionally require the postmortem diagnosis verdict
      *  (obs::pm::RecoveryReport::primary) to survive minimisation.
      *  Costs a diagnosis-mode replay per candidate. */

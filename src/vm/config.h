@@ -36,6 +36,31 @@ const char *schedPolicyName(SchedPolicy p);
 bool schedPolicyFromName(const std::string &name, SchedPolicy &out);
 
 /**
+ * The change points a Pct / PreemptBound run samples from its seed
+ * (VmConfig::schedPoints empty): PCT depth @p depth gives depth - 1
+ * points, PreemptBound @p depth points, each drawn in [1, horizon]
+ * from a stream split off @p seed; sorted.  Empty for the other
+ * policies.  The guided explorer materialises a seed's points with it.
+ */
+std::vector<uint64_t> sampleSchedPoints(SchedPolicy policy, uint64_t seed,
+                                        uint64_t depth, uint64_t horizon);
+
+/**
+ * Bytes one run may hold for its guest: globals, every heap block
+ * (freed blocks keep their cells), and every live frame with its
+ * register file and stack slots; each block, slot and frame counts
+ * its record as well as its cells, so even empty ones add up.
+ * Crossing it ends the run with Outcome::Trap, identically on every
+ * engine, instead of exhausting the host.  Campaigns run one VM per
+ * worker, and an unbounded recursion that reaches the limit costs the
+ * host about 1.5x the budget (3x under AddressSanitizer).  A 100,000-
+ * deep recursion of a small function needs about 25 MB; one
+ * ir::kMaxBlockCells block (about 640 MiB) traps when it is
+ * allocated.
+ */
+inline constexpr uint64_t kGuestMemoryBytes = uint64_t(64) << 20;
+
+/**
  * Which execution engine interprets the program.  Both are
  * deterministic and produce tick-for-tick identical runs (enforced by
  * tests/vm/decode_diff_test.cpp and the cross-engine differential

@@ -6,12 +6,8 @@ namespace conair::vm {
 
 using ir::Opcode;
 
-namespace {
-
-/** Mirror of the interpreter's chaos-window predicate: would executing
- *  this instruction end the current idempotent window? */
 bool
-instDirtiesWindow(const ir::Instruction &inst)
+dirtiesWindow(const ir::Instruction &inst)
 {
     switch (inst.opcode()) {
       case Opcode::Store:
@@ -31,18 +27,17 @@ instDirtiesWindow(const ir::Instruction &inst)
     }
 }
 
+namespace {
+
 /** Builds the per-function flat arrays. */
 class FunctionDecoder
 {
   public:
     FunctionDecoder(DecodedFunction &out, const RegMap &map,
-                    const std::vector<DelayRule> &delayRules,
-                    const std::unordered_map<uint64_t, uint32_t> &ruleIndex,
                     const std::unordered_map<const ir::Function *,
                                              std::unique_ptr<DecodedFunction>>
                         &byFn)
-        : out_(out), map_(map), delayRules_(delayRules),
-          ruleIndex_(ruleIndex), byFn_(byFn)
+        : out_(out), map_(map), byFn_(byFn)
     {}
 
     void
@@ -149,7 +144,7 @@ class FunctionDecoder
         di.builtin = inst.builtin();
         di.type = inst.type();
         di.src = &inst;
-        di.dirties = instDirtiesWindow(inst);
+        di.dirties = dirtiesWindow(inst);
         di.imm = inst.opcode() == Opcode::Alloca
                      ? inst.allocaSize()
                      : int64_t(inst.hintId());
@@ -177,13 +172,6 @@ class FunctionDecoder
             if (it == byFn_.end())
                 fatal("decode: call to a function outside the module");
             di.calleeDfn = it->second.get();
-        }
-        if (inst.opcode() == Opcode::SchedHint) {
-            auto it = ruleIndex_.find(inst.hintId());
-            if (it != ruleIndex_.end()) {
-                di.delay = &delayRules_[it->second];
-                di.delayIndex = it->second;
-            }
         }
         return di;
     }
@@ -240,8 +228,6 @@ class FunctionDecoder
 
     DecodedFunction &out_;
     const RegMap &map_;
-    const std::vector<DelayRule> &delayRules_;
-    const std::unordered_map<uint64_t, uint32_t> &ruleIndex_;
     const std::unordered_map<const ir::Function *,
                              std::unique_ptr<DecodedFunction>> &byFn_;
     std::unordered_map<const ir::BasicBlock *, uint32_t> blockIndex_;
@@ -249,10 +235,7 @@ class FunctionDecoder
 
 } // namespace
 
-DecodedModule::DecodedModule(
-    const ir::Module &m, RegMapCache &maps,
-    const std::vector<DelayRule> &delayRules,
-    const std::unordered_map<uint64_t, uint32_t> &ruleIndex)
+DecodedModule::DecodedModule(const ir::Module &m, RegMapCache &maps)
 {
     // Create every shell first so call records can link cross-function
     // (including recursion and forward references).
@@ -260,8 +243,7 @@ DecodedModule::DecodedModule(
         byFn_.emplace(fn.get(), std::make_unique<DecodedFunction>());
     for (const auto &fn : m.functions()) {
         DecodedFunction &dfn = *byFn_.at(fn.get());
-        FunctionDecoder dec(dfn, maps.of(fn.get()), delayRules, ruleIndex,
-                            byFn_);
+        FunctionDecoder dec(dfn, maps.of(fn.get()), byFn_);
         dec.run(*fn);
         fuseFunction(dfn);
         totalInsts_ += dfn.insts.size();

@@ -13,8 +13,8 @@
  *  - branch targets become block indices into a flat array;
  *  - leading phis become per-predecessor parallel-copy lists evaluated
  *    on block entry (no per-step phi scanning);
- *  - call / builtin metadata (callee's decoded body, register count,
- *    scheduler delay rules) is resolved once.
+ *  - call / builtin metadata (callee's decoded body, register count)
+ *    is resolved once.
  *
  * The step loop then indexes arrays instead of chasing pointers and
  * hashing.  docs/VM_ENGINE.md documents the pipeline and the hot-path
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "ir/module.h"
-#include "vm/config.h"
 #include "vm/fuse.h"
 #include "vm/regmap.h"
 #include "vm/value.h"
@@ -49,6 +48,11 @@ inline constexpr OpRef kConstRef = 0x8000'0000u;
 inline constexpr OpRef kRawRef = 0xFFFF'FFFFu;
 inline constexpr uint32_t kNoBlock = 0xFFFF'FFFFu;
 
+/** Would executing @p inst end the current idempotent window?  The
+ *  VM's image of ca::destroysIdempotency, which chaos injection obeys
+ *  (decode bakes it into DecodedInst::dirties). */
+bool dirtiesWindow(const ir::Instruction &inst);
+
 /** One pre-decoded instruction: fixed layout, no pointer chasing. */
 struct DecodedInst
 {
@@ -56,8 +60,8 @@ struct DecodedInst
     ir::Builtin builtin = ir::Builtin::None;
     ir::Type type = ir::Type::Void; ///< result type (loads, casts, ...)
     bool hasDst = false;
-    /** Executing this ends the thread's idempotent window (the decode-
-     *  time image of the interpreter-local dirtiesWindow predicate). */
+    /** Executing this ends the thread's idempotent window
+     *  (dirtiesWindow, evaluated at decode time). */
     bool dirties = false;
     uint16_t nOps = 0;
     uint32_t dst = 0;       ///< dense register slot when hasDst
@@ -68,8 +72,6 @@ struct DecodedInst
     int64_t imm = 0;        ///< alloca size / hint id
     const ir::Function *callee = nullptr;      ///< user call target
     const DecodedFunction *calleeDfn = nullptr; ///< its decoded body
-    const DelayRule *delay = nullptr; ///< SchedHint: configured rule
-    uint32_t delayIndex = 0;          ///< its fire-count slot
     const ir::Instruction *src = nullptr; ///< tags, diagnostics, strings
 };
 
@@ -114,18 +116,12 @@ struct DecodedFunction
     FusedFunction fused;
 };
 
-/**
- * All of a module's functions decoded and fused once, up front.  Delay
- * rules are baked into SchedHint records so the hot path never
- * consults a map; @p delayRules must outlive the DecodedModule (the
- * Interp owns both).
- */
+/** All of a module's functions decoded and fused once, up front; a
+ *  function of the module alone. */
 class DecodedModule
 {
   public:
-    DecodedModule(const ir::Module &m, RegMapCache &maps,
-                  const std::vector<DelayRule> &delayRules,
-                  const std::unordered_map<uint64_t, uint32_t> &ruleIndex);
+    DecodedModule(const ir::Module &m, RegMapCache &maps);
 
     /** The decoded body of @p fn (never null for module functions). */
     const DecodedFunction *of(const ir::Function *fn) const;

@@ -17,8 +17,6 @@ using ir::Opcode;
 
 namespace {
 
-bool dirtiesWindow(const Instruction &inst);
-
 /** Resolves a pre-decoded operand reference: dense register slot or
  *  constant-pool entry (decode.h).  kRawRef operands have no runtime
  *  value; reaching one here is the same misuse the tree-walking
@@ -65,6 +63,25 @@ schedPolicyFromName(const std::string &name, SchedPolicy &out)
     return true;
 }
 
+std::vector<uint64_t>
+sampleSchedPoints(SchedPolicy policy, uint64_t seed, uint64_t depth,
+                  uint64_t horizon)
+{
+    if (policy != SchedPolicy::Pct && policy != SchedPolicy::PreemptBound)
+        return {};
+    // A dedicated split stream, so the points are a pure function of
+    // (seed, depth, horizon).
+    Rng pointRng(seed ^ 0x8f14f4e7c3a2c9b1ull);
+    uint64_t n = policy == SchedPolicy::Pct ? (depth > 0 ? depth - 1 : 0)
+                                            : depth;
+    horizon = std::max<uint64_t>(horizon, 1);
+    std::vector<uint64_t> points;
+    for (uint64_t i = 0; i < n; ++i)
+        points.push_back(1 + pointRng.range(horizon));
+    std::sort(points.begin(), points.end());
+    return points;
+}
+
 const char *
 outcomeName(Outcome o)
 {
@@ -101,27 +118,21 @@ Interp::Interp(const ir::Module &m, VmConfig cfg)
     if (cfg_.replay) {
         if (!cfg_.replay->switches.empty())
             replayNextSwitchAt_ = cfg_.replay->switches[0].step;
-    } else
-    // Exploration policies: sample the priority-change / forced-
-    // preemption points up front from a dedicated split stream, so the
-    // schedule is a pure function of (seed, depth/bound, horizon).
-    if (cfg_.policy == SchedPolicy::Pct ||
-        cfg_.policy == SchedPolicy::PreemptBound) {
-        if (!cfg_.schedPoints.empty()) {
-            // Explicit override (coverage-guided exploration): the
-            // caller pins the points; priorities and decision streams
-            // still come from the seed, so (seed, points) is a full
-            // schedule identity.
-            schedPoints_ = cfg_.schedPoints;
-        } else {
-            Rng pointRng(cfg_.seed ^ 0x8f14f4e7c3a2c9b1ull);
-            uint64_t n = cfg_.policy == SchedPolicy::Pct
-                             ? (cfg_.pctDepth > 0 ? cfg_.pctDepth - 1 : 0)
-                             : cfg_.preemptBound;
-            uint64_t horizon = std::max<uint64_t>(cfg_.pctHorizon, 1);
-            for (uint64_t i = 0; i < n; ++i)
-                schedPoints_.push_back(1 + pointRng.range(horizon));
-        }
+    } else if (cfg_.policy == SchedPolicy::Pct ||
+               cfg_.policy == SchedPolicy::PreemptBound) {
+        // Exploration policies: the priority-change / forced-preemption
+        // points are sampled up front from the seed, unless the caller
+        // pins them (coverage-guided exploration; priorities and
+        // decision streams still come from the seed, so (seed, points)
+        // is a full schedule identity).
+        schedPoints_ =
+            cfg_.schedPoints.empty()
+                ? sampleSchedPoints(cfg_.policy, cfg_.seed,
+                                    cfg_.policy == SchedPolicy::Pct
+                                        ? cfg_.pctDepth
+                                        : cfg_.preemptBound,
+                                    cfg_.pctHorizon)
+                : cfg_.schedPoints;
         std::sort(schedPoints_.begin(), schedPoints_.end());
         if (!schedPoints_.empty())
             nextSchedPointAt_ = schedPoints_[0];
@@ -142,7 +153,14 @@ Interp::Interp(const ir::Module &m, VmConfig cfg)
     }
     hintFires_.assign(delayRules_.size(), 0);
 
-    // Materialise globals.
+    // Materialise globals, unless together they exceed the guest
+    // memory budget: then the run traps before main() and allocates
+    // nothing.
+    uint64_t globalBytes = 0;
+    for (const auto &g : m.globals())
+        globalBytes += g->size() * sizeof(RtValue);
+    if (!chargeGuest(globalBytes, nullptr))
+        return;
     for (const auto &g : m.globals()) {
         std::vector<RtValue> cells(g->size());
         if (g->elemType() == ir::Type::Ptr) {
@@ -166,11 +184,8 @@ Interp::Interp(const ir::Module &m, VmConfig cfg)
         globals_.push_back(std::move(cells));
     }
 
-    // delayRules_ must be complete before decoding: SchedHint records
-    // bake pointers into it.
     if (cfg_.engine == ExecEngine::Fused)
-        decoded_ = std::make_unique<DecodedModule>(m, regMaps_, delayRules_,
-                                                   delayIndexByHint_);
+        decoded_ = std::make_unique<DecodedModule>(m, regMaps_);
 }
 
 Interp::~Interp() = default;
@@ -185,6 +200,8 @@ Interp::run()
     result_.stats.decodedInsts = decoded_ ? decoded_->totalInsts() : 0;
     result_.stats.fusedInsts = decoded_ ? decoded_->totalFusedInsts() : 0;
     result_.stats.hintRulesTracked = hintFires_.size();
+    if (!running_)
+        return result_; // the globals exceeded the guest memory budget
 
     const ir::Function *main_fn = module_.findFunction("main");
     if (!main_fn) {
@@ -400,23 +417,24 @@ cmpCompute(uint8_t sub, const RtValue &a, const RtValue &b)
 RtValue *
 Interp::fusedCellFast(Thread &t, Ptr p)
 {
-    // Mirrors cellAtCached's hit paths without counter upkeep (the
-    // memCache counters are engine-internal and excluded from the
-    // differential comparison).  Misses and faults return nullptr so
-    // the caller delegates — population, diagnostics, and failure
-    // reporting stay on the generic path.
+    // findCell's common hits, inline.  Everything else (a slot of an
+    // outer frame or another thread, and every fault) returns nullptr
+    // so the caller delegates: diagnostics and failure reporting stay
+    // on the generic path.
     switch (p.seg) {
       case Ptr::Seg::Stack:
-        if (t.mem.stack && t.mem.stackId == p.block &&
-            uint64_t(p.offset) < t.mem.stack->size())
-            return &(*t.mem.stack)[p.offset];
+        for (StackSlot &s : t.frames.back().slots)
+            if (s.id == p.block)
+                return uint64_t(p.offset) < s.cells.size()
+                           ? &s.cells[p.offset]
+                           : nullptr;
         return nullptr;
-      case Ptr::Seg::Heap:
-        if (t.mem.heap && t.mem.heapId == p.block &&
-            !t.mem.heap->freed &&
-            uint64_t(p.offset) < t.mem.heap->cells.size())
-            return &t.mem.heap->cells[p.offset];
+      case Ptr::Seg::Heap: {
+        HeapBlock *b = heapBlock(p.block);
+        if (b && !b->freed && uint64_t(p.offset) < b->cells.size())
+            return &b->cells[p.offset];
         return nullptr;
+      }
       case Ptr::Seg::Global:
         if (p.block < globals_.size() &&
             uint64_t(p.offset) < globals_[p.block].size())
@@ -888,16 +906,22 @@ Interp::pushFrame(Thread &t, const ir::Function *fn, const RtValue *args,
     f.fn = fn;
     f.wantsRet = wants_ret;
     f.retReg = ret_reg;
+    f.firstSlotId = nextSlotId_;
+    if (decoded_)
+        f.dfn = dfn ? dfn : decoded_->of(fn);
+    else
+        f.map = &regMaps_.of(fn);
+    const size_t nRegs = decoded_ ? f.dfn->regCount : f.map->count();
+    if (!chargeGuest(sizeof(Frame) + nRegs * sizeof(RtValue), nullptr))
+        return;
     // A recycled register file (see freeRegFiles_), zero-filled to the
     // callee's register count exactly like a fresh one.
     if (!freeRegFiles_.empty()) {
         f.regs = std::move(freeRegFiles_.back());
         freeRegFiles_.pop_back();
     }
+    f.regs.assign(nRegs, RtValue{});
     if (decoded_) {
-        f.dfn = dfn ? dfn : decoded_->of(fn);
-        f.map = nullptr;
-        f.regs.assign(f.dfn->regCount, RtValue{});
         // RegMap numbers arguments first: argument i is register i.
         for (unsigned i = 0; i < nArgs; ++i)
             f.regs[i] = args[i];
@@ -908,8 +932,6 @@ Interp::pushFrame(Thread &t, const ir::Function *fn, const RtValue *args,
         f.dPc = f.dfn->blocks.empty() ? 0 : f.dfn->blocks[0].phiBegin;
         f.dPrevBlock = kNoBlock;
     } else {
-        f.map = &regMaps_.of(fn);
-        f.regs.assign(f.map->count(), RtValue{});
         for (unsigned i = 0; i < nArgs; ++i)
             f.regs[f.map->indexOf(fn->arg(i))] = args[i];
         f.block = fn->entry();
@@ -922,15 +944,10 @@ void
 Interp::dropFrame(Thread &t)
 {
     Frame &f = t.frames.back();
-    for (uint32_t id : f.allocaSlots) {
-        stackSlots_.erase(id);
-        // Slot ids are never reused, but a thread may hold a cached
-        // handle to the slot being destroyed; drop it so a later
-        // dangling-pointer access misses the cache and faults.
-        for (auto &th : threads_)
-            if (th->mem.stack && th->mem.stackId == id)
-                th->mem.stack = nullptr;
-    }
+    uint64_t bytes = sizeof(Frame) + f.regs.size() * sizeof(RtValue);
+    for (const StackSlot &s : f.slots)
+        bytes += sizeof(StackSlot) + s.cells.size() * sizeof(RtValue);
+    guestBytes_ -= bytes;
     freeRegFiles_.push_back(std::move(f.regs));
     t.frames.pop_back();
 }
@@ -1092,152 +1109,105 @@ Interp::jumpToDecoded(Thread &t, uint32_t target)
 // Memory.
 //
 
-bool
-Interp::pointerValid(Ptr p) const
-{
-    switch (p.seg) {
-      case Ptr::Seg::Null:
-        return false;
-      case Ptr::Seg::Global:
-        return p.block < globals_.size() && p.offset >= 0 &&
-               p.offset < int64_t(globals_[p.block].size());
-      case Ptr::Seg::Heap: {
-        auto it = heap_.find(p.block);
-        return it != heap_.end() && !it->second.freed && p.offset >= 0 &&
-               p.offset < int64_t(it->second.cells.size());
-      }
-      case Ptr::Seg::Stack: {
-        auto it = stackSlots_.find(p.block);
-        return it != stackSlots_.end() && p.offset >= 0 &&
-               p.offset < int64_t(it->second.size());
-      }
-    }
-    return false;
-}
-
 RtValue *
-Interp::cellAt(Ptr p, const char *what)
+Interp::findCell(Thread &t, Ptr p, const char *&fault)
 {
     switch (p.seg) {
       case Ptr::Seg::Null:
-        fail(Outcome::Segfault,
-             strfmt("%s through null pointer", what), nullptr);
+        fault = "through null pointer";
         return nullptr;
-      case Ptr::Seg::Global: {
+      case Ptr::Seg::Global:
         if (p.block >= globals_.size() || p.offset < 0 ||
             p.offset >= int64_t(globals_[p.block].size())) {
-            fail(Outcome::Segfault,
-                 strfmt("%s out of global bounds", what), nullptr);
+            fault = "out of global bounds";
             return nullptr;
         }
         return &globals_[p.block][p.offset];
-      }
       case Ptr::Seg::Heap: {
-        auto it = heap_.find(p.block);
-        if (it == heap_.end()) {
-            fail(Outcome::Segfault, strfmt("%s of unknown heap block",
-                                           what),
-                 nullptr);
+        HeapBlock *b = heapBlock(p.block);
+        if (!b) {
+            fault = "of unknown heap block";
             return nullptr;
         }
-        if (it->second.freed) {
-            fail(Outcome::Segfault, strfmt("%s after free", what),
-                 nullptr);
+        if (b->freed) {
+            fault = "after free";
             return nullptr;
         }
-        if (p.offset < 0 || p.offset >= int64_t(it->second.cells.size())) {
-            fail(Outcome::Segfault,
-                 strfmt("%s out of heap block bounds", what), nullptr);
+        if (p.offset < 0 || p.offset >= int64_t(b->cells.size())) {
+            fault = "out of heap block bounds";
             return nullptr;
         }
-        return &it->second.cells[p.offset];
+        return &b->cells[p.offset];
       }
       case Ptr::Seg::Stack: {
-        auto it = stackSlots_.find(p.block);
-        if (it == stackSlots_.end()) {
-            fail(Outcome::Segfault,
-                 strfmt("%s through dangling stack pointer", what),
-                 nullptr);
+        // Live slot ids are unique, so the search order only decides
+        // how soon the slot is found.  In a thread, the slot can only
+        // belong to the last frame pushed at or below its id.
+        auto search = [&](Thread &th) -> std::vector<RtValue> * {
+            auto f = std::upper_bound(
+                th.frames.begin(), th.frames.end(), p.block,
+                [](uint32_t id, const Frame &fr) {
+                    return id < fr.firstSlotId;
+                });
+            if (f != th.frames.begin())
+                for (StackSlot &s : std::prev(f)->slots)
+                    if (s.id == p.block)
+                        return &s.cells;
+            return nullptr;
+        };
+        std::vector<RtValue> *cells = search(t);
+        for (size_t i = 0; !cells && i < threads_.size(); ++i)
+            if (threads_[i].get() != &t)
+                cells = search(*threads_[i]);
+        if (!cells) {
+            fault = "through dangling stack pointer";
             return nullptr;
         }
-        if (p.offset < 0 || p.offset >= int64_t(it->second.size())) {
-            fail(Outcome::Segfault,
-                 strfmt("%s out of stack slot bounds", what), nullptr);
+        if (p.offset < 0 || p.offset >= int64_t(cells->size())) {
+            fault = "out of stack slot bounds";
             return nullptr;
         }
-        return &it->second[p.offset];
+        return &(*cells)[p.offset];
       }
     }
+    fault = "through an invalid pointer";
     return nullptr;
 }
 
 RtValue *
-Interp::cellAtCached(Thread &t, Ptr p, const char *what)
+Interp::cellAt(Thread &t, Ptr p, const char *what)
 {
-    switch (p.seg) {
-      case Ptr::Seg::Heap: {
-        HeapBlock *hb;
-        if (t.mem.heap && t.mem.heapId == p.block) {
-            ++result_.stats.memCacheHits;
-            hb = t.mem.heap;
-        } else {
-            auto it = heap_.find(p.block);
-            if (it == heap_.end()) {
-                fail(Outcome::Segfault,
-                     strfmt("%s of unknown heap block", what), nullptr);
-                return nullptr;
-            }
-            ++result_.stats.memCacheMisses;
-            // Safe to cache: heap ids are never reused and node
-            // addresses are stable; freed blocks keep their node (the
-            // freed flag is re-checked on every hit).
-            t.mem.heapId = p.block;
-            t.mem.heap = &it->second;
-            hb = &it->second;
-        }
-        if (hb->freed) {
-            fail(Outcome::Segfault, strfmt("%s after free", what),
-                 nullptr);
-            return nullptr;
-        }
-        if (p.offset < 0 || p.offset >= int64_t(hb->cells.size())) {
-            fail(Outcome::Segfault,
-                 strfmt("%s out of heap block bounds", what), nullptr);
-            return nullptr;
-        }
-        return &hb->cells[p.offset];
-      }
-      case Ptr::Seg::Stack: {
-        std::vector<RtValue> *slot;
-        if (t.mem.stack && t.mem.stackId == p.block) {
-            ++result_.stats.memCacheHits;
-            slot = t.mem.stack;
-        } else {
-            auto it = stackSlots_.find(p.block);
-            if (it == stackSlots_.end()) {
-                fail(Outcome::Segfault,
-                     strfmt("%s through dangling stack pointer", what),
-                     nullptr);
-                return nullptr;
-            }
-            ++result_.stats.memCacheMisses;
-            // Destroyed slots invalidate caches eagerly (dropFrame),
-            // so a cached handle is always live.
-            t.mem.stackId = p.block;
-            t.mem.stack = &it->second;
-            slot = &it->second;
-        }
-        if (p.offset < 0 || p.offset >= int64_t(slot->size())) {
-            fail(Outcome::Segfault,
-                 strfmt("%s out of stack slot bounds", what), nullptr);
-            return nullptr;
-        }
-        return &(*slot)[p.offset];
-      }
-      default:
-        // Null faults; globals are already a direct array index.
-        return cellAt(p, what);
+    const char *fault = nullptr;
+    RtValue *cell = findCell(t, p, fault);
+    if (!cell)
+        fail(Outcome::Segfault, strfmt("%s %s", what, fault), nullptr);
+    return cell;
+}
+
+bool
+Interp::chargeGuest(uint64_t bytes, const Instruction *site)
+{
+    if (guestBytes_ + bytes > kGuestMemoryBytes) {
+        fail(Outcome::Trap,
+             strfmt("guest memory exceeds the %llu-byte budget",
+                    (unsigned long long)kGuestMemoryBytes),
+             site);
+        return false;
     }
+    guestBytes_ += bytes;
+    return true;
+}
+
+Ptr
+Interp::allocaSlot(Thread &t, int64_t cells, const Instruction *site)
+{
+    if (!chargeGuest(sizeof(StackSlot) + uint64_t(cells) * sizeof(RtValue),
+                     site))
+        return Ptr{};
+    const uint32_t id = nextSlotId_++;
+    t.frames.back().slots.push_back(
+        {id, std::vector<RtValue>(size_t(cells))});
+    return Ptr{Ptr::Seg::Stack, id, 0};
 }
 
 void
@@ -1323,7 +1293,7 @@ Interp::doLoad(Thread &t, const Instruction &inst)
 {
     Frame &f = t.frames.back();
     RtValue addr = getValue(f, inst.operand(0));
-    RtValue *cell = cellAt(addr.p, "load");
+    RtValue *cell = cellAt(t, addr.p, "load");
     if (!cell) {
         result_.failureTag = inst.tag();
         return;
@@ -1339,7 +1309,7 @@ Interp::doStore(Thread &t, const Instruction &inst)
     Frame &f = t.frames.back();
     RtValue v = getValue(f, inst.operand(0));
     RtValue addr = getValue(f, inst.operand(1));
-    RtValue *cell = cellAt(addr.p, "store");
+    RtValue *cell = cellAt(t, addr.p, "store");
     if (!cell) {
         result_.failureTag = inst.tag();
         return;
@@ -1357,7 +1327,7 @@ Interp::doLoadDecoded(Thread &t, const DecodedInst &di)
 {
     Frame &f = t.frames.back();
     const RtValue &addr = refVal(f.regs, f.dfn->consts, di.a);
-    RtValue *cell = cellAtCached(t, addr.p, "load");
+    RtValue *cell = cellAt(t, addr.p, "load");
     if (!cell) {
         result_.failureTag = di.src->tag();
         return;
@@ -1373,7 +1343,7 @@ Interp::doStoreDecoded(Thread &t, const DecodedInst &di)
     Frame &f = t.frames.back();
     RtValue v = refVal(f.regs, f.dfn->consts, di.a);
     const RtValue &addr = refVal(f.regs, f.dfn->consts, di.b);
-    RtValue *cell = cellAtCached(t, addr.p, "store");
+    RtValue *cell = cellAt(t, addr.p, "store");
     if (!cell) {
         result_.failureTag = di.src->tag();
         return;
@@ -1510,13 +1480,10 @@ Interp::execInst(Thread &t, const Instruction &inst)
     auto val = [&](unsigned i) { return getValue(f, inst.operand(i)); };
 
     switch (inst.opcode()) {
-      case Opcode::Alloca: {
-        uint32_t id = nextSlotId_++;
-        stackSlots_[id] = std::vector<RtValue>(inst.allocaSize());
-        f.allocaSlots.push_back(id);
-        setReg(f, &inst, RtValue::ofPtr(Ptr{Ptr::Seg::Stack, id, 0}));
+      case Opcode::Alloca:
+        setReg(f, &inst,
+               RtValue::ofPtr(allocaSlot(t, inst.allocaSize(), &inst)));
         break;
-      }
       case Opcode::Load:
         doLoad(t, inst);
         break;
@@ -1677,22 +1644,9 @@ Interp::execInst(Thread &t, const Instruction &inst)
       case Opcode::Unreachable:
         fail(Outcome::Trap, "unreachable executed", &inst);
         break;
-      case Opcode::SchedHint: {
-        auto it = delayIndexByHint_.find(inst.hintId());
-        if (it != delayIndexByHint_.end()) {
-            const DelayRule &r = delayRules_[it->second];
-            if (r.delayTicks > 0) {
-                uint64_t &fired = hintFires_[it->second];
-                if (r.maxFires == 0 || fired < r.maxFires) {
-                    ++fired;
-                    t.state = ThreadState::Sleeping;
-                    t.wakeAt = clock_ + r.delayTicks;
-                    forceSwitch_ = true;
-                }
-            }
-        }
+      case Opcode::SchedHint:
+        schedHint(t, inst.hintId());
         break;
-      }
       case Opcode::Call:
         execCall(t, inst);
         break;
@@ -1753,13 +1707,9 @@ Interp::execDecoded(Thread &t, const DecodedInst &di)
     };
 
     switch (di.op) {
-      case Opcode::Alloca: {
-        uint32_t id = nextSlotId_++;
-        stackSlots_[id] = std::vector<RtValue>(size_t(di.imm));
-        f.allocaSlots.push_back(id);
-        f.regs[di.dst] = RtValue::ofPtr(Ptr{Ptr::Seg::Stack, id, 0});
+      case Opcode::Alloca:
+        f.regs[di.dst] = RtValue::ofPtr(allocaSlot(t, di.imm, di.src));
         break;
-      }
       case Opcode::Load:
         doLoadDecoded(t, di);
         break;
@@ -1910,15 +1860,7 @@ Interp::execDecoded(Thread &t, const DecodedInst &di)
         fail(Outcome::Trap, "unreachable executed", di.src);
         break;
       case Opcode::SchedHint:
-        if (di.delay && di.delay->delayTicks > 0) {
-            uint64_t &fired = hintFires_[di.delayIndex];
-            if (di.delay->maxFires == 0 || fired < di.delay->maxFires) {
-                ++fired;
-                t.state = ThreadState::Sleeping;
-                t.wakeAt = clock_ + di.delay->delayTicks;
-                forceSwitch_ = true;
-            }
-        }
+        schedHint(t, uint64_t(di.imm));
         break;
       case Opcode::Call:
         execCallDecoded(t, di);
@@ -2042,11 +1984,13 @@ Interp::execBuiltin(Thread &t, const Instruction &inst,
                  &inst);
             break;
         }
-        uint32_t id = nextHeapId_++;
-        heap_[id] = HeapBlock{std::vector<RtValue>(n), false};
+        if (!chargeGuest(sizeof(HeapBlock) + uint64_t(n) * sizeof(RtValue),
+                         &inst))
+            break;
+        heap_.push_back(HeapBlock{std::vector<RtValue>(n), false});
         t.pendingNote = true;
-        t.frames.back().regs[dstReg] =
-            RtValue::ofPtr(Ptr{Ptr::Seg::Heap, id, 0});
+        t.frames.back().regs[dstReg] = RtValue::ofPtr(
+            Ptr{Ptr::Seg::Heap, uint32_t(heap_.size()), 0});
         break;
       }
       case Builtin::Free: {
@@ -2058,12 +2002,12 @@ Interp::execBuiltin(Thread &t, const Instruction &inst,
                  &inst);
             break;
         }
-        auto it = heap_.find(p.block);
-        if (it == heap_.end() || it->second.freed) {
+        HeapBlock *b = heapBlock(p.block);
+        if (!b || b->freed) {
             fail(Outcome::Trap, "double or invalid free", &inst);
             break;
         }
-        it->second.freed = true;
+        b->freed = true;
         break;
       }
       case Builtin::PrintI64:
@@ -2132,14 +2076,10 @@ Interp::doCheckpoint(Thread &t, const Instruction &inst)
         // frame's stack slots are part of the image, and copying them
         // costs time proportional to their size (unlike the plain
         // register-image setjmp).
+        t.ckpt.locals = f.slots;
         uint64_t cells = 0;
-        for (uint32_t id : f.allocaSlots) {
-            auto it = stackSlots_.find(id);
-            if (it == stackSlots_.end())
-                continue;
-            t.ckpt.locals.push_back({id, it->second});
-            cells += it->second.size();
-        }
+        for (const StackSlot &s : f.slots)
+            cells += s.cells.size();
         uint64_t cost = cells / 4;
         clock_ += cost;
         result_.stats.steps += cost;
@@ -2157,43 +2097,15 @@ Interp::doCheckpoint(Thread &t, const Instruction &inst)
                      result_.stats.schedTicks);
 }
 
-namespace {
-
-/** Would executing @p inst end the current idempotent window?  The
- *  mirror of ca::destroysIdempotency, used by chaos injection (the
- *  fused engine bakes this into DecodedInst::dirties). */
-bool
-dirtiesWindow(const Instruction &inst)
-{
-    switch (inst.opcode()) {
-      case Opcode::Store:
-        return true;
-      case Opcode::Call: {
-        if (inst.callee())
-            return true;
-        Builtin b = inst.builtin();
-        if (ir::builtinIsConAir(b))
-            return false;
-        // The §4.1 allowlist: compensation makes these re-executable.
-        return b != Builtin::Malloc && b != Builtin::MutexLock &&
-               b != Builtin::MutexTimedLock;
-      }
-      default:
-        return false;
-    }
-}
-
-} // namespace
-
 void
 Interp::runCompensation(Thread &t)
 {
     for (const CompensationEntry &e : t.allocLog) {
         if (e.epoch != t.epoch)
             continue;
-        auto it = heap_.find(e.key.block);
-        if (it != heap_.end() && !it->second.freed) {
-            it->second.freed = true;
+        HeapBlock *b = heapBlock(e.key.block);
+        if (b && !b->freed) {
+            b->freed = true;
             ++result_.stats.compensationFrees;
             if (rec_)
                 rec_->record(t.id, obs::EventKind::CompensationFree,
@@ -2228,13 +2140,28 @@ Interp::restoreCheckpoint(Thread &t)
     target.dBlock = t.ckpt.dBlock;
     target.dPc = t.ckpt.dPc;
     target.dPrevBlock = t.ckpt.dPrevBlock;
-    for (const auto &[id, cells] : t.ckpt.locals) {
-        auto it = stackSlots_.find(id);
-        if (it != stackSlots_.end())
-            it->second = cells;
-    }
+    for (const StackSlot &saved : t.ckpt.locals)
+        for (StackSlot &s : target.slots)
+            if (s.id == saved.id)
+                s.cells = saved.cells;
     t.cleanSinceCkpt = true; // back at the region start
     t.pendingNote = false;
+}
+
+void
+Interp::schedHint(Thread &t, uint64_t hintId)
+{
+    auto it = delayIndexByHint_.find(hintId);
+    if (it == delayIndexByHint_.end())
+        return;
+    const DelayRule &r = delayRules_[it->second];
+    uint64_t &fired = hintFires_[it->second];
+    if (r.delayTicks == 0 || (r.maxFires != 0 && fired >= r.maxFires))
+        return;
+    ++fired;
+    t.state = ThreadState::Sleeping;
+    t.wakeAt = clock_ + r.delayTicks;
+    forceSwitch_ = true;
 }
 
 void
@@ -2374,10 +2301,12 @@ Interp::execConAir(Thread &t, const Instruction &inst,
             {CellKey{p.seg, p.block, p.offset}, t.epoch});
         break;
       }
-      case Builtin::CaPtrCheck:
+      case Builtin::CaPtrCheck: {
+        const char *fault = nullptr;
         t.frames.back().regs[dstReg] =
-            RtValue::ofBool(pointerValid(vals[0].p));
+            RtValue::ofBool(findCell(t, vals[0].p, fault) != nullptr);
         break;
+      }
       case Builtin::CaRecovered: {
         // Zero-cost measurement hook: refund the step accounting.
         --clock_;
@@ -2731,13 +2660,14 @@ Interp::wpStateCells() const
     size_t cells = 0;
     for (const auto &g : globals_)
         cells += g.size();
-    for (const auto &[id, block] : heap_)
-        cells += block.cells.size();
-    for (const auto &[id, slot] : stackSlots_)
-        cells += slot.size();
+    for (const HeapBlock &b : heap_)
+        cells += b.cells.size();
     for (const auto &t : threads_)
-        for (const Frame &f : t->frames)
+        for (const Frame &f : t->frames) {
             cells += f.regs.size();
+            for (const StackSlot &s : f.slots)
+                cells += s.cells.size();
+        }
     return cells;
 }
 
@@ -2747,12 +2677,11 @@ Interp::wpTakeSnapshot()
     auto snap = std::make_unique<WpSnapshot>();
     snap->globals = globals_;
     snap->heap = heap_;
-    snap->stackSlots = stackSlots_;
     snap->mutexes = mutexes_;
     for (const auto &t : threads_)
         snap->threads.push_back(*t);
-    snap->nextHeapId = nextHeapId_;
     snap->nextSlotId = nextSlotId_;
+    snap->guestBytes = guestBytes_;
     snap->currentTid = currentTid_;
     snap->quantumLeft = quantumLeft_;
     snap->outputLen = result_.output.size();
@@ -2784,19 +2713,12 @@ Interp::wpRestore()
     const WpSnapshot &snap = *wpSnapshots_.back();
     globals_ = snap.globals;
     heap_ = snap.heap;
-    stackSlots_ = snap.stackSlots;
     mutexes_ = snap.mutexes;
     threads_.clear();
     for (const Thread &t : snap.threads)
         threads_.push_back(std::make_unique<Thread>(t));
-    // The restore rewound nextSlotId_/nextHeapId_, so block ids CAN be
-    // reused from here on and replaced the maps wholesale: every cached
-    // memory handle is invalid.  This is the only place that needs a
-    // wholesale cache flush.
-    for (auto &t : threads_)
-        t->mem = MemCache{};
-    nextHeapId_ = snap.nextHeapId;
     nextSlotId_ = snap.nextSlotId;
+    guestBytes_ = snap.guestBytes;
     currentTid_ = snap.currentTid;
     quantumLeft_ = snap.quantumLeft;
     // Output produced after the snapshot is rolled back too (the
@@ -2877,11 +2799,12 @@ Interp::computeMemDigest() const
 {
     // FNV-1a-style fold over the final memory image in a
     // representation-independent order: globals by index, then heap
-    // blocks and stack slots by ascending id (ids are allocation-order
-    // deterministic, so identical executions visit identical sequences
-    // regardless of unordered_map layout).  Cells hash their kind plus
-    // the kind-appropriate payload only, so an i64 cell with a stale
-    // union-mate never diverges between engines.
+    // blocks and the live stack slots by ascending id (ids are
+    // allocation-order deterministic, so identical executions visit
+    // identical sequences whichever threads' frames hold the slots).
+    // Cells hash their kind plus the kind-appropriate payload only, so
+    // an i64 cell with a stale union-mate never diverges between
+    // engines.
     auto mix = [](uint64_t h, uint64_t v) {
         h ^= v;
         h *= 0x100000001b3ull;
@@ -2910,28 +2833,27 @@ Interp::computeMemDigest() const
         for (const RtValue &v : g)
             h = cell(h, v);
     }
-    std::vector<uint32_t> ids;
-    ids.reserve(heap_.size());
-    for (const auto &[id, blk] : heap_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    for (uint32_t id : ids) {
-        const HeapBlock &b = heap_.at(id);
-        h = mix(h, id);
+    for (size_t i = 0; i < heap_.size(); ++i) {
+        const HeapBlock &b = heap_[i];
+        h = mix(h, i + 1); // the block's id
         h = mix(h, b.freed ? 1 : 0);
         h = mix(h, b.cells.size());
         for (const RtValue &v : b.cells)
             h = cell(h, v);
     }
-    ids.clear();
-    for (const auto &[id, cells] : stackSlots_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    for (uint32_t id : ids) {
-        const std::vector<RtValue> &cells = stackSlots_.at(id);
-        h = mix(h, id);
-        h = mix(h, cells.size());
-        for (const RtValue &v : cells)
+    std::vector<const StackSlot *> slots;
+    for (const auto &t : threads_)
+        for (const Frame &f : t->frames)
+            for (const StackSlot &s : f.slots)
+                slots.push_back(&s);
+    std::sort(slots.begin(), slots.end(),
+              [](const StackSlot *a, const StackSlot *b) {
+                  return a->id < b->id;
+              });
+    for (const StackSlot *s : slots) {
+        h = mix(h, s->id);
+        h = mix(h, s->cells.size());
+        for (const RtValue &v : s->cells)
             h = cell(h, v);
     }
     return h;

@@ -16,9 +16,8 @@
  * scheduling, the ConAir runtime) and differ only in how a single
  * instruction is fetched and its operands resolved:
  *  - ExecEngine::Fused (default) runs the pre-decoded flat arrays built
- *    at construction (see decode.h) with a per-thread last-block
- *    memory-handle cache, and bursts a single runnable thread through
- *    superinstruction records (see fuse.h);
+ *    at construction (see decode.h) and bursts a single runnable
+ *    thread through superinstruction records (see fuse.h);
  *  - ExecEngine::Reference walks the IR tree exactly like the original
  *    interpreter (hash per operand, pointer chasing per branch).
  * Both engines are deterministic and tick-for-tick identical; the
@@ -54,10 +53,19 @@ class Interp
     RunResult run();
 
   private:
+    /** One alloca's storage.  Ids count up from 1 and stay unique
+     *  among live slots (a whole-program restore rewinds the counter
+     *  along with the slots). */
+    struct StackSlot
+    {
+        uint32_t id;
+        std::vector<RtValue> cells;
+    };
+
     struct Frame
     {
         const ir::Function *fn;
-        const RegMap *map; ///< reference engine only
+        const RegMap *map = nullptr; ///< reference engine only
         std::vector<RtValue> regs;
         // Reference engine position (IR tree walk).
         const ir::BasicBlock *block = nullptr;
@@ -68,7 +76,13 @@ class Interp
         uint32_t dBlock = 0;
         uint32_t dPc = 0;
         uint32_t dPrevBlock = kNoBlock;
-        std::vector<uint32_t> allocaSlots;
+        /** nextSlotId_ when the frame was pushed.  A frame allocates
+         *  only while it is innermost, so its slots' ids run from here
+         *  up to the next frame's firstSlotId. */
+        uint32_t firstSlotId = 0;
+        /** The frame's stack slots in allocation order; they die with
+         *  the frame. */
+        std::vector<StackSlot> slots;
         uint32_t retReg = 0; ///< caller register receiving the result
         bool wantsRet = false;
     };
@@ -95,8 +109,8 @@ class Interp
         uint64_t schedTicksAt = 0;
 
         /** Fig 4 "local writes" design point: saved copies of the
-         *  frame's alloca storage (empty for plain checkpoints). */
-        std::vector<std::pair<uint32_t, std::vector<RtValue>>> locals;
+         *  frame's stack slots (empty for plain checkpoints). */
+        std::vector<StackSlot> locals;
     };
 
     struct CompensationEntry
@@ -128,21 +142,6 @@ class Interp
         bool freed = false;
     };
 
-    /**
-     * Per-thread last-block memory-handle cache: repeated loads/stores
-     * to the same heap/stack block skip the unordered_map find().
-     * Valid because heap/stack ids are never reused and map nodes are
-     * address-stable; the only wholesale map replacement (wpRestore)
-     * clears every cache.  See docs/VM_ENGINE.md.
-     */
-    struct MemCache
-    {
-        uint32_t heapId = 0;
-        HeapBlock *heap = nullptr;
-        uint32_t stackId = 0;
-        std::vector<RtValue> *stack = nullptr;
-    };
-
     struct Thread
     {
         uint32_t id;
@@ -157,8 +156,6 @@ class Interp
         uint32_t joinTarget = 0;
         int64_t exitValue = 0;
         const ir::Instruction *blockedAt = nullptr; ///< lock site
-
-        MemCache mem;
 
         /**
          * Per-thread decision RNG, split off the run seed by thread id
@@ -241,8 +238,9 @@ class Interp
                    uint32_t ret_reg,
                    const DecodedFunction *dfn = nullptr);
     void popFrame(Thread &t, RtValue ret);
-    /** Pops @p t's innermost frame: frees its stack slots and hands
-     *  its register file to freeRegFiles_. */
+    /** Pops @p t's innermost frame: frees its stack slots, hands its
+     *  register file to freeRegFiles_ and gives its bytes back to the
+     *  guest memory budget. */
     void dropFrame(Thread &t);
     void finishLoad(Frame &f, uint32_t dstReg, ir::Type type,
                     const RtValue &cell, const ir::Instruction *site);
@@ -251,10 +249,28 @@ class Interp
     // Memory.
     //
 
-    RtValue *cellAt(Ptr p, const char *what);
-    /** cellAt with the per-thread block-handle cache (fused engine). */
-    RtValue *cellAtCached(Thread &t, Ptr p, const char *what);
-    bool pointerValid(Ptr p) const;
+    /** Heap block @p id (ids count up from 1 and are never reused;
+     *  freed blocks keep their entry), or nullptr if none has it. */
+    HeapBlock *
+    heapBlock(uint32_t id)
+    {
+        return id >= 1 && id <= heap_.size() ? &heap_[id - 1] : nullptr;
+    }
+    /** The one resolver behind every access by @p t through @p p: the
+     *  cell, or nullptr with @p fault naming why ("after free", ...).
+     *  A stack slot is looked up in @p t's frames first, then in the
+     *  other threads'; in each thread, by Frame::firstSlotId, only one
+     *  frame can hold it. */
+    RtValue *findCell(Thread &t, Ptr p, const char *&fault);
+    /** findCell, failing the run with a Segfault on a miss. */
+    RtValue *cellAt(Thread &t, Ptr p, const char *what);
+    /** The Alloca instruction of both engines: a @p cells-cell slot in
+     *  @p t's innermost frame.  Null (and a trapped run) past the
+     *  guest memory budget. */
+    Ptr allocaSlot(Thread &t, int64_t cells, const ir::Instruction *site);
+    /** Charges @p bytes to the guest memory budget, or traps at
+     *  @p site and charges nothing when they do not fit. */
+    bool chargeGuest(uint64_t bytes, const ir::Instruction *site);
     void doStore(Thread &t, const ir::Instruction &inst);
     void doLoad(Thread &t, const ir::Instruction &inst);
 
@@ -278,6 +294,9 @@ class Interp
     void runCompensation(Thread &t);
     void restoreCheckpoint(Thread &t);
     void maybeChaosRollback(Thread &t);
+    /** SchedHint @p hintId executed by @p t: a configured delay rule
+     *  with fires left puts @p t to sleep. */
+    void schedHint(Thread &t, uint64_t hintId);
 
     /** The chaos tail of every retired instruction (stepThread and the
      *  fused Solo handler): @p dirties closes the idempotent window,
@@ -360,10 +379,10 @@ class Interp
         SharedDone, ///< completed non-stack store; schedTicks advanced
         Slow,       ///< not eligible: take the delegated path
     };
-    /** Cache-hit cell resolution for the fused burst: returns the cell
-     *  only when the per-thread handle cache (or the globals array)
-     *  proves the access in bounds and live; nullptr means "delegate"
-     *  (miss or fault), never a diagnosed failure. */
+    /** The fused burst's inline hit path: the cell of a global, a live
+     *  heap block, or a slot of @p t's innermost frame, in bounds;
+     *  nullptr means "delegate" to findCell (anything else, or a
+     *  fault), never a diagnosed failure. */
     RtValue *fusedCellFast(Thread &t, Ptr p);
     FastMem fusedTryLoad(Thread &t, const DecodedInst &di, RtValue *regs,
                          const RtValue *consts);
@@ -378,12 +397,11 @@ class Interp
     struct WpSnapshot
     {
         std::vector<std::vector<RtValue>> globals;
-        std::unordered_map<uint32_t, HeapBlock> heap;
-        std::unordered_map<uint32_t, std::vector<RtValue>> stackSlots;
+        std::vector<HeapBlock> heap;
         std::unordered_map<CellKey, MutexState, CellKeyHash> mutexes;
         std::vector<Thread> threads;
-        uint32_t nextHeapId;
         uint32_t nextSlotId;
+        uint64_t guestBytes;
         uint32_t currentTid;
         uint64_t quantumLeft;
         size_t outputLen;
@@ -434,8 +452,8 @@ class Interp
     size_t replayNext_ = 0;
     uint64_t replayNextSwitchAt_ = UINT64_MAX;
 
-    /** Configured delay rules, densely indexed; the hot path and the
-     *  fire counters use the index, never a map (a SchedHint without a
+    /** Configured delay rules, densely indexed by delayIndexByHint_;
+     *  the fire counters use the same index (a SchedHint without a
      *  rule allocates nothing). */
     std::vector<DelayRule> delayRules_;
     std::unordered_map<uint64_t, uint32_t> delayIndexByHint_;
@@ -446,12 +464,14 @@ class Interp
      *  the reference engine, which walks the IR tree). */
     std::unique_ptr<DecodedModule> decoded_;
 
-    // Memory.
+    // Memory.  Stack slots live in their frames (Frame::slots).
     std::vector<std::vector<RtValue>> globals_;
-    std::unordered_map<uint32_t, HeapBlock> heap_;
-    std::unordered_map<uint32_t, std::vector<RtValue>> stackSlots_;
-    uint32_t nextHeapId_ = 1;
+    std::vector<HeapBlock> heap_; ///< block id i at heap_[i - 1]
     uint32_t nextSlotId_ = 1;
+    /** Bytes held for the guest, against kGuestMemoryBytes: globals,
+     *  every heap block (freed ones keep their cells), and every live
+     *  frame's record, register file and stack slots. */
+    uint64_t guestBytes_ = 0;
     std::unordered_map<CellKey, MutexState, CellKeyHash> mutexes_;
 
     // Threads.

@@ -125,12 +125,15 @@ struct RunStats
      *  the regression test pins that down with this trace. */
     std::vector<ChaosRollbackSite> chaosSites;
 
-    /// @{ Execution-engine counters (decode layer + hot-path caches).
+    /// @{ Execution-engine counters (decode layer + burst).
     /// Engine-internal: excluded from the cross-engine differential
     /// comparison, which checks semantic state only.
     uint64_t decodedInsts = 0;   ///< instruction records decoded up front
     uint64_t fastPathSteps = 0;  ///< steps retired in single-runnable bursts
-    uint64_t memCacheHits = 0;   ///< loads/stores served by the handle cache
+    /** The memory-handle cache's hits and misses.  The cache is gone
+     *  and nothing counts these; they stay (always 0) because
+     *  perfbench/bench.cpp still reads them. */
+    uint64_t memCacheHits = 0;
     uint64_t memCacheMisses = 0;
     uint64_t hintRulesTracked = 0; ///< fire-count slots (== configured rules)
     uint64_t fusedInsts = 0;     ///< superinstructions formed at decode time

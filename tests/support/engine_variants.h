@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "vm/config.h"
+#include "vm/interp.h"
 #include "vm/stats.h"
 
 namespace conair::testutil {
@@ -39,7 +40,7 @@ inline constexpr EngineVariant kEngineVariants[] = {
 };
 
 /** Equality over everything semantic a run reports.  Engine-internal
- *  counters (decodedInsts, fastPathSteps, fusedSteps, memCache*,
+ *  counters (decodedInsts, fastPathSteps, fusedSteps,
  *  hintRulesTracked) are deliberately excluded: they describe *how*
  *  the engine ran, not what the program did. */
 inline void
@@ -76,6 +77,24 @@ expectSameRun(const vm::RunResult &a, const vm::RunResult &b,
         EXPECT_EQ(s.recoveries[i], t.recoveries[i])
             << ctx << " recovery " << i << " (" << s.recoveries[i].siteTag
             << ")";
+}
+
+/** Runs @p m on every variant, expects each run to equal the first
+ *  (expectSameRun) and returns the first: the production engine's. */
+inline vm::RunResult
+runEveryVariant(const ir::Module &m, const vm::VmConfig &base = {})
+{
+    vm::RunResult first;
+    for (const EngineVariant &v : kEngineVariants) {
+        vm::VmConfig cfg = base;
+        v.applyTo(cfg);
+        vm::RunResult r = vm::runProgram(m, cfg);
+        if (&v == &kEngineVariants[0])
+            first = r;
+        else
+            expectSameRun(first, r, v.name);
+    }
+    return first;
 }
 
 } // namespace conair::testutil

@@ -2,8 +2,8 @@
  * @file
  * Differential testing of the two execution engines.
  *
- * The production engine (ExecEngine::Fused: pre-decoded arrays, the
- * memory-handle cache, and the superinstruction burst) must be
+ * The production engine (ExecEngine::Fused: pre-decoded arrays and
+ * the superinstruction burst with its inline memory hit path) must be
  * *tick-for-tick* identical to the reference tree-walking engine: same
  * outcome, output, failure diagnostics, virtual clock, step counts,
  * final-memory digest, and recovery events for every program and
@@ -134,8 +134,8 @@ TEST(DecodeDiff, AppRegistryAgreesHardenedAndUnhardened)
 TEST(DecodeDiff, WholeProgramCheckpointModeAgrees)
 {
     // The wp baseline exercises snapshot/restore, which rewinds the
-    // block-id counters — the one case that must flush every
-    // memory-handle cache.  Run a failing app under it on both engines.
+    // heap, the threads' frames with their stack slots, and the slot-id
+    // counter.  Run a failing app under it on both engines.
     const apps::AppSpec *app = apps::findApp("MySQL1");
     ASSERT_NE(app, nullptr);
     apps::HardenOptions plain_opts;
