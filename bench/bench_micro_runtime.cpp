@@ -95,31 +95,6 @@ done:
 }
 BENCHMARK(BM_RollbackRoundTrip);
 
-/** Raw interpreter dispatch throughput. */
-void
-BM_VmDispatchThroughput(benchmark::State &state)
-{
-    DiagEngine d;
-    auto m = fe::compileMiniC(R"(
-int main() {
-    int acc = 0;
-    for (int i = 0; i < 20000; i++) {
-        acc = (acc * 13 + i) % 65536;
-    }
-    return acc;
-}
-)",
-                              d);
-    uint64_t steps = 0;
-    for (auto _ : state) {
-        vm::RunResult r = vm::runProgram(*m);
-        steps += r.stats.steps;
-        benchmark::DoNotOptimize(r.exitCode);
-    }
-    state.SetItemsProcessed(steps);
-}
-BENCHMARK(BM_VmDispatchThroughput);
-
 /** MiniC compilation (lex/parse/typecheck/lower/mem2reg). */
 void
 BM_CompileMysqlKernel(benchmark::State &state)

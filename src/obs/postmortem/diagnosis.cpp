@@ -62,6 +62,15 @@ RecoveryReport::primary() const
     return episodes.empty() ? nullptr : &episodes.front();
 }
 
+std::string
+bitsStr(uint64_t bits)
+{
+    int64_t s = int64_t(bits);
+    if (s > -(int64_t(1) << 48) && s < (int64_t(1) << 48))
+        return strfmt("%lld", (long long)s);
+    return strfmt("0x%llx", (unsigned long long)bits);
+}
+
 namespace {
 
 /** The failure class a site tag encodes ("assert.fn.line", ...). */
@@ -138,15 +147,6 @@ switchesBetween(const std::vector<uint64_t> &switchSeqs, uint64_t lo,
     auto b = std::upper_bound(switchSeqs.begin(), switchSeqs.end(), lo);
     auto e = std::lower_bound(switchSeqs.begin(), switchSeqs.end(), hi);
     return e > b ? uint64_t(e - b) : 0;
-}
-
-std::string
-bitsStr(uint64_t bits)
-{
-    int64_t s = int64_t(bits);
-    if (s > -(int64_t(1) << 48) && s < (int64_t(1) << 48))
-        return strfmt("%lld", (long long)s);
-    return strfmt("0x%llx", (unsigned long long)bits);
 }
 
 /** Human name of a packed cell address against @p m's global table. */

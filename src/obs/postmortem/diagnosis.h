@@ -130,6 +130,10 @@ RecoveryReport diagnose(const FlightRecorder &rec, const ir::Module &m,
                         const std::string &program,
                         const std::string &schedule = {});
 
+/** A recorded value's payload bits as the report and the verdict
+ *  messages print them: signed decimal within 48 bits, hex beyond. */
+std::string bitsStr(uint64_t bits);
+
 /** Human-readable report with an ASCII two-thread interleaving diagram
  *  per diagnosed episode. */
 std::string renderText(const RecoveryReport &r);

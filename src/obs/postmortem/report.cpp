@@ -15,15 +15,6 @@ namespace conair::obs::pm {
 
 namespace {
 
-std::string
-bitsStr(uint64_t bits)
-{
-    int64_t s = int64_t(bits);
-    if (s > -(int64_t(1) << 48) && s < (int64_t(1) << 48))
-        return strfmt("%lld", (long long)s);
-    return strfmt("0x%llx", (unsigned long long)bits);
-}
-
 /** One row of the two-column interleaving diagram. */
 struct DiagramRow
 {

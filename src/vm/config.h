@@ -47,15 +47,17 @@ std::vector<uint64_t> sampleSchedPoints(SchedPolicy policy, uint64_t seed,
 
 /**
  * Bytes one run may hold for its guest: globals, every heap block
- * (freed blocks keep their cells), and every live frame with its
- * register file and stack slots; each block, slot and frame counts
- * its record as well as its cells, so even empty ones add up.
- * Crossing it ends the run with Outcome::Trap, identically on every
- * engine, instead of exhausting the host.  Campaigns run one VM per
- * worker, and an unbounded recursion that reaches the limit costs the
- * host about 1.5x the budget (3x under AddressSanitizer).  A 100,000-
- * deep recursion of a small function needs about 25 MB; one
- * ir::kMaxBlockCells block (about 640 MiB) traps when it is
+ * (freed blocks keep their cells), every thread's record (finished
+ * threads keep theirs, since join and thread ids index it), and every
+ * live frame with its register file and stack slots; each block, slot
+ * and frame counts its record as well as its cells, so even empty ones
+ * add up.  Crossing it ends the run with Outcome::Trap, identically on
+ * every engine, instead of exhausting the host.  Campaigns run one VM
+ * per worker, and an unbounded recursion or spawn loop that reaches
+ * the limit costs the host about 1.5x the budget (3x under
+ * AddressSanitizer).  A 100,000-deep recursion of a small function
+ * needs about 25 MB, a spawn loop traps after about 158,000 threads,
+ * and one ir::kMaxBlockCells block (about 640 MiB) traps when it is
  * allocated.
  */
 inline constexpr uint64_t kGuestMemoryBytes = uint64_t(64) << 20;

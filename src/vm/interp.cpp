@@ -208,7 +208,9 @@ Interp::run()
         fail(Outcome::Trap, "no main() function", nullptr);
         return result_;
     }
-    Thread *t0 = newThread();
+    Thread *t0 = newThread(nullptr);
+    if (!t0)
+        return result_; // no room left for the main thread's record
     pushFrame(*t0, main_fn, nullptr, 0, false, 0);
     quantumLeft_ = newQuantum();
 
@@ -251,21 +253,18 @@ Interp::run()
         }
         if (--hangCheckCountdown_ == 0) {
             hangCheckCountdown_ = 1024;
-            for (const auto &th : threads_) {
-                if (th->state == ThreadState::BlockedLock &&
-                    !th->lockHasDeadline &&
-                    clock_ - th->blockStart > cfg_.hangTimeout) {
+            for (uint32_t id : live_) {
+                const Thread &th = *threads_[id];
+                if (th.state == ThreadState::BlockedLock &&
+                    !th.lockHasDeadline &&
+                    clock_ - th.blockStart > cfg_.hangTimeout) {
                     failHang("thread blocked on a lock past the hang "
                              "timeout");
                     break; // inner loop; restore handled at loop top
                 }
             }
         }
-        if (cfg_.schedFastPath && running_ && !wpPendingRestore_ &&
-            !forceSwitch_ && !schedEvent_ && quantumLeft_ > 0 &&
-            t->state == ThreadState::Runnable && !chaosArmed(*t) &&
-            result_.stats.schedTicks < nextSchedPointAt_ &&
-            result_.stats.steps < replayNextSwitchAt_) {
+        if (cfg_.schedFastPath && burstable(*t)) {
             if (decoded_)
                 runBurstFused(*t);
             else
@@ -322,32 +321,11 @@ Interp::stepThread(Thread &t)
 void
 Interp::runBurst(Thread &t)
 {
-    // While the current thread keeps its claim on the CPU, the
-    // scheduler's per-step work is all provably no-op:
-    //  - pickThread would take the early-continue (runnable, quantum
-    //    left, no forced switch) and consume no RNG;
-    //  - wakeDue is a no-op while clock_ < the earliest wake deadline,
-    //    and nothing the bursting thread does can create an *earlier*
-    //    deadline without also setting forceSwitch_ (sleep, back-off,
-    //    timed block all park the thread itself);
-    //  - snapshots, the step budget, and the hang-scan cadence are
-    //    step-counted and bounded below;
-    //  - chaos injection only draws from chaosRng_ while chaosArmed(t),
-    //    and the burst stops as soon as a checkpoint or rollback arms
-    //    it (stepThread has already run that step's chaos tail).
-    // So a burst retires instructions back-to-back with identical
-    // clock ticks, step counts, and RNG draws as stepwise scheduling.
-    const uint64_t next_wake = nextWakeDeadline();
-    const bool wp = cfg_.wpCheckpointInterval > 0;
-    while (quantumLeft_ > 0 && running_ && !forceSwitch_ &&
-           !schedEvent_ && !wpPendingRestore_ &&
-           t.state == ThreadState::Runnable && !chaosArmed(t) &&
-           clock_ < next_wake &&
-           result_.stats.steps < cfg_.maxSteps &&
-           result_.stats.schedTicks < nextSchedPointAt_ &&
-           result_.stats.steps < replayNextSwitchAt_ &&
-           (!wp || result_.stats.steps < wpNextSnapshotAt_) &&
-           hangCheckCountdown_ > 1) {
+    // While burstable(t) holds, the scheduler's per-step work is all
+    // provably no-op (docs/VM_ENGINE.md argues it term by term), so a
+    // burst retires instructions back-to-back with identical clock
+    // ticks, step counts, and RNG draws as stepwise scheduling.
+    while (burstable(t)) {
         --quantumLeft_;
         --hangCheckCountdown_;
         ++result_.stats.fastPathSteps;
@@ -513,8 +491,6 @@ Interp::runBurstFused(Thread &t)
     // arm chaos injection (checkpoints and rollbacks are calls), so
     // Solo runs stepThread's chaos tail and every other record runs
     // with chaos provably unable to strike.
-    const uint64_t next_wake = nextWakeDeadline();
-    const bool wp = cfg_.wpCheckpointInterval > 0;
     constexpr uint64_t kBudgetCap = uint64_t(1) << 30;
 
     // Shared across the dispatch labels; assigned, never initialised,
@@ -613,15 +589,7 @@ Interp::runBurstFused(Thread &t)
 
 resync:
     VM_FLUSH(); // pending local charges from a budget-exhausted burst
-    // The exact per-step gate of runBurst.
-    if (!(quantumLeft_ > 0 && running_ && !forceSwitch_ && !schedEvent_ &&
-          !wpPendingRestore_ && t.state == ThreadState::Runnable &&
-          !chaosArmed(t) && clock_ < next_wake &&
-          result_.stats.steps < cfg_.maxSteps &&
-          result_.stats.schedTicks < nextSchedPointAt_ &&
-          result_.stats.steps < replayNextSwitchAt_ &&
-          (!wp || result_.stats.steps < wpNextSnapshotAt_) &&
-          hangCheckCountdown_ > 1))
+    if (!burstable(t))
         return;
     frp = &t.frames.back();
     dfnp = frp->dfn;
@@ -639,9 +607,9 @@ resync:
         uint64_t b = quantumLeft_;
         b = std::min(b, cfg_.maxSteps - result_.stats.steps);
         b = std::min(b, hangCheckCountdown_ - 1);
-        if (next_wake != UINT64_MAX)
-            b = std::min(b, next_wake - clock_);
-        if (wp)
+        if (nextWake_ != UINT64_MAX)
+            b = std::min(b, nextWake_ - clock_);
+        if (cfg_.wpCheckpointInterval > 0)
             b = std::min(b, wpNextSnapshotAt_ - result_.stats.steps);
         if (replayNextSwitchAt_ != UINT64_MAX)
             b = std::min(b, replayNextSwitchAt_ - result_.stats.steps);
@@ -961,11 +929,13 @@ Interp::popFrame(Thread &t, RtValue ret)
     if (t.frames.empty()) {
         t.state = ThreadState::Done;
         t.exitValue = ret.kind == ir::Type::I64 ? ret.i : 0;
+        std::erase(live_, t.id);
         // Wake joiners.
-        for (auto &other : threads_) {
-            if (other->state == ThreadState::Joining &&
-                other->joinTarget == t.id) {
-                other->state = ThreadState::Runnable;
+        for (uint32_t id : live_) {
+            Thread &other = *threads_[id];
+            if (other.state == ThreadState::Joining &&
+                other.joinTarget == t.id) {
+                other.state = ThreadState::Runnable;
                 schedEvent_ = true;
             }
         }
@@ -1156,9 +1126,9 @@ Interp::findCell(Thread &t, Ptr p, const char *&fault)
             return nullptr;
         };
         std::vector<RtValue> *cells = search(t);
-        for (size_t i = 0; !cells && i < threads_.size(); ++i)
-            if (threads_[i].get() != &t)
-                cells = search(*threads_[i]);
+        for (size_t i = 0; !cells && i < live_.size(); ++i)
+            if (live_[i] != t.id)
+                cells = search(*threads_[live_[i]]);
         if (!cells) {
             fault = "through dangling stack pointer";
             return nullptr;
@@ -1943,7 +1913,9 @@ Interp::execBuiltin(Thread &t, const Instruction &inst,
       case Builtin::ThreadCreate: {
         auto *fa = static_cast<const ir::FuncAddr *>(inst.operand(0));
         RtValue arg = vals[1];
-        Thread *nt = newThread();
+        Thread *nt = newThread(&inst);
+        if (!nt)
+            break;
         pushFrame(*nt, fa->function(), &arg, 1, false, 0);
         ++result_.stats.threadsSpawned;
         schedEvent_ = true;
@@ -2357,8 +2329,12 @@ Interp::newQuantum()
 }
 
 Interp::Thread *
-Interp::newThread()
+Interp::newThread(const Instruction *site)
 {
+    // The record outlives its thread (join and thread ids index it), so
+    // the charge is never given back.
+    if (!chargeGuest(sizeof(Thread), site))
+        return nullptr;
     auto t = std::make_unique<Thread>();
     t->id = uint32_t(threads_.size());
     // Split decision stream: golden-ratio multiples of (id + 1)
@@ -2374,6 +2350,7 @@ Interp::newThread()
     }
     threads_.push_back(std::move(t));
     Thread *created = threads_.back().get();
+    live_.push_back(created->id);
     if (rec_)
         rec_->record(created->id, obs::EventKind::ThreadSpawn, clock_,
                      result_.stats.steps, created->priority);
@@ -2410,60 +2387,42 @@ Interp::applySchedPoint(Thread &t)
 Interp::Thread *
 Interp::pickThread()
 {
-    if (cfg_.replay)
-        return pickThreadReplay();
     const bool sched_event = schedEvent_;
     schedEvent_ = false;
     // Fast path: the current thread keeps the CPU (no RNG, no scan).
-    // Under PCT a scheduling event (spawn, lock grant, wake) may have
-    // made a higher-priority thread runnable, so it forces the scan.
-    Thread *cur = currentTid_ < threads_.size()
-                      ? threads_[currentTid_].get()
-                      : nullptr;
-    if (cur && cur->state == ThreadState::Runnable && quantumLeft_ > 0 &&
-        !forceSwitch_ &&
-        !(sched_event && cfg_.policy == SchedPolicy::Pct)) {
+    // Under replay it keeps it until the next recorded switch is due:
+    // scheduling events and yields carry no information there, their
+    // effect on the original run is baked into the recording (and the
+    // replay quantum never runs out).  Under PCT a scheduling event
+    // (spawn, lock grant, wake) may have made a higher-priority thread
+    // runnable, so it forces the scan.
+    Thread *cur = threads_[currentTid_].get();
+    const bool keep =
+        cfg_.replay ? result_.stats.steps < replayNextSwitchAt_
+                    : quantumLeft_ > 0 && !forceSwitch_ &&
+                          !(sched_event && cfg_.policy == SchedPolicy::Pct);
+    if (keep && cur->state == ThreadState::Runnable) {
         --quantumLeft_;
+        forceSwitch_ = false;
         return cur;
     }
 
     runnableScratch_.clear();
-    for (const auto &t : threads_)
-        if (t->state == ThreadState::Runnable)
-            runnableScratch_.push_back(t->id);
-    if (runnableScratch_.empty())
+    for (uint32_t id : live_)
+        if (threads_[id]->state == ThreadState::Runnable)
+            runnableScratch_.push_back(id);
+
+    uint32_t chosen = kNoThread;
+    if (cfg_.replay)
+        chosen = replayChoice();
+    else if (!runnableScratch_.empty())
+        chosen = policyChoice();
+    if (chosen == kNoThread)
         return nullptr;
     forceSwitch_ = false;
-
-    uint32_t chosen;
-    switch (cfg_.policy) {
-      case SchedPolicy::RoundRobin:
-      case SchedPolicy::PreemptBound: {
-        // Cycle to the next runnable id (PreemptBound is cooperative
-        // round-robin between its forced preemption points).
-        chosen = runnableScratch_[0];
-        for (uint32_t tid : runnableScratch_) {
-            if (tid > currentTid_) {
-                chosen = tid;
-                break;
-            }
-        }
-        break;
-      }
-      case SchedPolicy::Pct: {
-        // Strict priorities: highest wins, ties break to the lower id
-        // (ties are only possible in the low band).
-        chosen = runnableScratch_[0];
-        for (uint32_t tid : runnableScratch_)
-            if (threads_[tid]->priority > threads_[chosen]->priority)
-                chosen = tid;
-        break;
-      }
-      case SchedPolicy::Random:
-      default:
-        chosen = runnableScratch_[schedRng_.range(runnableScratch_.size())];
-        break;
-    }
+    // A re-recorded replay (minimisation produces its exact log this
+    // way) emits the same SchedSwitch stream the policy did: changes of
+    // thread only.
     if (rec_ && chosen != currentTid_)
         rec_->record(chosen, obs::EventKind::SchedSwitch, clock_,
                      result_.stats.steps, currentTid_,
@@ -2471,6 +2430,33 @@ Interp::pickThread()
     currentTid_ = chosen;
     quantumLeft_ = newQuantum() - 1;
     return threads_[chosen].get();
+}
+
+uint32_t
+Interp::policyChoice()
+{
+    switch (cfg_.policy) {
+      case SchedPolicy::RoundRobin:
+      case SchedPolicy::PreemptBound:
+        // Cycle to the next runnable id (PreemptBound is cooperative
+        // round-robin between its forced preemption points).
+        for (uint32_t tid : runnableScratch_)
+            if (tid > currentTid_)
+                return tid;
+        return runnableScratch_[0];
+      case SchedPolicy::Pct: {
+        // Strict priorities: highest wins, ties break to the lower id
+        // (ties are only possible in the low band).
+        uint32_t chosen = runnableScratch_[0];
+        for (uint32_t tid : runnableScratch_)
+            if (threads_[tid]->priority > threads_[chosen]->priority)
+                chosen = tid;
+        return chosen;
+      }
+      case SchedPolicy::Random:
+        break;
+    }
+    return runnableScratch_[schedRng_.range(runnableScratch_.size())];
 }
 
 void
@@ -2484,16 +2470,12 @@ Interp::replayDiverge(const std::string &msg)
     result_.replayDivergence = msg;
 }
 
-Interp::Thread *
-Interp::pickThreadReplay()
+uint32_t
+Interp::replayChoice()
 {
-    // Scheduling events carry no information in replay mode: their
-    // effect on the original run is already baked into the recorded
-    // switch list.
-    schedEvent_ = false;
     const bool tolerant = cfg_.replay->tolerant;
     const auto &sw = cfg_.replay->switches;
-
+    uint32_t chosen = kNoThread;
     while (replayNext_ < sw.size() &&
            result_.stats.steps >= sw[replayNext_].step) {
         const ReplaySchedule::Switch &s = sw[replayNext_];
@@ -2502,150 +2484,100 @@ Interp::pickThreadReplay()
             // matches the recording (both burst paths stop exactly at
             // replayNextSwitchAt_, so a faithful replay never lands
             // here).
-            if (tolerant) {
-                ++replayNext_;
-                continue;
+            if (!tolerant) {
+                replayDiverge(strfmt(
+                    "switch #%zu (thread %u at step %llu) was overrun "
+                    "(now at step %llu)",
+                    replayNext_, s.tid, (unsigned long long)s.step,
+                    (unsigned long long)result_.stats.steps));
+                return kNoThread;
             }
-            replayDiverge(strfmt(
-                "switch #%zu (thread %u at step %llu) was overrun "
-                "(now at step %llu)",
-                replayNext_, s.tid, (unsigned long long)s.step,
-                (unsigned long long)result_.stats.steps));
-            return nullptr;
-        }
-        Thread *target =
-            s.tid < threads_.size() ? threads_[s.tid].get() : nullptr;
-        if (target && target->state == ThreadState::Runnable) {
-            // Re-recording a replay (minimisation produces its exact
-            // log this way) emits the same SchedSwitch stream the
-            // original scheduler did: changes of thread only.
-            if (rec_ && s.tid != currentTid_) {
-                uint64_t runnable = 0;
-                for (const auto &th : threads_)
-                    runnable += th->state == ThreadState::Runnable;
-                rec_->record(s.tid, obs::EventKind::SchedSwitch, clock_,
-                             result_.stats.steps, currentTid_,
-                             runnable);
-            }
-            currentTid_ = s.tid;
-            quantumLeft_ = newQuantum() - 1;
+        } else if (s.tid < threads_.size() &&
+                   threads_[s.tid]->state == ThreadState::Runnable) {
+            chosen = s.tid;
             ++replayNext_;
             break;
+        } else if (runnableScratch_.empty()) {
+            // Due, but nothing can run: the sleeper-wake shape.  The
+            // original scheduler took this decision after the clock
+            // jumped to the next wake deadline, so the switch stays
+            // pending while the caller advances sleepers; the retry
+            // consumes it.
+            break;
+        } else if (!tolerant) {
+            replayDiverge(strfmt(
+                "switch #%zu: thread %u is not runnable at step %llu",
+                replayNext_, s.tid,
+                (unsigned long long)result_.stats.steps));
+            return kNoThread;
         }
-        // Due, but the thread cannot run.  When *nothing* is runnable
-        // this is the sleeper-wake shape: the original scheduler took
-        // this decision after the clock jumped to the next wake
-        // deadline.  Leave the switch unconsumed and let the caller
-        // advance sleepers; the retry consumes it.
-        bool anyRunnable = false;
-        for (const auto &th : threads_)
-            anyRunnable |= th->state == ThreadState::Runnable;
-        if (!anyRunnable) {
-            replayNextSwitchAt_ = s.step;
-            forceSwitch_ = false;
-            return nullptr;
-        }
-        if (tolerant) {
-            ++replayNext_;
-            continue;
-        }
-        replayDiverge(strfmt(
-            "switch #%zu: thread %u is not runnable at step %llu",
-            replayNext_, s.tid,
-            (unsigned long long)result_.stats.steps));
-        return nullptr;
+        ++replayNext_; // tolerant: skip the inapplicable switch
     }
     replayNextSwitchAt_ =
         replayNext_ < sw.size() ? sw[replayNext_].step : UINT64_MAX;
-    forceSwitch_ = false;
+    if (chosen != kNoThread)
+        return chosen;
 
-    Thread *cur = currentTid_ < threads_.size()
-                      ? threads_[currentTid_].get()
-                      : nullptr;
-    if (cur && cur->state == ThreadState::Runnable)
-        return cur;
-
-    // The current thread cannot continue and no switch is due.  In a
-    // faithful replay nothing is runnable here — the recording would
-    // contain a switch otherwise — so wait for sleepers (or report the
-    // same hang the original run hit).
-    Thread *lowest = nullptr;
-    for (const auto &th : threads_)
-        if (th->state == ThreadState::Runnable) {
-            lowest = th.get();
-            break;
-        }
-    if (!lowest)
-        return nullptr;
+    // No switch applies.  In a faithful replay the current thread
+    // continues, or nothing is runnable (the recording would contain a
+    // switch otherwise): wait for sleepers, or report the same hang the
+    // original run hit.
+    if (runnableScratch_.empty())
+        return kNoThread;
+    if (threads_[currentTid_]->state == ThreadState::Runnable)
+        return currentTid_;
     if (tolerant) {
-        // Deterministic fallback for perturbed schedules: lowest
+        // Deterministic fallback for perturbed schedules: the lowest
         // runnable id runs until the next applicable switch.
-        if (rec_ && lowest->id != currentTid_) {
-            uint64_t runnable = 0;
-            for (const auto &th : threads_)
-                runnable += th->state == ThreadState::Runnable;
-            rec_->record(lowest->id, obs::EventKind::SchedSwitch,
-                         clock_, result_.stats.steps, currentTid_,
-                         runnable);
-        }
-        currentTid_ = lowest->id;
-        quantumLeft_ = newQuantum() - 1;
-        return lowest;
+        return runnableScratch_[0];
     }
     replayDiverge(strfmt(
         "thread %u cannot continue at step %llu and no switch is "
         "recorded (thread %u is runnable)",
         currentTid_, (unsigned long long)result_.stats.steps,
-        lowest->id));
-    return nullptr;
+        runnableScratch_[0]));
+    return kNoThread;
 }
 
 void
 Interp::wakeDue()
 {
-    for (auto &t : threads_) {
-        if (t->state == ThreadState::Sleeping && t->wakeAt <= clock_) {
-            t->state = ThreadState::Runnable;
-            schedEvent_ = true;
-        } else if (t->state == ThreadState::BlockedLock &&
-                   t->lockHasDeadline && t->wakeAt <= clock_) {
+    nextWake_ = UINT64_MAX;
+    for (uint32_t id : live_) {
+        Thread &t = *threads_[id];
+        const bool timedLock =
+            t.state == ThreadState::BlockedLock && t.lockHasDeadline;
+        if (t.state != ThreadState::Sleeping && !timedLock)
+            continue;
+        if (t.wakeAt > clock_) {
+            nextWake_ = std::min(nextWake_, t.wakeAt);
+            continue;
+        }
+        if (timedLock) {
             // Timed lock expired: remove from the waiter queue and
             // deliver the timeout result.
-            MutexState &m = mutexAt(t->lockKey);
-            std::erase(m.waiters, t->id);
-            t->state = ThreadState::Runnable;
-            schedEvent_ = true;
+            MutexState &m = mutexAt(t.lockKey);
+            std::erase(m.waiters, t.id);
             if (rec_)
-                rec_->record(t->id, obs::EventKind::LockTimeout, clock_,
-                             result_.stats.steps, t->lockKey.block, 0);
-            if (t->lockWantsResult) {
-                t->frames.back().regs[t->lockResultReg] =
-                    RtValue::ofInt(1);
-                t->lockWantsResult = false;
+                rec_->record(t.id, obs::EventKind::LockTimeout, clock_,
+                             result_.stats.steps, t.lockKey.block, 0);
+            if (t.lockWantsResult) {
+                t.frames.back().regs[t.lockResultReg] = RtValue::ofInt(1);
+                t.lockWantsResult = false;
             }
         }
+        t.state = ThreadState::Runnable;
+        schedEvent_ = true;
     }
-}
-
-uint64_t
-Interp::nextWakeDeadline() const
-{
-    uint64_t min_wake = UINT64_MAX;
-    for (const auto &t : threads_) {
-        if (t->state == ThreadState::Sleeping ||
-            (t->state == ThreadState::BlockedLock && t->lockHasDeadline))
-            min_wake = std::min(min_wake, t->wakeAt);
-    }
-    return min_wake;
 }
 
 bool
 Interp::advanceSleepers()
 {
-    uint64_t min_wake = nextWakeDeadline();
-    if (min_wake == UINT64_MAX)
+    // pickThread changed no thread since wakeDue: nextWake_ is current.
+    if (nextWake_ == UINT64_MAX)
         return false;
-    clock_ = std::max(clock_, min_wake);
+    clock_ = std::max(clock_, nextWake_);
     wakeDue();
     return true;
 }
@@ -2662,8 +2594,8 @@ Interp::wpStateCells() const
         cells += g.size();
     for (const HeapBlock &b : heap_)
         cells += b.cells.size();
-    for (const auto &t : threads_)
-        for (const Frame &f : t->frames) {
+    for (uint32_t id : live_)
+        for (const Frame &f : threads_[id]->frames) {
             cells += f.regs.size();
             for (const StackSlot &s : f.slots)
                 cells += s.cells.size();
@@ -2715,8 +2647,12 @@ Interp::wpRestore()
     heap_ = snap.heap;
     mutexes_ = snap.mutexes;
     threads_.clear();
-    for (const Thread &t : snap.threads)
+    live_.clear();
+    for (const Thread &t : snap.threads) {
         threads_.push_back(std::make_unique<Thread>(t));
+        if (t.state != ThreadState::Done)
+            live_.push_back(t.id);
+    }
     nextSlotId_ = snap.nextSlotId;
     guestBytes_ = snap.guestBytes;
     currentTid_ = snap.currentTid;
@@ -2772,14 +2708,15 @@ Interp::failHang(const std::string &msg)
     // Report the hang with the lock sites the blocked threads sit at:
     // the information a developer would feed fix mode (";"-separated).
     std::string tags;
-    for (const auto &t : threads_) {
-        if (t->state != ThreadState::BlockedLock || !t->blockedAt)
+    for (uint32_t id : live_) {
+        const Thread &t = *threads_[id];
+        if (t.state != ThreadState::BlockedLock || !t.blockedAt)
             continue;
-        if (t->blockedAt->tag().empty())
+        if (t.blockedAt->tag().empty())
             continue;
         if (!tags.empty())
             tags += ';';
-        tags += t->blockedAt->tag();
+        tags += t.blockedAt->tag();
     }
     fail(Outcome::Hang, msg, nullptr);
     if (!running_ && result_.outcome == Outcome::Hang)
@@ -2842,8 +2779,8 @@ Interp::computeMemDigest() const
             h = cell(h, v);
     }
     std::vector<const StackSlot *> slots;
-    for (const auto &t : threads_)
-        for (const Frame &f : t->frames)
+    for (uint32_t id : live_)
+        for (const Frame &f : threads_[id]->frames)
             for (const StackSlot &s : f.slots)
                 slots.push_back(&s);
     std::sort(slots.begin(), slots.end(),

@@ -327,6 +327,25 @@ class Interp
                result_.stats.chaosRollbacks < cfg_.chaosMaxRollbacks;
     }
 
+    /** The burst gate: @p t may retire its next instruction without
+     *  the scheduler (docs/VM_ENGINE.md shows why each term makes the
+     *  skipped work a no-op).  The main loop, runBurst and
+     *  runBurstFused's resync all ask it. */
+    bool
+    burstable(const Thread &t) const
+    {
+        return quantumLeft_ > 0 && running_ && !forceSwitch_ &&
+               !schedEvent_ && !wpPendingRestore_ &&
+               t.state == ThreadState::Runnable && !chaosArmed(t) &&
+               clock_ < nextWake_ &&
+               result_.stats.steps < cfg_.maxSteps &&
+               result_.stats.schedTicks < nextSchedPointAt_ &&
+               result_.stats.steps < replayNextSwitchAt_ &&
+               (cfg_.wpCheckpointInterval == 0 ||
+                result_.stats.steps < wpNextSnapshotAt_) &&
+               hangCheckCountdown_ > 1;
+    }
+
     //
     // Failure / termination.
     //
@@ -340,30 +359,36 @@ class Interp
     // Scheduling.
     //
 
+    /** The one picker: the thread that runs the next step, or nullptr
+     *  when none can.  Replay (cfg_.replay) is its recorded mode, and
+     *  replayChoice its choice (docs/VM_ENGINE.md, "Scheduler"). */
     Thread *pickThread();
+    static constexpr uint32_t kNoThread = UINT32_MAX; ///< no choice
+    /** The policy's choice over runnableScratch_ (not empty). */
+    uint32_t policyChoice();
     /**
-     * Replay-mode scheduling (cfg_.replay set): consumes the recorded
-     * switch list instead of consulting a policy.  Keeps the current
-     * thread until the next recorded switch step, then hands the CPU
-     * to the recorded thread.  Strict mode treats any inapplicable
-     * switch as divergence (replayDiverge); tolerant mode skips it and
-     * falls back to the lowest runnable id.
+     * Replay's choice over runnableScratch_: the due recorded switch's
+     * thread, else the current thread, else (tolerant) the lowest
+     * runnable id.  kNoThread when nothing is runnable (a due switch
+     * stays pending until a sleeper wakes) or a strict replay diverged
+     * (replayDiverge); tolerant mode skips inapplicable switches.
      */
-    Thread *pickThreadReplay();
+    uint32_t replayChoice();
     /** Ends a strict replay with Outcome::Trap and
      *  RunResult::replayDivergence = @p msg. */
     void replayDiverge(const std::string &msg);
+    /** Wakes every thread whose deadline has come; leaves the earliest
+     *  one still pending in nextWake_. */
     void wakeDue();
     bool advanceSleepers();
     uint64_t newQuantum();
     /** Allocates a thread with its split decision-RNG stream and (for
-     *  PCT) a fresh high-band priority. */
-    Thread *newThread();
+     *  PCT) a fresh high-band priority; null (and a trapped run at
+     *  @p site) when its record does not fit the guest memory budget. */
+    Thread *newThread(const ir::Instruction *site);
     /** Fires the next due PCT priority-change / bounded-preemption
      *  point (no-op until the global step count crosses it). */
     void applySchedPoint(Thread &t);
-    /** Earliest wake deadline of any sleeper / timed lock. */
-    uint64_t nextWakeDeadline() const;
     /** Drains the rest of the current quantum without consulting the
      *  scheduler while @p t is the only runnable thread.  Preserves
      *  clock ticks, step counts, and RNG draws exactly. */
@@ -446,7 +471,7 @@ class Interp
      * Replay cursor (cfg_.replay set): index of the next unconsumed
      * recorded switch, and its step count (UINT64_MAX once the list is
      * exhausted).  Both burst paths stop at replayNextSwitchAt_ the
-     * same way they stop at nextSchedPointAt_, so pickThreadReplay is
+     * same way they stop at nextSchedPointAt_, so pickThread is
      * consulted exactly at every recorded decision step.
      */
     size_t replayNext_ = 0;
@@ -469,21 +494,27 @@ class Interp
     std::vector<HeapBlock> heap_; ///< block id i at heap_[i - 1]
     uint32_t nextSlotId_ = 1;
     /** Bytes held for the guest, against kGuestMemoryBytes: globals,
-     *  every heap block (freed ones keep their cells), and every live
-     *  frame's record, register file and stack slots. */
+     *  every heap block (freed ones keep their cells), every thread's
+     *  record (finished ones keep theirs), and every live frame's
+     *  record, register file and stack slots. */
     uint64_t guestBytes_ = 0;
     std::unordered_map<CellKey, MutexState, CellKeyHash> mutexes_;
 
     // Threads.
-    std::vector<std::unique_ptr<Thread>> threads_;
+    std::vector<std::unique_ptr<Thread>> threads_; ///< indexed by id
+    /** Ids of the threads that are not Done, ascending: what every
+     *  scan walks (a Done thread is never runnable and has no frames). */
+    std::vector<uint32_t> live_;
     uint32_t currentTid_ = 0;
     uint64_t quantumLeft_ = 0;
     bool forceSwitch_ = false;
     /** Set whenever a thread becomes runnable outside the scheduler
      *  (lock grant, join wake, spawn); ends a fast-path burst. */
     bool schedEvent_ = false;
-    uint32_t lastRunnableCount_ = 0;
     uint64_t hangCheckCountdown_ = 1024;
+    /** The earliest pending deadline, as the last wakeDue left it; the
+     *  burst gate keeps it exact until the next one (docs/VM_ENGINE.md). */
+    uint64_t nextWake_ = UINT64_MAX;
     std::vector<uint32_t> runnableScratch_; ///< pickThread, reused
     std::vector<RtValue> phiScratch_;       ///< phi parallel copies
     /** Register files of popped frames, reused by pushFrame so a call

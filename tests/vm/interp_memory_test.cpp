@@ -545,6 +545,83 @@ TEST(InterpMemory, OversizedGlobalsTrapBeforeMain)
     EXPECT_EQ(r.output, "");
 }
 
+// Every thread's record counts against the budget and is kept after
+// the thread finishes (join and thread ids index it), so a guest that
+// spawns without end traps at the spawn site instead of growing the
+// host's thread table.
+
+TEST(InterpMemory, SpawnLoopWithoutJoinTraps)
+{
+    RunResult r = runEvery(R"(
+int f(int x) { return x; }
+int main() { int i = 0; while (1) { spawn(f, i); i = i + 1; } return 0; }
+)");
+    EXPECT_EQ(r.outcome, Outcome::Trap);
+    EXPECT_EQ(r.failureMsg, kBudgetMsg);
+    EXPECT_GT(r.stats.threadsSpawned, 100000u);
+}
+
+TEST(InterpMemory, SpawnJoinLoopTraps)
+{
+    RunResult r = runEvery(R"(
+int f(int x) { return x; }
+int main() {
+    int i = 0;
+    while (1) { int t = spawn(f, i); join(t); i = i + 1; }
+    return 0;
+}
+)");
+    EXPECT_EQ(r.outcome, Outcome::Trap);
+    EXPECT_EQ(r.failureMsg, kBudgetMsg);
+    EXPECT_GT(r.stats.threadsSpawned, 100000u);
+}
+
+TEST(InterpMemory, FewThreadsAndJoinsRunAsBefore)
+{
+    // A racy program whose output is its interleaving: each policy's
+    // schedule, step count and final memory are pinned.
+    const std::string src = R"(
+int total;
+int worker(int n) {
+    int i = 0;
+    while (i < n) { int t = total; print(n); total = t + 1; i = i + 1; }
+    return 0;
+}
+int main() {
+    int a = spawn(worker, 3);
+    int b = spawn(worker, 4);
+    int c = spawn(worker, 5);
+    join(a);
+    join(b);
+    join(c);
+    print(total);
+    return 0;
+}
+)";
+    struct Case
+    {
+        SchedPolicy policy;
+        const char *output;
+        uint64_t memDigest;
+    };
+    for (const Case &c :
+         {Case{SchedPolicy::Random, "43453435545510", 0xd0aa5918672ce660ull},
+          Case{SchedPolicy::RoundRobin, "3453453454555", 0xd0aa6818672cffddull},
+          Case{SchedPolicy::Pct, "33344445555512", 0xd0aa5f18672cf092ull}}) {
+        VmConfig cfg;
+        cfg.policy = c.policy;
+        cfg.quantum = 2;
+        cfg.seed = 3;
+        RunResult r = runEvery(src, cfg);
+        EXPECT_EQ(r.outcome, Outcome::Success) << r.failureMsg;
+        EXPECT_EQ(r.output, c.output) << schedPolicyName(c.policy);
+        EXPECT_EQ(r.memDigest, c.memDigest) << schedPolicyName(c.policy);
+        EXPECT_EQ(r.stats.steps, 147u);
+        EXPECT_EQ(r.clock, 147u);
+        EXPECT_EQ(r.stats.threadsSpawned, 3u);
+    }
+}
+
 TEST(InterpMemory, DeepRecursionStaysWithinTheBudget)
 {
     RunResult r = runEvery(R"(
