@@ -42,10 +42,11 @@ strategyName(Strategy s)
 
 namespace {
 
-/** Virtual ticks slept per wait-loop iteration.  Sleeping (rather than
- *  yielding) blocks the waiter outright, so the enabling writer is
- *  guaranteed CPU time even under priority schedulers (PCT); small
- *  enough that a clean-run waiter wakes promptly. */
+/** Virtual ticks slept per wait-loop iteration.  Sleeping blocks the
+ *  waiter outright, so the enabling writer gets CPU time under any
+ *  policy; PCT's fair yield would do too, but sleep is kept so that
+ *  synthesized patches stay the same.  Small enough that a clean-run
+ *  waiter wakes promptly. */
 constexpr int64_t kWaitSleepTicks = 4;
 
 /** The function component of a site tag ("assert.binlog_append.93" ->

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -196,37 +197,43 @@ class FlightRecorder
      * Calls @p fn on each event merged() would return, in the same
      * order, without copying any: a k-way merge on seq of the
      * per-thread rings, each walked oldest-first as threadEvents()
-     * orders it.  Each step hands over the whole run of a ring that
-     * precedes every other ring's head, so a thread's quantum costs
-     * one scan of the heads, not one per event.
+     * orders it.  The heads of the rings not yet exhausted sit in a
+     * min-heap on seq; each step hands over the whole run of the
+     * earliest ring that precedes the next head, so a thread's quantum
+     * costs one heap operation, and finished threads cost nothing
+     * once their ring is drained.
      */
     template <class Fn>
     void
     visitMerged(Fn &&fn) const
     {
-        std::vector<size_t> pos(rings_.size(), 0); // per ring: visited
-        for (;;) {
-            size_t best = rings_.size();
-            uint64_t bestSeq = UINT64_MAX, bound = UINT64_MAX;
-            for (size_t k = 0; k < rings_.size(); ++k) {
-                if (pos[k] == rings_[k].buf.size())
-                    continue;
-                const uint64_t seq = rings_[k].at(pos[k]).seq;
-                if (seq < bestSeq) {
-                    bound = bestSeq;
-                    bestSeq = seq;
-                    best = k;
-                } else if (seq < bound) {
-                    bound = seq;
-                }
-            }
-            if (best == rings_.size())
-                return;
-            const Ring &r = rings_[best];
-            size_t &i = pos[best];
+        struct Head
+        {
+            uint64_t seq; ///< of the ring's next unvisited event
+            size_t ring;
+            size_t pos;   ///< events of the ring visited so far
+        };
+        auto later = [](const Head &x, const Head &y) {
+            return x.seq > y.seq;
+        };
+        std::priority_queue<Head, std::vector<Head>, decltype(later)>
+            heads(later);
+        for (size_t k = 0; k < rings_.size(); ++k)
+            if (!rings_[k].buf.empty())
+                heads.push({rings_[k].at(0).seq, k, 0});
+        while (!heads.empty()) {
+            Head h = heads.top();
+            heads.pop();
+            const uint64_t bound =
+                heads.empty() ? UINT64_MAX : heads.top().seq;
+            const Ring &r = rings_[h.ring];
             do
-                fn(r.at(i++));
-            while (i < r.buf.size() && r.at(i).seq < bound);
+                fn(r.at(h.pos++));
+            while (h.pos < r.buf.size() && r.at(h.pos).seq < bound);
+            if (h.pos < r.buf.size()) {
+                h.seq = r.at(h.pos).seq;
+                heads.push(h);
+            }
         }
     }
 

@@ -56,7 +56,7 @@ std::vector<uint64_t> sampleSchedPoints(SchedPolicy policy, uint64_t seed,
  * per worker, and an unbounded recursion or spawn loop that reaches
  * the limit costs the host about 1.5x the budget (3x under
  * AddressSanitizer).  A 100,000-deep recursion of a small function
- * needs about 25 MB, a spawn loop traps after about 158,000 threads,
+ * needs about 25 MB, a spawn loop traps after about 155,000 threads,
  * and one ir::kMaxBlockCells block (about 640 MiB) traps when it is
  * allocated.
  */
@@ -186,7 +186,11 @@ struct VmConfig
      * can open — so the horizon k stays small and for a bug of depth
      * d each run finds it with probability >= 1/(n * k^(d-1)): a few
      * thousand seeds reliably hit the ordering-sensitive windows the
-     * hand-scripted delay rules force.
+     * hand-scripted delay rules force.  `yield()` is fair (CHESS's
+     * rule): a thread that yields is passed over until every other
+     * runnable thread has been picked since, so a spinner cannot
+     * starve the thread it waits for; the rule draws no random number,
+     * so a program that never yields runs as under strict priorities.
      *
      * SchedPolicy::PreemptBound is the bounded-preemption variant:
      * cooperative scheduling (threads run until they block, finish, or

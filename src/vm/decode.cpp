@@ -6,27 +6,6 @@ namespace conair::vm {
 
 using ir::Opcode;
 
-bool
-dirtiesWindow(const ir::Instruction &inst)
-{
-    switch (inst.opcode()) {
-      case Opcode::Store:
-        return true;
-      case Opcode::Call: {
-        if (inst.callee())
-            return true;
-        ir::Builtin b = inst.builtin();
-        if (ir::builtinIsConAir(b))
-            return false;
-        // The §4.1 allowlist: compensation makes these re-executable.
-        return b != ir::Builtin::Malloc && b != ir::Builtin::MutexLock &&
-               b != ir::Builtin::MutexTimedLock;
-      }
-      default:
-        return false;
-    }
-}
-
 namespace {
 
 /** Builds the per-function flat arrays. */

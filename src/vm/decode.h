@@ -50,8 +50,28 @@ inline constexpr uint32_t kNoBlock = 0xFFFF'FFFFu;
 
 /** Would executing @p inst end the current idempotent window?  The
  *  VM's image of ca::destroysIdempotency, which chaos injection obeys
- *  (decode bakes it into DecodedInst::dirties). */
-bool dirtiesWindow(const ir::Instruction &inst);
+ *  (decode bakes it into DecodedInst::dirties).  Inline: every
+ *  Reference step asks it. */
+inline bool
+dirtiesWindow(const ir::Instruction &inst)
+{
+    switch (inst.opcode()) {
+      case ir::Opcode::Store:
+        return true;
+      case ir::Opcode::Call: {
+        if (inst.callee())
+            return true;
+        ir::Builtin b = inst.builtin();
+        if (ir::builtinIsConAir(b))
+            return false;
+        // The §4.1 allowlist: compensation makes these re-executable.
+        return b != ir::Builtin::Malloc && b != ir::Builtin::MutexLock &&
+               b != ir::Builtin::MutexTimedLock;
+      }
+      default:
+        return false;
+    }
+}
 
 /** One pre-decoded instruction: fixed layout, no pointer chasing. */
 struct DecodedInst

@@ -212,6 +212,9 @@ Interp::run()
     if (!t0)
         return result_; // no room left for the main thread's record
     pushFrame(*t0, main_fn, nullptr, 0, false, 0);
+    // main starts without a scan: count it as the first pick, so every
+    // thread that has run holds a distinct lastPicked (policyChoice).
+    t0->lastPicked = ++picks_;
     quantumLeft_ = newQuantum();
 
     if (cfg_.wpCheckpointInterval > 0) {
@@ -2002,6 +2005,7 @@ Interp::execBuiltin(Thread &t, const Instruction &inst,
             RtValue::ofInt(int64_t(clock_) + 1);
         break;
       case Builtin::Yield:
+        t.yielded = true; // PCT's fairness rule reads it
         forceSwitch_ = true;
         break;
       case Builtin::Sleep: {
@@ -2420,6 +2424,9 @@ Interp::pickThread()
     if (chosen == kNoThread)
         return nullptr;
     forceSwitch_ = false;
+    Thread &next = *threads_[chosen];
+    next.lastPicked = ++picks_;
+    next.yielded = false;
     // A re-recorded replay (minimisation produces its exact log this
     // way) emits the same SchedSwitch stream the policy did: changes of
     // thread only.
@@ -2429,7 +2436,7 @@ Interp::pickThread()
                      runnableScratch_.size());
     currentTid_ = chosen;
     quantumLeft_ = newQuantum() - 1;
-    return threads_[chosen].get();
+    return &next;
 }
 
 uint32_t
@@ -2446,11 +2453,24 @@ Interp::policyChoice()
         return runnableScratch_[0];
       case SchedPolicy::Pct: {
         // Strict priorities: highest wins, ties break to the lower id
-        // (ties are only possible in the low band).
-        uint32_t chosen = runnableScratch_[0];
+        // (ties are only possible in the low band).  Fairness (CHESS,
+        // PLDI 2008): a thread that yielded is passed over until every
+        // other runnable thread has been picked since.  The yielder was
+        // the last thread chosen before its yield and every thread that
+        // has run holds a distinct lastPicked, so that is exactly when
+        // it is the least recently picked; that thread always
+        // qualifies, so there is always a choice.
+        uint64_t oldest = UINT64_MAX;
         for (uint32_t tid : runnableScratch_)
-            if (threads_[tid]->priority > threads_[chosen]->priority)
+            oldest = std::min(oldest, threads_[tid]->lastPicked);
+        uint32_t chosen = kNoThread;
+        for (uint32_t tid : runnableScratch_) {
+            const Thread &t = *threads_[tid];
+            if ((!t.yielded || t.lastPicked == oldest) &&
+                (chosen == kNoThread ||
+                 t.priority > threads_[chosen]->priority))
                 chosen = tid;
+        }
         return chosen;
       }
       case SchedPolicy::Random:
@@ -2616,6 +2636,7 @@ Interp::wpTakeSnapshot()
     snap->guestBytes = guestBytes_;
     snap->currentTid = currentTid_;
     snap->quantumLeft = quantumLeft_;
+    snap->picks = picks_;
     snap->outputLen = result_.output.size();
     wpSnapshots_.push_back(std::move(snap));
     if (wpSnapshots_.size() > 8)
@@ -2657,6 +2678,7 @@ Interp::wpRestore()
     guestBytes_ = snap.guestBytes;
     currentTid_ = snap.currentTid;
     quantumLeft_ = snap.quantumLeft;
+    picks_ = snap.picks;
     // Output produced after the snapshot is rolled back too (the
     // sandboxing traditional systems need OS support for).
     result_.output.resize(snap.outputLen);

@@ -171,6 +171,10 @@ class Interp
          *  band at change points.  Unused by the other policies. */
         uint64_t priority = 0;
 
+        /** Interp::picks_ when this thread was last chosen (0 = never):
+         *  PCT's fairness rule (policyChoice) reads it with `yielded`. */
+        uint64_t lastPicked = 0;
+
         // ConAir per-thread runtime state (paper §3.3, §4.1).
         Checkpoint ckpt;
         int64_t retryCount = 0;
@@ -193,6 +197,10 @@ class Interp
          * after the logging; chaos must not strike inside the gap.
          */
         bool pendingNote = false;
+
+        /** yield() ran since this thread was last chosen (PCT's
+         *  fairness rule; it sits in the record's tail padding). */
+        bool yielded = false;
     };
 
     struct MutexState
@@ -364,7 +372,9 @@ class Interp
      *  replayChoice its choice (docs/VM_ENGINE.md, "Scheduler"). */
     Thread *pickThread();
     static constexpr uint32_t kNoThread = UINT32_MAX; ///< no choice
-    /** The policy's choice over runnableScratch_ (not empty). */
+    /** The policy's choice over runnableScratch_ (not empty).  PCT
+     *  passes over a thread that yielded until every other runnable
+     *  one has been picked since. */
     uint32_t policyChoice();
     /**
      * Replay's choice over runnableScratch_: the due recorded switch's
@@ -429,6 +439,7 @@ class Interp
         uint64_t guestBytes;
         uint32_t currentTid;
         uint64_t quantumLeft;
+        uint64_t picks;
         size_t outputLen;
     };
 
@@ -515,6 +526,9 @@ class Interp
     /** The earliest pending deadline, as the last wakeDue left it; the
      *  burst gate keeps it exact until the next one (docs/VM_ENGINE.md). */
     uint64_t nextWake_ = UINT64_MAX;
+    /** Threads chosen so far: main at the start of the run, then
+     *  every pickThread scan that chose one (Thread::lastPicked). */
+    uint64_t picks_ = 0;
     std::vector<uint32_t> runnableScratch_; ///< pickThread, reused
     std::vector<RtValue> phiScratch_;       ///< phi parallel copies
     /** Register files of popped frames, reused by pushFrame so a call

@@ -173,6 +173,34 @@ TEST(FlightRecorder, VisitMergedInGrowMode)
     EXPECT_EQ(rec.merged().size(), 50u);
 }
 
+TEST(FlightRecorder, VisitMergedOverThousandsOfShortRings)
+{
+    // A spawn-heavy run: every thread records its spawn, a third of
+    // them a second event right after it, and another third a second
+    // event much later, in reverse thread order.
+    const uint32_t kThreads = 5000;
+    FlightRecorder rec(4);
+    uint64_t step = 0;
+    for (uint32_t tid = 0; tid < kThreads; ++tid) {
+        rec.record(tid, EventKind::ThreadSpawn, step, step, tid);
+        ++step;
+        if (tid % 3 == 1) {
+            rec.record(tid, EventKind::LockAcquire, step, step, tid, 0,
+                       "lock.site");
+            ++step;
+        }
+    }
+    for (uint32_t tid = kThreads; tid-- > 0;)
+        if (tid % 3 == 2) {
+            rec.record(tid, EventKind::LockAcquire, step, step, tid);
+            ++step;
+        }
+    EXPECT_EQ(rec.threadCount(), kThreads);
+    EXPECT_EQ(rec.droppedAll(), 0u);
+    expectVisitIsMerged(rec);
+    EXPECT_EQ(rec.merged().size(), step);
+}
+
 TEST(FlightRecorder, ClearForgetsEventsAndTotals)
 {
     FlightRecorder rec(4);

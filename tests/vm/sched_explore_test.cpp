@@ -1,18 +1,25 @@
 /**
  * @file
  * Exploration-policy semantics: PCT and PreemptBound determinism,
- * seed-driven schedule diversity, and the per-thread RNG stream split
- * (decision streams must be uncorrelated across threads and must not
- * perturb the shared scheduler stream).
+ * seed-driven schedule diversity, PCT's fair treatment of yield() on
+ * every engine variant, and the per-thread RNG stream split (decision
+ * streams must be uncorrelated across threads and must not perturb the
+ * shared scheduler stream).
  */
 #include <set>
 
+#include "obs/replay/minimize.h"
+#include "obs/replay/replay_run.h"
+#include "obs/trace.h"
 #include "support/rng.h"
+#include "tests/support/engine_variants.h"
 #include "tests/vm/vm_test_util.h"
 
 namespace conair::vm {
 namespace {
 
+using conair::testutil::runEveryVariant;
+using testutil::compileC;
 using testutil::runC;
 
 /** Three threads race unsynchronised increments and publish the
@@ -136,6 +143,189 @@ TEST(SchedExplore, PctEngineDifferential)
         EXPECT_EQ(a.output, b.output) << "seed " << seed;
         EXPECT_EQ(a.clock, b.clock) << "seed " << seed;
         EXPECT_EQ(a.stats.steps, b.stats.steps) << "seed " << seed;
+    }
+}
+
+//
+// PCT's fairness rule (Interp::policyChoice): a thread that yields is
+// passed over until every other runnable thread has been picked since.
+//
+
+/** Two threads spin on yield() until a worker sets the flag: under
+ *  strict priorities a spinner above the worker starves it. */
+const char *kSpinners = R"(
+int flag;
+int spinner(int id) {
+    while (flag == 0) { yield(); }
+    return id;
+}
+int worker(int x) {
+    flag = x;
+    return 0;
+}
+int main() {
+    int a = spawn(spinner, 1);
+    int b = spawn(spinner, 2);
+    int c = spawn(worker, 7);
+    join(a); join(b); join(c);
+    print(flag);
+    return 0;
+}
+)";
+
+TEST(SchedExplore, PctYieldingSpinnersCannotStarveTheWorker)
+{
+    // Strict priorities time out on 19 of these 40 seeds; passing the
+    // yielder over for one pick only still times out on 2 (the two
+    // spinners hand the CPU back and forth).
+    auto m = compileC(kSpinners);
+    ASSERT_TRUE(m);
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        VmConfig cfg = pctConfig(seed, 2);
+        cfg.maxSteps = 4'000'000;
+        RunResult r = runEveryVariant(*m, cfg);
+        EXPECT_EQ(r.outcome, Outcome::Success)
+            << "seed " << seed << ": " << r.failureMsg;
+        EXPECT_EQ(r.output, "7") << "seed " << seed;
+    }
+}
+
+/** The switches a run recorded, as (step, thread) pairs. */
+std::vector<std::pair<uint64_t, uint32_t>>
+switchesOf(const obs::FlightRecorder &rec)
+{
+    std::vector<std::pair<uint64_t, uint32_t>> sw;
+    rec.visitMerged([&sw](const obs::TraceEvent &ev) {
+        if (ev.kind == obs::EventKind::SchedSwitch)
+            sw.push_back({ev.step, ev.tid});
+    });
+    return sw;
+}
+
+TEST(SchedExplore, PctLoneRunnableThreadKeepsRunningThroughYield)
+{
+    // main holds the lock the worker blocks on, so main is the only
+    // runnable thread while it yields: each yield picks it again, and
+    // the run switches exactly where the same program with a no-op in
+    // place of yield() (sleep(0), the same steps and ticks) does.
+    const char *kLone = R"(
+mutex m;
+int g;
+int worker(int x) { lock(m); g = g + x; unlock(m); return 0; }
+int main() {
+    lock(m);
+    int t = spawn(worker, 5);
+    sleep(1);
+    int k = 0;
+    while (k < 10) { yield(); k = k + 1; }
+    unlock(m);
+    join(t);
+    print(g);
+    return 0;
+}
+)";
+    std::string noop = kLone;
+    noop.replace(noop.find("yield();"), 8, "sleep(0);");
+    auto yields = compileC(kLone);
+    auto twin = compileC(noop);
+    ASSERT_TRUE(yields && twin);
+    for (uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+        obs::FlightRecorder ry(256, obs::RecorderMode::Grow);
+        obs::FlightRecorder rt(256, obs::RecorderMode::Grow);
+        VmConfig cfg = pctConfig(seed, 2);
+        RunResult a = runEveryVariant(*yields, cfg);
+        cfg.recorder = &ry;
+        runProgram(*yields, cfg);
+        cfg.recorder = &rt;
+        RunResult b = runProgram(*twin, cfg);
+        ASSERT_EQ(a.outcome, Outcome::Success) << a.failureMsg;
+        EXPECT_EQ(a.output, "5");
+        EXPECT_EQ(a.stats.steps, b.stats.steps) << "seed " << seed;
+        EXPECT_EQ(a.clock, b.clock) << "seed " << seed;
+        EXPECT_EQ(switchesOf(ry), switchesOf(rt)) << "seed " << seed;
+    }
+}
+
+TEST(SchedExplore, PctRunsWithoutYieldAreUnchanged)
+{
+    // The rule draws no random number and moves no priority, so a
+    // program that never yields runs exactly as under strict
+    // priorities.  Pinned from runs before the rule existed: the racy
+    // trace, and lock traffic whose sleeps (and so whose step count)
+    // follow the interleaving.
+    const char *kLockedSleeps = R"(
+mutex m;
+int total;
+int hist[8];
+int worker(int id) {
+    for (int i = 0; i < 5; i++) {
+        lock(m);
+        int s = total;
+        hist[s % 8] = id;
+        total = s + id;
+        unlock(m);
+        if (total % 3 == 0) { sleep(2); }
+    }
+    return 0;
+}
+int main() {
+    int a = spawn(worker, 1);
+    int b = spawn(worker, 2);
+    int c = spawn(worker, 4);
+    join(a); join(b); join(c);
+    print(total);
+    return 0;
+}
+)";
+    struct Pin
+    {
+        const char *src;
+        uint64_t seed, depth, steps, clock, memDigest;
+    };
+    const Pin pins[] = {
+        {kRacyTrace, 1, 3, 331, 331, 8704036641871280644ull},
+        {kRacyTrace, 42, 2, 331, 331, 8979829637149022756ull},
+        {kLockedSleeps, 1, 2, 320, 322, 16310787283679206575ull},
+        {kLockedSleeps, 2, 3, 320, 320, 5643331337478081796ull},
+        {kLockedSleeps, 9, 3, 322, 326, 15208663784209148869ull},
+    };
+    for (const Pin &p : pins) {
+        auto m = compileC(p.src);
+        ASSERT_TRUE(m);
+        RunResult r = runEveryVariant(*m, pctConfig(p.seed, p.depth));
+        const std::string ctx = "seed " + std::to_string(p.seed);
+        ASSERT_EQ(r.outcome, Outcome::Success) << ctx << ": "
+                                               << r.failureMsg;
+        EXPECT_EQ(r.stats.steps, p.steps) << ctx;
+        EXPECT_EQ(r.clock, p.clock) << ctx;
+        EXPECT_EQ(r.memDigest, p.memDigest) << ctx;
+    }
+}
+
+TEST(SchedExplore, PctSpinnerRunReplaysStrictlyOnBothEngines)
+{
+    // A recorded spinner run carries its yields' effect in its switch
+    // list: the strict replay reproduces it on either engine.
+    auto m = compileC(kSpinners);
+    ASSERT_TRUE(m);
+    for (uint64_t seed : {3ull, 8ull}) {
+        obs::replay::RecordedRun run =
+            obs::replay::recordRun(*m, pctConfig(seed, 2));
+        ASSERT_EQ(run.result.outcome, Outcome::Success)
+            << run.result.failureMsg;
+        obs::replay::ReplayLog log;
+        std::string err;
+        ASSERT_TRUE(obs::replay::buildReplayLog(
+            "spinners", "pct:d2:s" + std::to_string(seed), run.config,
+            *run.recorder, run.result, log, err))
+            << err;
+        EXPECT_FALSE(log.switches.empty());
+        for (ExecEngine e : {ExecEngine::Fused, ExecEngine::Reference}) {
+            obs::replay::ReplayRun rr = obs::replay::replayLog(*m, log, e);
+            EXPECT_TRUE(rr.faithful) << "seed " << seed << ": "
+                                     << rr.mismatch;
+            EXPECT_EQ(rr.result.output, "7");
+        }
     }
 }
 
