@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <optional>
 #include <set>
 #include <thread>
@@ -224,10 +225,26 @@ calibrateHorizon(const ir::Module &m, uint64_t maxSteps)
     return std::max<uint64_t>(r.stats.schedTicks, 64);
 }
 
+namespace {
+
+/** The images of a target's two builds, built once and read by every
+ *  leg that runs them, from any number of workers at once. */
+struct TargetImages
+{
+    explicit TargetImages(const Target &t) : plain(*t.plain)
+    {
+        if (t.hardened)
+            hardened.emplace(*t.hardened);
+    }
+
+    vm::Image plain;
+    std::optional<vm::Image> hardened;
+};
+
+/** runOneSchedule on the target's shared images. */
 ScheduleOutcome
-runOneSchedule(const Target &t, const ScheduleSpec &s,
-               const CampaignOptions &opts,
-               const ScheduleInstruments *ins)
+runLegs(const Target &t, const TargetImages &images, const ScheduleSpec &s,
+        const CampaignOptions &opts, const ScheduleInstruments *ins)
 {
     ScheduleOutcome out;
     out.spec = s;
@@ -270,7 +287,7 @@ runOneSchedule(const Target &t, const ScheduleSpec &s,
         plainCfg.recordSharedAccesses = true;
     }
     legBegin();
-    vm::RunResult u = vm::runProgram(*t.plain, plainCfg);
+    vm::RunResult u = vm::runProgram(images.plain, plainCfg);
     legEnd(out.wallUnhardenedUs);
     if (opts.collectCoverage && plainCfg.recorder)
         out.coverage =
@@ -285,7 +302,7 @@ runOneSchedule(const Target &t, const ScheduleSpec &s,
         vm::VmConfig refCfg = base;
         refCfg.engine = vm::ExecEngine::Reference;
         legBegin();
-        vm::RunResult r = vm::runProgram(*t.plain, refCfg);
+        vm::RunResult r = vm::runProgram(images.plain, refCfg);
         legEnd(out.wallDifferentialUs);
         std::string d = tickDiff(u, r);
         if (!d.empty()) {
@@ -307,7 +324,7 @@ runOneSchedule(const Target &t, const ScheduleSpec &s,
         if (opts.collectMetrics)
             hardCfg.metrics = &out.metrics;
         legBegin();
-        vm::RunResult h = vm::runProgram(*t.hardened, hardCfg);
+        vm::RunResult h = vm::runProgram(*images.hardened, hardCfg);
         legEnd(out.wallHardenedUs);
         out.hasProfile = opts.collectProfile;
         out.hardened = h.outcome;
@@ -325,7 +342,7 @@ runOneSchedule(const Target &t, const ScheduleSpec &s,
             refCfg.metrics = nullptr;
             refCfg.recordSharedAccesses = false;
             legBegin();
-            vm::RunResult r = vm::runProgram(*t.hardened, refCfg);
+            vm::RunResult r = vm::runProgram(*images.hardened, refCfg);
             legEnd(out.wallHardenedDiffUs);
             std::string d = tickDiff(h, r);
             if (!d.empty()) {
@@ -335,6 +352,16 @@ runOneSchedule(const Target &t, const ScheduleSpec &s,
         }
     }
     return out;
+}
+
+} // namespace
+
+ScheduleOutcome
+runOneSchedule(const Target &t, const ScheduleSpec &s,
+               const CampaignOptions &opts,
+               const ScheduleInstruments *ins)
+{
+    return runLegs(t, TargetImages(t), s, opts, ins);
 }
 
 //
@@ -417,6 +444,10 @@ runCampaign(const std::vector<Target> &targets,
                     {ti, ScheduleSpec{policy, seed, depth}, seed, pi});
         }
 
+    std::deque<TargetImages> images;
+    for (const Target &t : targets)
+        images.emplace_back(t);
+
     std::vector<ScheduleOutcome> results(jobs.size());
     std::vector<std::atomic<uint64_t>> failCount(targets.size());
 
@@ -431,7 +462,8 @@ runCampaign(const std::vector<Target> &targets,
                 opts.stopAfterFailures) {
             results[i].spec = j.spec; // ran stays false
         } else {
-            results[i] = runOneSchedule(targets[j.target], j.spec, opts);
+            results[i] = runLegs(targets[j.target], images[j.target],
+                                 j.spec, opts, nullptr);
             if (isFailingSchedule(results[i]))
                 failCount[j.target].fetch_add(1,
                                               std::memory_order_relaxed);

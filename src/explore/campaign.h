@@ -492,8 +492,10 @@ CampaignReport runCampaign(const std::vector<Target> &targets,
                            const CampaignOptions &opts);
 
 /** Runs a single (target, schedule) cell with all its legs — the
- *  `conair repro` path for a triple printed by a campaign.  @p ins
- *  optionally attaches flight recorders to the Fused legs. */
+ *  `conair repro` path for a triple printed by a campaign.  The legs
+ *  share one vm::Image per build, built for this call (runCampaign
+ *  builds them once per target).  @p ins optionally attaches flight
+ *  recorders to the Fused legs. */
 ScheduleOutcome runOneSchedule(const Target &t, const ScheduleSpec &s,
                                const CampaignOptions &opts,
                                const ScheduleInstruments *ins = nullptr);

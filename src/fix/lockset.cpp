@@ -218,13 +218,6 @@ LocksetAnalysis::LocksetAnalysis(const ir::Module &m)
 }
 
 const Lockset &
-LocksetAnalysis::entryLocks(const Function *f) const
-{
-    auto it = entry_.find(f);
-    return it == entry_.end() ? empty_ : it->second;
-}
-
-const Lockset &
 LocksetAnalysis::locksAt(const Instruction *inst) const
 {
     auto it = at_.find(inst);

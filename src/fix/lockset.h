@@ -54,9 +54,6 @@ class LocksetAnalysis
   public:
     explicit LocksetAnalysis(const ir::Module &m);
 
-    /** Mutexes definitely held on entry to @p f. */
-    const Lockset &entryLocks(const ir::Function *f) const;
-
     /** Mutexes definitely held immediately *before* @p inst. */
     const Lockset &locksAt(const ir::Instruction *inst) const;
 

@@ -49,7 +49,6 @@ class Function
     BlockList &blocks() { return blocks_; }
     const BlockList &blocks() const { return blocks_; }
     BasicBlock *entry() const;
-    size_t numBlocks() const { return blocks_.size(); }
     /// @}
 
     /** Predecessor map, recomputed on each call (CFG may have changed). */
@@ -58,9 +57,6 @@ class Function
 
     /** Makes a block label unique within this function. */
     std::string freshBlockName(const std::string &base);
-
-    /** Total instruction count across all blocks. */
-    size_t instructionCount() const;
 
   private:
     std::string name_;

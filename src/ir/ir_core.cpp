@@ -173,22 +173,6 @@ Value::replaceAllUsesWith(Value *repl)
         u.user->setOperand(u.index, repl);
 }
 
-bool
-Value::isConstant() const
-{
-    switch (kind_) {
-      case ValueKind::ConstInt:
-      case ValueKind::ConstFloat:
-      case ValueKind::ConstNull:
-      case ValueKind::ConstStr:
-      case ValueKind::GlobalAddr:
-      case ValueKind::FuncAddr:
-        return true;
-      default:
-        return false;
-    }
-}
-
 //
 // Instruction
 //
@@ -513,15 +497,6 @@ Function::freshBlockName(const std::string &base)
         if (!clash)
             return cand;
     }
-}
-
-size_t
-Function::instructionCount() const
-{
-    size_t n = 0;
-    for (const auto &bb : blocks_)
-        n += bb->size();
-    return n;
 }
 
 //

@@ -67,8 +67,6 @@ class Value
     /** Rewrites every use of this value to use @p repl instead. */
     void replaceAllUsesWith(Value *repl);
 
-    bool isConstant() const;
-
     /// @{ Use-list bookkeeping; called by Instruction only.
     void addUse(Instruction *user, unsigned index);
     void removeUse(Instruction *user, unsigned index);

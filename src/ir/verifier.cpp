@@ -367,11 +367,4 @@ verifyModule(const Module &m, DiagEngine &diags)
     return v.runModule();
 }
 
-bool
-verifyFunction(const Function &f, DiagEngine &diags)
-{
-    Verifier v(*f.parent(), diags);
-    return v.runFunction(f);
-}
-
 } // namespace conair::ir

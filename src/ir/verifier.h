@@ -19,7 +19,4 @@ namespace conair::ir {
  */
 bool verifyModule(const Module &m, DiagEngine &diags);
 
-/** Verifies a single function. */
-bool verifyFunction(const Function &f, DiagEngine &diags);
-
 } // namespace conair::ir

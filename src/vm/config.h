@@ -67,10 +67,11 @@ inline constexpr uint64_t kGuestMemoryBytes = uint64_t(64) << 20;
  * deterministic and produce tick-for-tick identical runs (enforced by
  * tests/vm/decode_diff_test.cpp and the cross-engine differential
  * fuzzer in tests/property/).  Fused is the production engine: it
- * pre-decodes every function into flat arrays (decode.h), layers
- * decode-time superinstruction fusion on top (fuse.h), and bursts
- * through a dense-dispatch executor (docs/VM_ENGINE.md).  Reference
- * walks the IR tree and exists as the differential-testing referee.
+ * runs every function as flat arrays decoded once per module image
+ * (decode.h), with decode-time superinstruction fusion on top
+ * (fuse.h), and bursts through a dense-dispatch executor
+ * (docs/VM_ENGINE.md).  Reference walks the IR tree and exists as the
+ * differential-testing referee.
  */
 enum class ExecEngine : uint8_t {
     Reference, ///< original IR tree walk (hash per operand resolve)

@@ -1,6 +1,7 @@
 #include "vm/decode.h"
 
 #include "support/diag.h"
+#include "vm/config.h"
 
 namespace conair::vm {
 
@@ -12,18 +13,17 @@ namespace {
 class FunctionDecoder
 {
   public:
-    FunctionDecoder(DecodedFunction &out, const RegMap &map,
+    FunctionDecoder(DecodedFunction &out,
                     const std::unordered_map<const ir::Function *,
                                              std::unique_ptr<DecodedFunction>>
                         &byFn)
-        : out_(out), map_(map), byFn_(byFn)
+        : out_(out), map_(out.map), byFn_(byFn)
     {}
 
     void
-    run(const ir::Function &fn)
+    run()
     {
-        out_.fn = &fn;
-        out_.regCount = map_.count();
+        const ir::Function &fn = *out_.fn;
 
         // Pass 1: number the blocks.
         uint32_t idx = 0;
@@ -146,7 +146,6 @@ class FunctionDecoder
         if (inst.numBlockOps() > 1 && inst.opcode() != Opcode::Phi)
             di.t1 = blockIndex_.at(inst.blockOp(1));
         if (inst.opcode() == Opcode::Call && inst.callee()) {
-            di.callee = inst.callee();
             auto it = byFn_.find(inst.callee());
             if (it == byFn_.end())
                 fatal("decode: call to a function outside the module");
@@ -214,29 +213,51 @@ class FunctionDecoder
 
 } // namespace
 
-DecodedModule::DecodedModule(const ir::Module &m, RegMapCache &maps)
+Image::Image(const ir::Module &m) : module_(m)
 {
-    // Create every shell first so call records can link cross-function
+    // Create every entry first so call records can link cross-function
     // (including recursion and forward references).
     for (const auto &fn : m.functions())
-        byFn_.emplace(fn.get(), std::make_unique<DecodedFunction>());
+        byFn_.emplace(fn.get(), std::make_unique<DecodedFunction>(*fn));
     for (const auto &fn : m.functions()) {
         DecodedFunction &dfn = *byFn_.at(fn.get());
-        FunctionDecoder dec(dfn, maps.of(fn.get()), byFn_);
-        dec.run(*fn);
+        FunctionDecoder(dfn, byFn_).run();
         fuseFunction(dfn);
-        totalInsts_ += dfn.insts.size();
-        totalFused_ += dfn.fused.fusedHeads;
+    }
+
+    // The initial cells, unless together they exceed the guest memory
+    // budget: then every run traps before main() and none reads them.
+    for (const auto &g : m.globals())
+        globalBytes_ += g->size() * sizeof(RtValue);
+    if (globalBytes_ > kGuestMemoryBytes)
+        return;
+    for (const auto &g : m.globals()) {
+        std::vector<RtValue> cells(g->size());
+        if (g->elemType() == ir::Type::Ptr) {
+            // Pointer globals start as null (MiniC offers no non-zero
+            // pointer initialisers).
+            for (auto &cell : cells)
+                cell = RtValue::ofPtr(Ptr{});
+        } else if (g->elemType() == ir::Type::F64) {
+            for (size_t i = 0; i < cells.size(); ++i)
+                cells[i] = RtValue::ofFloat(
+                    i < g->initFp().size() ? g->initFp()[i] : 0.0);
+        } else {
+            for (size_t i = 0; i < cells.size(); ++i)
+                cells[i] = RtValue::ofInt(
+                    i < g->initInt().size() ? g->initInt()[i] : 0);
+        }
+        globals_.push_back(std::move(cells));
     }
 }
 
-const DecodedFunction *
-DecodedModule::of(const ir::Function *fn) const
+const DecodedFunction &
+Image::of(const ir::Function *fn) const
 {
     auto it = byFn_.find(fn);
     if (it == byFn_.end())
-        fatal("DecodedModule: unknown function");
-    return it->second.get();
+        fatal("Image: function outside the module");
+    return *it->second;
 }
 
 } // namespace conair::vm

@@ -1,12 +1,13 @@
 /**
  * @file
- * The pre-decoding layer: lowers MiniIR functions into flat,
- * fixed-layout instruction arrays at Interp construction time.
+ * The module image: everything about a MiniIR module that its runs
+ * share, built once — each function's register map and its flat,
+ * fixed-layout instruction arrays, plus the initial global cells.
  *
  * The tree-walking interpretation path resolves every operand through a
  * `switch (v->kind())` plus pointer-keyed hash lookups (RegMap) and
  * re-derives branch targets, callee metadata, and delay rules on every
- * execution.  Decoding hoists all of that work to construction:
+ * execution.  Decoding hoists all of that work into the image:
  *
  *  - operands become dense register slots or constant-pool indices,
  *    with immediates materialised as ready-to-use RtValues;
@@ -90,8 +91,8 @@ struct DecodedInst
     uint32_t extra = 0;     ///< operands 2.. live at extraOps[extra..]
     uint32_t t0 = 0, t1 = 0; ///< branch targets (block indices)
     int64_t imm = 0;        ///< alloca size / hint id
-    const ir::Function *callee = nullptr;      ///< user call target
-    const DecodedFunction *calleeDfn = nullptr; ///< its decoded body
+    /** The callee's image entry; non-null exactly on user calls. */
+    const DecodedFunction *calleeDfn = nullptr;
     const ir::Instruction *src = nullptr; ///< tags, diagnostics, strings
 };
 
@@ -120,11 +121,15 @@ struct DecodedBlock
     const ir::Instruction *firstPhi = nullptr; ///< diagnostics
 };
 
-/** A function lowered to flat arrays; entry block is index 0. */
+/** One function's image entry: its register map and its body lowered
+ *  to flat arrays (entry block is index 0).  The Reference engine reads
+ *  only `fn` and `map`; the Fused engine runs the arrays. */
 struct DecodedFunction
 {
-    const ir::Function *fn = nullptr;
-    uint32_t regCount = 0;
+    explicit DecodedFunction(const ir::Function &f) : fn(&f), map(f) {}
+
+    const ir::Function *fn;
+    RegMap map; ///< argument i is register i; map.count() sizes a frame
     std::vector<DecodedInst> insts;
     std::vector<DecodedBlock> blocks;
     std::vector<PhiEdge> phiEdges;
@@ -132,31 +137,46 @@ struct DecodedFunction
     std::vector<OpRef> extraOps;
     std::vector<RtValue> consts;
 
-    /** Superinstruction overlay (fuse.h), built with the function. */
-    FusedFunction fused;
+    /** Superinstruction overlay (fuse.h): one record per insts index,
+     *  built with the function. */
+    std::vector<FusedInst> fused;
 };
 
-/** All of a module's functions decoded and fused once, up front; a
- *  function of the module alone. */
-class DecodedModule
+/**
+ * Everything about a module that does not change while it runs: every
+ * function's image entry (decoded and fused up front) and the initial
+ * global cells.  Immutable once built, so any number of threads may run
+ * one image at the same time; the module must outlive it.
+ */
+class Image
 {
   public:
-    DecodedModule(const ir::Module &m, RegMapCache &maps);
+    explicit Image(const ir::Module &m);
+    Image(const Image &) = delete;
+    Image &operator=(const Image &) = delete;
 
-    /** The decoded body of @p fn (never null for module functions). */
-    const DecodedFunction *of(const ir::Function *fn) const;
+    /** @p fn's entry; fatal for a function outside the module. */
+    const DecodedFunction &of(const ir::Function *fn) const;
 
-    /** Total decoded instruction records (stats reporting). */
-    uint64_t totalInsts() const { return totalInsts_; }
+    const ir::Module &module() const { return module_; }
 
-    /** Total two-component superinstructions formed at construction. */
-    uint64_t totalFusedInsts() const { return totalFused_; }
+    /** Initial cells of every global, indexed by Global::id().  Empty
+     *  when they exceed kGuestMemoryBytes: such a module's runs trap
+     *  before main(), so its cells are never built. */
+    const std::vector<std::vector<RtValue>> &globals() const
+    {
+        return globals_;
+    }
+
+    /** Guest bytes the globals take, built or not. */
+    uint64_t globalBytes() const { return globalBytes_; }
 
   private:
+    const ir::Module &module_;
     std::unordered_map<const ir::Function *,
                        std::unique_ptr<DecodedFunction>> byFn_;
-    uint64_t totalInsts_ = 0;
-    uint64_t totalFused_ = 0;
+    std::vector<std::vector<RtValue>> globals_;
+    uint64_t globalBytes_ = 0;
 };
 
 } // namespace conair::vm

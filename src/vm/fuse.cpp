@@ -287,8 +287,7 @@ classify(const DecodedFunction &dfn, uint32_t i, uint32_t blockEnd)
 void
 fuseFunction(DecodedFunction &dfn)
 {
-    FusedFunction ff;
-    ff.recs.resize(dfn.insts.size());
+    std::vector<FusedInst> recs(dfn.insts.size());
 
     for (uint32_t bi = 0; bi < dfn.blocks.size(); ++bi) {
         const DecodedBlock &db = dfn.blocks[bi];
@@ -299,19 +298,10 @@ fuseFunction(DecodedFunction &dfn)
         // entered without a branch; Solo delegates to the generic path,
         // which reports that exact trap.
         for (uint32_t i = db.phiBegin; i < db.first; ++i)
-            ff.recs[i].op = FusedOp::Solo;
+            recs[i].op = FusedOp::Solo;
         for (uint32_t i = db.first; i < blockEnd; ++i) {
-            FusedInst &r = ff.recs[i];
+            FusedInst &r = recs[i];
             r = classify(dfn, i, blockEnd);
-            switch (r.op) {
-              case FusedOp::CmpBr:
-              case FusedOp::LoadThenAlu:
-              case FusedOp::AluThenStore:
-                ++ff.fusedHeads;
-                break;
-              default:
-                break;
-            }
             // Branches pre-resolve their targets' phi edges so the
             // handlers can skip the edge scan (predecessor == bi here).
             if (r.op == FusedOp::Br) {
@@ -323,7 +313,7 @@ fuseFunction(DecodedFunction &dfn)
             }
         }
     }
-    dfn.fused = std::move(ff);
+    dfn.fused = std::move(recs);
 }
 
 } // namespace conair::vm

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace conair::vm {
 
@@ -95,19 +94,9 @@ struct FusedInst
  *  (the executor's scratch is a fixed array of this many RtValues). */
 inline constexpr uint32_t kMaxInlinePhi = 8;
 
-/** A function's fusion overlay: one record per DecodedInst index. */
-struct FusedFunction
-{
-    std::vector<FusedInst> recs;
-
-    /** Two-component superinstructions formed (CmpBr / LoadThenAlu /
-     *  AluThenStore heads) — the RunStats::fusedInsts axis. */
-    uint64_t fusedHeads = 0;
-};
-
-/** Builds @p dfn's fusion overlay (idempotent; replaces any previous
- *  overlay).  The DecodedModule constructor calls it for every
- *  function. */
+/** Builds @p dfn's fusion overlay, one record per DecodedInst index
+ *  (idempotent; replaces any previous overlay).  The Image constructor
+ *  calls it for every function. */
 void fuseFunction(DecodedFunction &dfn);
 
 } // namespace conair::vm

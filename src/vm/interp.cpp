@@ -104,7 +104,18 @@ operator<<(std::ostream &os, Outcome o)
 }
 
 Interp::Interp(const ir::Module &m, VmConfig cfg)
-    : module_(m), cfg_(cfg), schedRng_(cfg.seed), appRng_(cfg.appSeed),
+    : Interp(std::make_unique<const Image>(m), std::move(cfg))
+{}
+
+Interp::Interp(std::unique_ptr<const Image> own, VmConfig cfg)
+    : Interp(*own, std::move(cfg))
+{
+    ownImage_ = std::move(own);
+}
+
+Interp::Interp(const Image &image, VmConfig cfg)
+    : image_(image), cfg_(cfg), fused_(cfg.engine == ExecEngine::Fused),
+      schedRng_(cfg.seed), appRng_(cfg.appSeed),
       chaosRng_(cfg.seed ^ 0x5bd1e995u),
       prioRng_(cfg.seed ^ 0xda942042e4dd58b5ull)
 {
@@ -153,39 +164,10 @@ Interp::Interp(const ir::Module &m, VmConfig cfg)
     }
     hintFires_.assign(delayRules_.size(), 0);
 
-    // Materialise globals, unless together they exceed the guest
-    // memory budget: then the run traps before main() and allocates
-    // nothing.
-    uint64_t globalBytes = 0;
-    for (const auto &g : m.globals())
-        globalBytes += g->size() * sizeof(RtValue);
-    if (!chargeGuest(globalBytes, nullptr))
-        return;
-    for (const auto &g : m.globals()) {
-        std::vector<RtValue> cells(g->size());
-        if (g->elemType() == ir::Type::Ptr) {
-            // Pointer globals start as null (MiniC offers no non-zero
-            // pointer initialisers).
-            for (auto &cell : cells)
-                cell = RtValue::ofPtr(Ptr{});
-        } else if (g->elemType() == ir::Type::F64) {
-            for (size_t i = 0; i < g->initFp().size() &&
-                               i < cells.size(); ++i)
-                cells[i] = RtValue::ofFloat(g->initFp()[i]);
-            for (size_t i = g->initFp().size(); i < cells.size(); ++i)
-                cells[i] = RtValue::ofFloat(0.0);
-        } else {
-            for (size_t i = 0; i < g->initInt().size() &&
-                               i < cells.size(); ++i)
-                cells[i] = RtValue::ofInt(g->initInt()[i]);
-            for (size_t i = g->initInt().size(); i < cells.size(); ++i)
-                cells[i] = RtValue::ofInt(0);
-        }
-        globals_.push_back(std::move(cells));
-    }
-
-    if (cfg_.engine == ExecEngine::Fused)
-        decoded_ = std::make_unique<DecodedModule>(m, regMaps_);
+    // Globals past the guest memory budget trap the run before main()
+    // (the image built no cells for them).
+    if (chargeGuest(image_.globalBytes(), nullptr))
+        globals_ = image_.globals();
 }
 
 Interp::~Interp() = default;
@@ -197,13 +179,11 @@ Interp::~Interp() = default;
 RunResult
 Interp::run()
 {
-    result_.stats.decodedInsts = decoded_ ? decoded_->totalInsts() : 0;
-    result_.stats.fusedInsts = decoded_ ? decoded_->totalFusedInsts() : 0;
     result_.stats.hintRulesTracked = hintFires_.size();
     if (!running_)
         return result_; // the globals exceeded the guest memory budget
 
-    const ir::Function *main_fn = module_.findFunction("main");
+    const ir::Function *main_fn = image_.module().findFunction("main");
     if (!main_fn) {
         fail(Outcome::Trap, "no main() function", nullptr);
         return result_;
@@ -211,7 +191,7 @@ Interp::run()
     Thread *t0 = newThread(nullptr);
     if (!t0)
         return result_; // no room left for the main thread's record
-    pushFrame(*t0, main_fn, nullptr, 0, false, 0);
+    pushFrame(*t0, image_.of(main_fn), nullptr, 0, false, 0);
     // main starts without a scan: count it as the first pick, so every
     // thread that has run holds a distinct lastPicked (policyChoice).
     t0->lastPicked = ++picks_;
@@ -268,7 +248,7 @@ Interp::run()
             }
         }
         if (cfg_.schedFastPath && burstable(*t)) {
-            if (decoded_)
+            if (fused_)
                 runBurstFused(*t);
             else
                 runBurst(*t);
@@ -306,7 +286,7 @@ Interp::stepThread(Thread &t)
     Frame &f = t.frames.back();
     ++clock_;
     ++result_.stats.steps;
-    if (f.dfn) {
+    if (fused_) {
         const DecodedInst &di = f.dfn->insts[f.dPc];
         ++f.dPc; // terminators re-aim it; calls rely on it pointing past
         tallyStep(t, di.op, di.builtin);
@@ -529,7 +509,6 @@ Interp::runBurstFused(Thread &t)
         quantumLeft_ -= comps;                                         \
         hangCheckCountdown_ -= comps;                                  \
         result_.stats.fastPathSteps += comps;                          \
-        result_.stats.fusedSteps += comps;                             \
         clock_ += comps + phiTicks;                                    \
         result_.stats.steps += comps + phiTicks;                       \
         comps = 0;                                                     \
@@ -597,7 +576,7 @@ resync:
     frp = &t.frames.back();
     dfnp = frp->dfn;
     insts = dfnp->insts.data();
-    recs = dfnp->fused.recs.data();
+    recs = dfnp->fused.data();
     consts = dfnp->consts.data();
     regs = frp->regs.data();
     {
@@ -869,20 +848,16 @@ resync:
 //
 
 void
-Interp::pushFrame(Thread &t, const ir::Function *fn, const RtValue *args,
-                  unsigned nArgs, bool wants_ret, uint32_t ret_reg,
-                  const DecodedFunction *dfn)
+Interp::pushFrame(Thread &t, const DecodedFunction &callee,
+                  const RtValue *args, unsigned nArgs, bool wants_ret,
+                  uint32_t ret_reg)
 {
     Frame f;
-    f.fn = fn;
+    f.dfn = &callee;
     f.wantsRet = wants_ret;
     f.retReg = ret_reg;
     f.firstSlotId = nextSlotId_;
-    if (decoded_)
-        f.dfn = dfn ? dfn : decoded_->of(fn);
-    else
-        f.map = &regMaps_.of(fn);
-    const size_t nRegs = decoded_ ? f.dfn->regCount : f.map->count();
+    const size_t nRegs = callee.map.count();
     if (!chargeGuest(sizeof(Frame) + nRegs * sizeof(RtValue), nullptr))
         return;
     // A recycled register file (see freeRegFiles_), zero-filled to the
@@ -892,21 +867,15 @@ Interp::pushFrame(Thread &t, const ir::Function *fn, const RtValue *args,
         freeRegFiles_.pop_back();
     }
     f.regs.assign(nRegs, RtValue{});
-    if (decoded_) {
-        // RegMap numbers arguments first: argument i is register i.
-        for (unsigned i = 0; i < nArgs; ++i)
-            f.regs[i] = args[i];
-        f.dBlock = 0;
-        // Start at the entry block's phi records (normally none, so
-        // this is its first executable instruction); entering an entry
-        // block that has phis traps exactly like the reference path.
-        f.dPc = f.dfn->blocks.empty() ? 0 : f.dfn->blocks[0].phiBegin;
-        f.dPrevBlock = kNoBlock;
-    } else {
-        for (unsigned i = 0; i < nArgs; ++i)
-            f.regs[f.map->indexOf(fn->arg(i))] = args[i];
-        f.block = fn->entry();
-        f.pc = fn->entry()->insts().begin();
+    // RegMap numbers arguments first: argument i is register i.
+    for (unsigned i = 0; i < nArgs; ++i)
+        f.regs[i] = args[i];
+    // The Fused position's defaults name the entry block's first
+    // record (its phi records, normally none; entering an entry block
+    // that has phis traps exactly like the Reference engine).
+    if (!fused_) {
+        f.block = callee.fn->entry();
+        f.pc = f.block->insts().begin();
     }
     t.frames.push_back(std::move(f));
 }
@@ -975,7 +944,7 @@ Interp::getValue(Frame &f, const ir::Value *v)
       }
       case ValueKind::Argument:
       case ValueKind::Instruction:
-        return f.regs[f.map->indexOf(v)];
+        return f.regs[f.dfn->map.indexOf(v)];
       case ValueKind::ConstStr:
       case ValueKind::FuncAddr:
         fatal("string/function constants are only valid as direct "
@@ -987,7 +956,7 @@ Interp::getValue(Frame &f, const ir::Value *v)
 void
 Interp::setReg(Frame &f, const Instruction *inst, RtValue v)
 {
-    f.regs[f.map->indexOf(inst)] = v;
+    f.regs[f.dfn->map.indexOf(inst)] = v;
 }
 
 void
@@ -1273,7 +1242,7 @@ Interp::doLoad(Thread &t, const Instruction &inst)
     }
     if (diag_ && addr.p.seg != Ptr::Seg::Stack)
         recordSharedAccess(t, false, addr.p, *cell, inst.tag());
-    finishLoad(f, f.map->indexOf(&inst), inst.type(), *cell, &inst);
+    finishLoad(f, f.dfn->map.indexOf(&inst), inst.type(), *cell, &inst);
 }
 
 void
@@ -1380,10 +1349,7 @@ Interp::lockMutex(Thread &t, Ptr p, bool timed, uint64_t timeout,
     t.blockStart = clock_;
     t.lockHasDeadline = timed;
     if (timed) {
-        // Saturate instead of wrapping: an enormous timeout must mean
-        // "wait forever", not a deadline in the past.
-        uint64_t deadline = clock_ + timeout;
-        t.wakeAt = deadline < clock_ ? UINT64_MAX : deadline;
+        t.wakeAt = deadlineAfter(timeout);
         t.lockResultReg = dstReg;
         t.lockWantsResult = true;
     } else {
@@ -1645,8 +1611,8 @@ Interp::execCall(Thread &t, const Instruction &inst)
         for (unsigned i = 0; i < n; ++i)
             args[i] = getValue(f, inst.operand(i));
         bool wants = inst.producesValue();
-        uint32_t ret_reg = wants ? f.map->indexOf(&inst) : 0;
-        pushFrame(t, inst.callee(), args, n, wants, ret_reg);
+        uint32_t ret_reg = wants ? f.dfn->map.indexOf(&inst) : 0;
+        pushFrame(t, image_.of(inst.callee()), args, n, wants, ret_reg);
         return;
     }
     // Builtin: pre-fetch the runtime-valued operands (string/function
@@ -1659,7 +1625,8 @@ Interp::execCall(Thread &t, const Instruction &inst)
         if (k != ir::ValueKind::ConstStr && k != ir::ValueKind::FuncAddr)
             vals[i] = getValue(f, inst.operand(i));
     }
-    uint32_t dst_reg = inst.producesValue() ? f.map->indexOf(&inst) : 0;
+    uint32_t dst_reg =
+        inst.producesValue() ? f.dfn->map.indexOf(&inst) : 0;
     if (ir::builtinIsConAir(inst.builtin()))
         execConAir(t, inst, vals, dst_reg);
     else
@@ -1855,7 +1822,7 @@ Interp::execCallDecoded(Thread &t, const DecodedInst &di)
                         : dfn.extraOps[di.extra + (i - 2)];
     };
 
-    if (di.callee) {
+    if (di.calleeDfn) {
         RtValue argbuf[8];
         std::vector<RtValue> heap_args;
         RtValue *args = argbuf;
@@ -1865,8 +1832,7 @@ Interp::execCallDecoded(Thread &t, const DecodedInst &di)
         }
         for (unsigned i = 0; i < di.nOps; ++i)
             args[i] = refVal(f.regs, dfn.consts, ref(i));
-        pushFrame(t, di.callee, args, di.nOps, di.hasDst, di.dst,
-                  di.calleeDfn);
+        pushFrame(t, *di.calleeDfn, args, di.nOps, di.hasDst, di.dst);
         return;
     }
     RtValue vals[4] = {};
@@ -1893,7 +1859,7 @@ Interp::execBuiltin(Thread &t, const Instruction &inst,
 {
     auto str_arg = [&](unsigned i) -> const std::string & {
         auto *s = static_cast<const ir::ConstStr *>(inst.operand(i));
-        return module_.strAt(s->id());
+        return image_.module().strAt(s->id());
     };
 
     // Synchronisation operations are scheduling ticks (see
@@ -1919,7 +1885,7 @@ Interp::execBuiltin(Thread &t, const Instruction &inst,
         Thread *nt = newThread(&inst);
         if (!nt)
             break;
-        pushFrame(*nt, fa->function(), &arg, 1, false, 0);
+        pushFrame(*nt, image_.of(fa->function()), &arg, 1, false, 0);
         ++result_.stats.threadsSpawned;
         schedEvent_ = true;
         t.frames.back().regs[dstReg] = RtValue::ofInt(nt->id);
@@ -2012,7 +1978,7 @@ Interp::execBuiltin(Thread &t, const Instruction &inst,
         int64_t n = vals[0].i;
         if (n > 0) {
             t.state = ThreadState::Sleeping;
-            t.wakeAt = clock_ + uint64_t(n);
+            t.wakeAt = deadlineAfter(uint64_t(n));
             forceSwitch_ = true;
         }
         break;
@@ -2136,7 +2102,7 @@ Interp::schedHint(Thread &t, uint64_t hintId)
         return;
     ++fired;
     t.state = ThreadState::Sleeping;
-    t.wakeAt = clock_ + r.delayTicks;
+    t.wakeAt = deadlineAfter(r.delayTicks);
     forceSwitch_ = true;
 }
 
@@ -2816,6 +2782,13 @@ Interp::computeMemDigest() const
             h = cell(h, v);
     }
     return h;
+}
+
+RunResult
+runProgram(const Image &image, const VmConfig &cfg)
+{
+    Interp interp(image, cfg);
+    return interp.run();
 }
 
 RunResult

@@ -15,8 +15,8 @@
  * Two execution engines share all of the VM's semantics (memory, locks,
  * scheduling, the ConAir runtime) and differ only in how a single
  * instruction is fetched and its operands resolved:
- *  - ExecEngine::Fused (default) runs the pre-decoded flat arrays built
- *    at construction (see decode.h) and bursts a single runnable
+ *  - ExecEngine::Fused (default) runs the flat arrays the module's
+ *    Image decoded once (see decode.h) and bursts a single runnable
  *    thread through superinstruction records (see fuse.h);
  *  - ExecEngine::Reference walks the IR tree exactly like the original
  *    interpreter (hash per operand, pointer chasing per branch).
@@ -36,16 +36,22 @@
 #include "support/rng.h"
 #include "vm/config.h"
 #include "vm/decode.h"
-#include "vm/regmap.h"
 #include "vm/stats.h"
 #include "vm/value.h"
 
 namespace conair::vm {
 
-/** Executes one MiniIR module.  One Interp instance = one run. */
+/** Executes one MiniIR module.  One Interp instance = one run; all it
+ *  holds is run state, and everything about the module comes from its
+ *  Image. */
 class Interp
 {
   public:
+    /** A run of @p image, which must outlive the Interp. */
+    Interp(const Image &image, VmConfig cfg);
+    /** A temporary image would dangle. */
+    Interp(const Image &&, VmConfig) = delete;
+    /** A run of @p m on a private image built for it. */
     Interp(const ir::Module &m, VmConfig cfg);
     ~Interp();
 
@@ -53,6 +59,9 @@ class Interp
     RunResult run();
 
   private:
+    /** Runs the private image @p own and keeps it alive. */
+    Interp(std::unique_ptr<const Image> own, VmConfig cfg);
+
     /** One alloca's storage.  Ids count up from 1 and stay unique
      *  among live slots (a whole-program restore rewinds the counter
      *  along with the slots). */
@@ -64,15 +73,15 @@ class Interp
 
     struct Frame
     {
-        const ir::Function *fn;
-        const RegMap *map = nullptr; ///< reference engine only
+        /** The function's image entry: its register map on both
+         *  engines, its decoded arrays on the Fused one. */
+        const DecodedFunction *dfn = nullptr;
         std::vector<RtValue> regs;
         // Reference engine position (IR tree walk).
         const ir::BasicBlock *block = nullptr;
         ir::BasicBlock::InstList::const_iterator pc;
         const ir::BasicBlock *prevBlock = nullptr;
         // Fused engine position (decoded flat indices).
-        const DecodedFunction *dfn = nullptr;
         uint32_t dBlock = 0;
         uint32_t dPc = 0;
         uint32_t dPrevBlock = kNoBlock;
@@ -241,10 +250,11 @@ class Interp
                      const RtValue *vals, uint32_t dstReg);
     void execConAir(Thread &t, const ir::Instruction &inst,
                     const RtValue *vals, uint32_t dstReg);
-    void pushFrame(Thread &t, const ir::Function *fn,
+    /** Enters @p callee on @p t: argument i is register i on both
+     *  engines. */
+    void pushFrame(Thread &t, const DecodedFunction &callee,
                    const RtValue *args, unsigned nArgs, bool wants_ret,
-                   uint32_t ret_reg,
-                   const DecodedFunction *dfn = nullptr);
+                   uint32_t ret_reg);
     void popFrame(Thread &t, RtValue ret);
     /** Pops @p t's innermost frame: frees its stack slots, hands its
      *  register file to freeRegFiles_ and gives its bytes back to the
@@ -305,6 +315,15 @@ class Interp
     /** SchedHint @p hintId executed by @p t: a configured delay rule
      *  with fires left puts @p t to sleep. */
     void schedHint(Thread &t, uint64_t hintId);
+
+    /** The deadline @p ticks from now, saturating instead of wrapping:
+     *  one past the clock's range never comes.  Lock timeouts, delay
+     *  rules and sleep all set Thread::wakeAt through it. */
+    uint64_t
+    deadlineAfter(uint64_t ticks) const
+    {
+        return ticks > UINT64_MAX - clock_ ? UINT64_MAX : clock_ + ticks;
+    }
 
     /** The chaos tail of every retired instruction (stepThread and the
      *  fused Solo handler): @p dirties closes the idempotent window,
@@ -459,9 +478,13 @@ class Interp
     unsigned wpRecoveriesUsed_ = 0;
     bool wpPendingRestore_ = false;
 
-    const ir::Module &module_;
+    /** The private image of the module-taking constructor (null when
+     *  the caller shares one). */
+    std::unique_ptr<const Image> ownImage_;
+    const Image &image_;
     VmConfig cfg_;
-    RegMapCache regMaps_;
+    /** cfg_.engine is ExecEngine::Fused. */
+    bool fused_;
     Rng schedRng_;
     Rng appRng_;
     Rng chaosRng_;
@@ -495,10 +518,6 @@ class Interp
     std::unordered_map<uint64_t, uint32_t> delayIndexByHint_;
     /** Per-rule fire counts; deliberately NOT part of WpSnapshot. */
     std::vector<uint64_t> hintFires_;
-
-    /** The pre-decoded, fused module (ExecEngine::Fused; null under
-     *  the reference engine, which walks the IR tree). */
-    std::unique_ptr<DecodedModule> decoded_;
 
     // Memory.  Stack slots live in their frames (Frame::slots).
     std::vector<std::vector<RtValue>> globals_;
@@ -603,7 +622,10 @@ class Interp
     uint64_t computeMemDigest() const;
 };
 
-/** Convenience wrapper: one run of @p m under @p cfg. */
+/** Convenience wrapper: one run of @p image under @p cfg. */
+RunResult runProgram(const Image &image, const VmConfig &cfg = {});
+
+/** One run of @p m under @p cfg, on a private image. */
 RunResult runProgram(const ir::Module &m, const VmConfig &cfg = {});
 
 } // namespace conair::vm

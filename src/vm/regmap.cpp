@@ -17,9 +17,9 @@ RegMap::RegMap(const ir::Function &f)
     slots_.resize(cap);
     mask_ = cap - 1;
     shift_ = 64 - unsigned(std::countr_zero(cap));
-    // Arguments first — argument i IS register i, an invariant the
-    // pre-decoded call path relies on to seed callee frames without
-    // looking anything up (see Interp::pushFrame).
+    // Arguments first — argument i IS register i, an invariant both
+    // engines rely on to seed callee frames without looking anything
+    // up (see Interp::pushFrame).
     for (unsigned i = 0; i < f.numArgs(); ++i)
         insert(f.arg(i));
     for (const auto &bb : f.blocks())
@@ -41,15 +41,6 @@ void
 RegMap::unnumbered()
 {
     fatal("RegMap: value not numbered in this function");
-}
-
-const RegMap &
-RegMapCache::of(const ir::Function *f)
-{
-    auto it = maps_.find(f);
-    if (it == maps_.end())
-        it = maps_.emplace(f, RegMap(*f)).first;
-    return it->second;
 }
 
 } // namespace conair::vm

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/function.h"
@@ -69,16 +68,6 @@ class RegMap
     size_t mask_ = 0;
     unsigned shift_ = 63;
     uint32_t count_ = 0;
-};
-
-/** Lazily builds and caches RegMaps for a module's functions. */
-class RegMapCache
-{
-  public:
-    const RegMap &of(const ir::Function *f);
-
-  private:
-    std::unordered_map<const ir::Function *, RegMap> maps_;
 };
 
 } // namespace conair::vm

@@ -125,10 +125,9 @@ struct RunStats
      *  the regression test pins that down with this trace. */
     std::vector<ChaosRollbackSite> chaosSites;
 
-    /// @{ Execution-engine counters (decode layer + burst).
+    /// @{ Execution-engine counters.
     /// Engine-internal: excluded from the cross-engine differential
     /// comparison, which checks semantic state only.
-    uint64_t decodedInsts = 0;   ///< instruction records decoded up front
     uint64_t fastPathSteps = 0;  ///< steps retired in single-runnable bursts
     /** The memory-handle cache's hits and misses.  The cache is gone
      *  and nothing counts these; they stay (always 0) because
@@ -136,8 +135,6 @@ struct RunStats
     uint64_t memCacheHits = 0;
     uint64_t memCacheMisses = 0;
     uint64_t hintRulesTracked = 0; ///< fire-count slots (== configured rules)
-    uint64_t fusedInsts = 0;     ///< superinstructions formed at decode time
-    uint64_t fusedSteps = 0;     ///< steps retired by the fused dispatcher
     /// @}
 };
 

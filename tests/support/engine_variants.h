@@ -40,9 +40,9 @@ inline constexpr EngineVariant kEngineVariants[] = {
 };
 
 /** Equality over everything semantic a run reports.  Engine-internal
- *  counters (decodedInsts, fastPathSteps, fusedSteps,
- *  hintRulesTracked) are deliberately excluded: they describe *how*
- *  the engine ran, not what the program did. */
+ *  counters (fastPathSteps, hintRulesTracked) are deliberately
+ *  excluded: they describe *how* the engine ran, not what the program
+ *  did. */
 inline void
 expectSameRun(const vm::RunResult &a, const vm::RunResult &b,
               const std::string &ctx)

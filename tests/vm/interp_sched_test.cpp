@@ -3,11 +3,13 @@
  * Scheduler and control-transfer semantics: policy determinism, delay
  * rules, and the phi parallel-copy rule.
  */
+#include "tests/support/engine_variants.h"
 #include "tests/vm/vm_test_util.h"
 
 namespace conair::vm {
 namespace {
 
+using testutil::compileC;
 using testutil::parseIR;
 using testutil::runC;
 
@@ -119,6 +121,35 @@ int main() {
     VmConfig once;
     once.delays = {{1, 1'000, 1}};
     EXPECT_EQ(runC(src, once).exitCode, 10);
+}
+
+TEST(InterpSched, DelayPastTheClockRangeNeverEnds)
+{
+    // A delay deadline saturates like a lock timeout: a delay too long
+    // for the clock stalls the thread for good instead of wrapping
+    // round to a deadline that has already passed.
+    auto m = compileC(R"(
+int flag;
+int worker(int x) {
+    hint(1);
+    flag = 1;
+    return 0;
+}
+int main() {
+    spawn(worker, 0);
+    for (int i = 0; i < 100; i++) { yield(); }
+    print(flag);
+    return 0;
+}
+)");
+    ASSERT_TRUE(m);
+    for (uint64_t ticks : {uint64_t(1'000'000), UINT64_MAX}) {
+        VmConfig cfg;
+        cfg.delays = {{1, ticks, 0}};
+        RunResult r = conair::testutil::runEveryVariant(*m, cfg);
+        EXPECT_EQ(r.outcome, Outcome::Success) << ticks;
+        EXPECT_EQ(r.output, "0") << ticks;
+    }
 }
 
 TEST(InterpSched, HintsWithoutRulesAreFree)
