@@ -96,9 +96,10 @@ MetricsRegistry::observe(const std::string &name, uint64_t v,
         // the same name is a caller bug — merge() would later fail on
         // the mismatch — so it is fatal in debug builds and ignored
         // (the original ladder is kept) in release builds.
+        // One literal: assert prints the expression as written, and
+        // the death test matches this message in it.
         assert(it->second.bounds == bounds &&
-               "MetricsRegistry::observe: bucket bounds differ from "
-               "the histogram's first use");
+               "bucket bounds differ from the histogram's first use");
     }
     it->second.observe(v);
 }

@@ -44,9 +44,8 @@ struct AluParts
  * Classifies @p di as a trap-free integer ALU component: a register
  * destination, a register first operand (commutative ops accept the
  * constant on either side), and a register or integer-immediate second
- * operand.  SDiv/SRem qualify only with an immediate divisor that can
- * neither trap (0) nor hit the INT64_MIN/-1 wrap special case (-1) —
- * those stay on the generic path that reproduces the trap exactly.
+ * operand.  SDiv/SRem qualify only with a non-zero immediate divisor:
+ * a zero one traps, which the generic path reports.
  */
 bool
 classifyAlu(const DecodedFunction &dfn, const DecodedInst &di,
@@ -92,8 +91,7 @@ classifyAlu(const DecodedFunction &dfn, const DecodedInst &di,
     }
     if (!intConst(dfn, b, imm))
         return false;
-    if ((di.op == Opcode::SDiv || di.op == Opcode::SRem) &&
-        (imm == 0 || imm == -1))
+    if ((di.op == Opcode::SDiv || di.op == Opcode::SRem) && imm == 0)
         return false;
     out.rc = true;
     out.imm = imm;
@@ -237,43 +235,16 @@ classify(const DecodedFunction &dfn, uint32_t i, uint32_t blockEnd)
         r.t0 = di.t0;
         r.t1 = di.t1;
         return r;
-      // Rare-but-burstable ops: generic execution, burst continues.
-      case Opcode::Alloca:
-      case Opcode::SDiv: // reg or trapping divisor (see classifyAlu)
-      case Opcode::SRem:
-      case Opcode::Add:  // operand forms classifyAlu rejected
-      case Opcode::Sub:
-      case Opcode::Mul:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Shl:
-      case Opcode::Shr:
-      case Opcode::FAdd:
-      case Opcode::FSub:
-      case Opcode::FMul:
-      case Opcode::FDiv:
-      case Opcode::FCmpEq:
-      case Opcode::FCmpNe:
-      case Opcode::FCmpLt:
-      case Opcode::FCmpLe:
-      case Opcode::FCmpGt:
-      case Opcode::FCmpGe:
-      case Opcode::SiToFp:
-      case Opcode::FpToSi:
-      case Opcode::Zext:
-        r.op = FusedOp::SoloCont;
-        return r;
-      // Everything that can switch frames, sleep, fail, or consult the
-      // scheduler leaves the burst: the outer loop re-checks the full
-      // stepwise conditions before continuing.
       default:
         break;
     }
+    // The rest runs its execDecoded handler.  Calls, returns, hints,
+    // unreachable, phis and branches with unusable operands leave the
+    // burst (Solo): they can switch frames or consult the scheduler, so
+    // the outer loop re-checks the full stepwise conditions.  The rest
+    // (alloca, FP math, casts, integer ops whose operands fit no record
+    // above) continues it (SoloCont).
     r.op = FusedOp::Solo;
-    // Degraded compare/condbr/ptradd/alloca-class records fall through
-    // here too when their operands were unusable; keep cheap ones in
-    // the burst.
     if (di.op != Opcode::Call && di.op != Opcode::Ret &&
         di.op != Opcode::SchedHint && di.op != Opcode::Unreachable &&
         di.op != Opcode::Phi && di.op != Opcode::Br &&

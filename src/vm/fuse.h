@@ -6,9 +6,9 @@
  * (Interp::runBurstFused) dispatches through a dense jump table.
  *
  * Fusion never changes semantics — records either delegate to the
- * decoded handlers (Load/Store/Solo) or replicate them bit-for-bit
- * with the operand-resolution branches folded away (register indices
- * and immediates instead of OpRef tag checks).  Two-component records
+ * decoded handlers (Load/Store/Solo) or call the kernel (ops.h) with
+ * the operand-resolution branches folded away (register indices and
+ * immediates instead of OpRef tag checks).  Two-component records
  * (compare+branch, load+arith, arith+store) retire two DecodedInsts
  * per dispatch while charging the exact per-instruction tick, step,
  * and quantum accounting of stepwise execution; docs/VM_ENGINE.md
@@ -40,8 +40,8 @@ enum class FusedOp : uint8_t {
     CondBr,   ///< branch on register a
     Br,       ///< unconditional branch to t0
     PtrAdd,   ///< d = a.ptr advanced by b cells
-    Load,     ///< delegated doLoadDecoded (memory checks, diag events)
-    Store,    ///< delegated doStoreDecoded (schedTicks, diag events)
+    Load,     ///< fast path, else execDecoded (faults, diag events)
+    Store,    ///< fast path, else execDecoded (faults, diag events)
     LoadThenAlu,  ///< Load, then a trap-free integer op (2 components)
     AluThenStore, ///< trap-free integer op, then a Store (2 components)
 };

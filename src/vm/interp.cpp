@@ -8,6 +8,7 @@
 #include "obs/profile/profile.h"
 #include "obs/trace.h"
 #include "support/str.h"
+#include "vm/ops.h"
 
 namespace conair::vm {
 
@@ -20,8 +21,8 @@ namespace {
 /** Resolves a pre-decoded operand reference: dense register slot or
  *  constant-pool entry (decode.h).  kRawRef operands have no runtime
  *  value; reaching one here is the same misuse the tree-walking
- *  getValue() diagnoses. */
-inline const RtValue &
+ *  getValue() diagnoses.  The Fused engine's operand fetch (ops.h). */
+inline CONAIR_ALWAYS_INLINE const RtValue &
 refVal(const std::vector<RtValue> &regs, const std::vector<RtValue> &consts,
        OpRef r)
 {
@@ -31,6 +32,17 @@ refVal(const std::vector<RtValue> &regs, const std::vector<RtValue> &consts,
         fatal("string/function constants are only valid as direct "
               "builtin operands");
     return consts[r & ~kConstRef];
+}
+
+/** May a load of @p type read a cell holding @p kind?  The same type,
+ *  or two integer kinds: I64 and I1 share a payload. */
+inline bool
+loadFits(ir::Type kind, ir::Type type)
+{
+    auto isInt = [](ir::Type k) {
+        return k == ir::Type::I64 || k == ir::Type::I1;
+    };
+    return kind == type || (isInt(kind) && isInt(type));
 }
 
 } // namespace
@@ -330,49 +342,6 @@ fusedRef(const RtValue *regs, const RtValue *consts, OpRef r)
     return r < kConstRef ? regs[r] : consts[r & ~kConstRef];
 }
 
-/** The trap-free integer ALU kernel: replicates execDecoded's
- *  arithmetic bit for bit.  SDiv/SRem only reach here with an
- *  immediate divisor that is neither 0 nor -1 (classifyAlu). */
-inline int64_t
-aluCompute(uint8_t sub, int64_t a, int64_t b)
-{
-    switch (Opcode(sub)) {
-      case Opcode::Add: return int64_t(uint64_t(a) + uint64_t(b));
-      case Opcode::Sub: return int64_t(uint64_t(a) - uint64_t(b));
-      case Opcode::Mul: return int64_t(uint64_t(a) * uint64_t(b));
-      case Opcode::SDiv: return a / b;
-      case Opcode::SRem: return a % b;
-      case Opcode::And: return a & b;
-      case Opcode::Or: return a | b;
-      case Opcode::Xor: return a ^ b;
-      case Opcode::Shl:
-        return int64_t(uint64_t(a) << (uint64_t(b) & 63));
-      case Opcode::Shr: return a >> (uint64_t(b) & 63);
-      default: return 0; // unreachable: classifyAlu's opcode set
-    }
-}
-
-/** The compare kernel, including the Eq/Ne runtime pointer-kind check
- *  the generic paths perform. */
-inline bool
-cmpCompute(uint8_t sub, const RtValue &a, const RtValue &b)
-{
-    switch (Opcode(sub)) {
-      case Opcode::ICmpEq:
-      case Opcode::ICmpNe: {
-        bool eq = (a.kind == ir::Type::Ptr || b.kind == ir::Type::Ptr)
-                      ? a.p == b.p
-                      : a.i == b.i;
-        return Opcode(sub) == Opcode::ICmpEq ? eq : !eq;
-      }
-      case Opcode::ICmpSlt: return a.i < b.i;
-      case Opcode::ICmpSle: return a.i <= b.i;
-      case Opcode::ICmpSgt: return a.i > b.i;
-      case Opcode::ICmpSge: return a.i >= b.i;
-      default: return false; // unreachable: classify's opcode set
-    }
-}
-
 } // namespace
 
 RtValue *
@@ -419,11 +388,7 @@ Interp::fusedTryLoad(Thread &t, const DecodedInst &di, RtValue *regs,
     if (diag_ && p.seg != Ptr::Seg::Stack)
         return FastMem::Slow; // must record a SharedLoad event
     const RtValue &c = *cell;
-    const bool intKinds = (c.kind == ir::Type::I64 ||
-                           c.kind == ir::Type::I1) &&
-                          (di.type == ir::Type::I64 ||
-                           di.type == ir::Type::I1);
-    if (c.isUninit() || (c.kind != di.type && !intKinds))
+    if (c.isUninit() || !loadFits(c.kind, di.type))
         return FastMem::Slow; // zero-fill / type-confusion diagnostics
     RtValue v = c;
     v.kind = di.type;
@@ -655,7 +620,7 @@ resync:
         VM_CHARGE();
         int64_t bv = fp->rc ? fp->imm : regs[fp->b].i;
         regs[fp->d] =
-            RtValue::ofInt(aluCompute(fp->sub, regs[fp->a].i, bv));
+            RtValue::ofInt(intAlu(Opcode(fp->sub), regs[fp->a].i, bv));
         VM_NEXT();
     }
     VM_CASE(Cmp)
@@ -663,16 +628,16 @@ resync:
         frp->dPc = idx + 1;
         VM_CHARGE();
         regs[fp->d] = RtValue::ofBool(
-            cmpCompute(fp->sub, fusedRef(regs, consts, fp->a),
-                       fusedRef(regs, consts, fp->b)));
+            intCmp(Opcode(fp->sub), fusedRef(regs, consts, fp->a),
+                   fusedRef(regs, consts, fp->b)));
         VM_NEXT();
     }
     VM_CASE(CmpBr)
     {
         frp->dPc = idx + 1;
         VM_CHARGE();
-        bool c = cmpCompute(fp->sub, fusedRef(regs, consts, fp->a),
-                            fusedRef(regs, consts, fp->b));
+        bool c = intCmp(Opcode(fp->sub), fusedRef(regs, consts, fp->a),
+                        fusedRef(regs, consts, fp->b));
         // The result is architecturally visible (phi copies on the
         // taken edge may read it), so write it before branching.
         regs[fp->d] = RtValue::ofBool(c);
@@ -727,9 +692,8 @@ resync:
     {
         frp->dPc = idx + 1;
         VM_CHARGE();
-        RtValue p = fusedRef(regs, consts, fp->a);
-        p.p.offset += fusedRef(regs, consts, fp->b).i;
-        regs[fp->d] = p;
+        regs[fp->d] = ptrAdd(fusedRef(regs, consts, fp->a),
+                             fusedRef(regs, consts, fp->b).i);
         VM_NEXT();
     }
     VM_CASE(Load)
@@ -743,7 +707,7 @@ resync:
         VM_PROF_SEG(1); // the load classifies by opcode below
         tallyStep(t, insts[idx].op, insts[idx].builtin);
         VM_FLUSH_ACCT();
-        doLoadDecoded(t, insts[idx]);
+        execDecoded(t, insts[idx]);
         if (!running_ || wpPendingRestore_)
             goto resync;
         VM_NEXT();
@@ -766,7 +730,7 @@ resync:
         VM_PROF_SEG(1); // the store classifies by opcode below
         tallyStep(t, insts[idx].op, insts[idx].builtin);
         VM_FLUSH_ACCT();
-        doStoreDecoded(t, insts[idx]);
+        execDecoded(t, insts[idx]);
         if (!running_ || wpPendingRestore_)
             goto resync;
         if (result_.stats.schedTicks >= nextSchedPointAt_)
@@ -781,7 +745,7 @@ resync:
             VM_PROF_SEG(1); // see Load
             tallyStep(t, insts[idx].op, insts[idx].builtin);
             VM_FLUSH_ACCT();
-            doLoadDecoded(t, insts[idx]);
+            execDecoded(t, insts[idx]);
             if (!running_ || wpPendingRestore_)
                 goto resync;
         } else {
@@ -793,7 +757,7 @@ resync:
         VM_CHARGE();
         int64_t bv = fp->rc2 ? fp->imm2 : regs[fp->b2].i;
         regs[fp->d2] =
-            RtValue::ofInt(aluCompute(fp->sub2, regs[fp->a2].i, bv));
+            RtValue::ofInt(intAlu(Opcode(fp->sub2), regs[fp->a2].i, bv));
         VM_NEXT();
     }
     VM_CASE(AluThenStore)
@@ -802,7 +766,7 @@ resync:
         VM_CHARGE();
         int64_t bv = fp->rc ? fp->imm : regs[fp->b].i;
         regs[fp->d] =
-            RtValue::ofInt(aluCompute(fp->sub, regs[fp->a].i, bv));
+            RtValue::ofInt(intAlu(Opcode(fp->sub), regs[fp->a].i, bv));
         if (budget <= 0)
             VM_NEXT(); // the Store record at idx+1 resumes the pair
         frp->dPc = idx + 2;
@@ -822,7 +786,7 @@ resync:
         VM_PROF_SEG(1); // see Store
         tallyStep(t, insts[idx + 1].op, insts[idx + 1].builtin);
         VM_FLUSH_ACCT();
-        doStoreDecoded(t, insts[idx + 1]);
+        execDecoded(t, insts[idx + 1]);
         if (!running_ || wpPendingRestore_)
             goto resync;
         if (result_.stats.schedTicks >= nextSchedPointAt_)
@@ -954,12 +918,6 @@ Interp::getValue(Frame &f, const ir::Value *v)
 }
 
 void
-Interp::setReg(Frame &f, const Instruction *inst, RtValue v)
-{
-    f.regs[f.dfn->map.indexOf(inst)] = v;
-}
-
-void
 Interp::jumpTo(Thread &t, const ir::BasicBlock *target)
 {
     Frame &f = t.frames.back();
@@ -996,7 +954,7 @@ Interp::jumpTo(Thread &t, const ir::BasicBlock *target)
     }
     auto phi = target->insts().begin();
     for (const RtValue &v : phiScratch_)
-        setReg(f, (phi++)->get(), v);
+        f.regs[f.dfn->map.indexOf((phi++)->get())] = v;
 }
 
 void
@@ -1152,46 +1110,12 @@ Interp::allocaSlot(Thread &t, int64_t cells, const Instruction *site)
     return Ptr{Ptr::Seg::Stack, id, 0};
 }
 
-void
-Interp::finishLoad(Frame &f, uint32_t dstReg, ir::Type type,
-                   const RtValue &cell, const Instruction *site)
-{
-    if (cell.isUninit()) {
-        // Reading a never-written cell yields the zero of the load type.
-        switch (type) {
-          case ir::Type::F64:
-            f.regs[dstReg] = RtValue::ofFloat(0.0);
-            break;
-          case ir::Type::Ptr:
-            f.regs[dstReg] = RtValue::ofPtr(Ptr{});
-            break;
-          default:
-            f.regs[dstReg] = RtValue::ofInt(0, type);
-            break;
-        }
-        return;
-    }
-    bool int_kinds = (cell.kind == ir::Type::I64 ||
-                      cell.kind == ir::Type::I1) &&
-                     (type == ir::Type::I64 || type == ir::Type::I1);
-    if (cell.kind != type && !int_kinds) {
-        fail(Outcome::Trap,
-             strfmt("type-confused load: cell holds %s, load wants %s",
-                    ir::typeName(cell.kind), ir::typeName(type)),
-             site);
-        return;
-    }
-    RtValue v = cell;
-    v.kind = type;
-    f.regs[dstReg] = v;
-}
-
 namespace {
 
 /** Raw payload bits of a runtime value for SharedLoad/SharedStore
  *  events: integers/bools as-is, doubles bit-cast, pointers packed
  *  like cell addresses, uninitialised cells as 0 (matching the
- *  zero-read semantics of finishLoad). */
+ *  zero-read semantics of doLoad). */
 uint64_t
 valueBits(const RtValue &v)
 {
@@ -1231,70 +1155,57 @@ Interp::recordSharedAccess(const Thread &t, bool isStore, Ptr addr,
 }
 
 void
-Interp::doLoad(Thread &t, const Instruction &inst)
+Interp::doLoad(Thread &t, const RtValue &addr, uint32_t dstReg,
+               ir::Type type, const Instruction &site)
 {
-    Frame &f = t.frames.back();
-    RtValue addr = getValue(f, inst.operand(0));
     RtValue *cell = cellAt(t, addr.p, "load");
     if (!cell) {
-        result_.failureTag = inst.tag();
+        result_.failureTag = site.tag();
         return;
     }
     if (diag_ && addr.p.seg != Ptr::Seg::Stack)
-        recordSharedAccess(t, false, addr.p, *cell, inst.tag());
-    finishLoad(f, f.dfn->map.indexOf(&inst), inst.type(), *cell, &inst);
+        recordSharedAccess(t, false, addr.p, *cell, site.tag());
+    RtValue &dst = t.frames.back().regs[dstReg];
+    if (cell->isUninit()) {
+        // Reading a never-written cell yields the zero of the load type.
+        switch (type) {
+          case ir::Type::F64:
+            dst = RtValue::ofFloat(0.0);
+            break;
+          case ir::Type::Ptr:
+            dst = RtValue::ofPtr(Ptr{});
+            break;
+          default:
+            dst = RtValue::ofInt(0, type);
+            break;
+        }
+        return;
+    }
+    if (!loadFits(cell->kind, type)) {
+        fail(Outcome::Trap,
+             strfmt("type-confused load: cell holds %s, load wants %s",
+                    ir::typeName(cell->kind), ir::typeName(type)),
+             &site);
+        return;
+    }
+    dst = *cell;
+    dst.kind = type;
 }
 
 void
-Interp::doStore(Thread &t, const Instruction &inst)
+Interp::doStore(Thread &t, const RtValue &v, const RtValue &addr,
+                const Instruction &site)
 {
-    Frame &f = t.frames.back();
-    RtValue v = getValue(f, inst.operand(0));
-    RtValue addr = getValue(f, inst.operand(1));
     RtValue *cell = cellAt(t, addr.p, "store");
     if (!cell) {
-        result_.failureTag = inst.tag();
+        result_.failureTag = site.tag();
         return;
     }
     *cell = v;
     if (addr.p.seg != Ptr::Seg::Stack) {
         ++result_.stats.schedTicks;
         if (diag_)
-            recordSharedAccess(t, true, addr.p, v, inst.tag());
-    }
-}
-
-void
-Interp::doLoadDecoded(Thread &t, const DecodedInst &di)
-{
-    Frame &f = t.frames.back();
-    const RtValue &addr = refVal(f.regs, f.dfn->consts, di.a);
-    RtValue *cell = cellAt(t, addr.p, "load");
-    if (!cell) {
-        result_.failureTag = di.src->tag();
-        return;
-    }
-    if (diag_ && addr.p.seg != Ptr::Seg::Stack)
-        recordSharedAccess(t, false, addr.p, *cell, di.src->tag());
-    finishLoad(f, di.dst, di.type, *cell, di.src);
-}
-
-void
-Interp::doStoreDecoded(Thread &t, const DecodedInst &di)
-{
-    Frame &f = t.frames.back();
-    RtValue v = refVal(f.regs, f.dfn->consts, di.a);
-    const RtValue &addr = refVal(f.regs, f.dfn->consts, di.b);
-    RtValue *cell = cellAt(t, addr.p, "store");
-    if (!cell) {
-        result_.failureTag = di.src->tag();
-        return;
-    }
-    *cell = v;
-    if (addr.p.seg != Ptr::Seg::Stack) {
-        ++result_.stats.schedTicks;
-        if (diag_)
-            recordSharedAccess(t, true, addr.p, v, di.src->tag());
+            recordSharedAccess(t, true, addr.p, v, site.tag());
     }
 }
 
@@ -1416,148 +1327,27 @@ void
 Interp::execInst(Thread &t, const Instruction &inst)
 {
     Frame &f = t.frames.back();
-    auto val = [&](unsigned i) { return getValue(f, inst.operand(i)); };
+    auto val = [&](unsigned i) CONAIR_ALWAYS_INLINE {
+        return getValue(f, inst.operand(i));
+    };
+    auto dst = [&]() -> RtValue & {
+        return f.regs[f.dfn->map.indexOf(&inst)];
+    };
 
+    if (isPureOp(inst.opcode())) {
+        if (const char *trap = evalPure(inst.opcode(), val, dst()))
+            fail(Outcome::Trap, trap, &inst);
+        return;
+    }
     switch (inst.opcode()) {
       case Opcode::Alloca:
-        setReg(f, &inst,
-               RtValue::ofPtr(allocaSlot(t, inst.allocaSize(), &inst)));
+        dst() = RtValue::ofPtr(allocaSlot(t, inst.allocaSize(), &inst));
         break;
       case Opcode::Load:
-        doLoad(t, inst);
+        doLoad(t, val(0), f.dfn->map.indexOf(&inst), inst.type(), inst);
         break;
       case Opcode::Store:
-        doStore(t, inst);
-        break;
-      case Opcode::PtrAdd: {
-        RtValue p = val(0);
-        RtValue off = val(1);
-        p.p.offset += off.i;
-        setReg(f, &inst, p);
-        break;
-      }
-      // Integer arithmetic wraps (two's complement), like hardware.
-      case Opcode::Add:
-        setReg(f, &inst,
-               RtValue::ofInt(int64_t(uint64_t(val(0).i) +
-                                      uint64_t(val(1).i))));
-        break;
-      case Opcode::Sub:
-        setReg(f, &inst,
-               RtValue::ofInt(int64_t(uint64_t(val(0).i) -
-                                      uint64_t(val(1).i))));
-        break;
-      case Opcode::Mul:
-        setReg(f, &inst,
-               RtValue::ofInt(int64_t(uint64_t(val(0).i) *
-                                      uint64_t(val(1).i))));
-        break;
-      case Opcode::SDiv: {
-        int64_t d = val(1).i;
-        if (d == 0) {
-            fail(Outcome::Trap, "division by zero", &inst);
-            break;
-        }
-        if (d == -1 && val(0).i == INT64_MIN) {
-            setReg(f, &inst, RtValue::ofInt(INT64_MIN)); // wraps
-            break;
-        }
-        setReg(f, &inst, RtValue::ofInt(val(0).i / d));
-        break;
-      }
-      case Opcode::SRem: {
-        int64_t d = val(1).i;
-        if (d == 0) {
-            fail(Outcome::Trap, "remainder by zero", &inst);
-            break;
-        }
-        if (d == -1) {
-            setReg(f, &inst, RtValue::ofInt(0));
-            break;
-        }
-        setReg(f, &inst, RtValue::ofInt(val(0).i % d));
-        break;
-      }
-      case Opcode::And:
-        setReg(f, &inst, RtValue::ofInt(val(0).i & val(1).i));
-        break;
-      case Opcode::Or:
-        setReg(f, &inst, RtValue::ofInt(val(0).i | val(1).i));
-        break;
-      case Opcode::Xor:
-        setReg(f, &inst, RtValue::ofInt(val(0).i ^ val(1).i));
-        break;
-      case Opcode::Shl:
-        setReg(f, &inst,
-               RtValue::ofInt(int64_t(uint64_t(val(0).i)
-                                      << (uint64_t(val(1).i) & 63))));
-        break;
-      case Opcode::Shr:
-        setReg(f, &inst,
-               RtValue::ofInt(val(0).i >> (uint64_t(val(1).i) & 63)));
-        break;
-      case Opcode::FAdd:
-        setReg(f, &inst, RtValue::ofFloat(val(0).f + val(1).f));
-        break;
-      case Opcode::FSub:
-        setReg(f, &inst, RtValue::ofFloat(val(0).f - val(1).f));
-        break;
-      case Opcode::FMul:
-        setReg(f, &inst, RtValue::ofFloat(val(0).f * val(1).f));
-        break;
-      case Opcode::FDiv:
-        setReg(f, &inst, RtValue::ofFloat(val(0).f / val(1).f));
-        break;
-      case Opcode::ICmpEq:
-      case Opcode::ICmpNe: {
-        RtValue a = val(0), b = val(1);
-        bool eq;
-        if (a.kind == ir::Type::Ptr || b.kind == ir::Type::Ptr)
-            eq = a.p == b.p;
-        else
-            eq = a.i == b.i;
-        bool r = inst.opcode() == Opcode::ICmpEq ? eq : !eq;
-        setReg(f, &inst, RtValue::ofBool(r));
-        break;
-      }
-      case Opcode::ICmpSlt:
-        setReg(f, &inst, RtValue::ofBool(val(0).i < val(1).i));
-        break;
-      case Opcode::ICmpSle:
-        setReg(f, &inst, RtValue::ofBool(val(0).i <= val(1).i));
-        break;
-      case Opcode::ICmpSgt:
-        setReg(f, &inst, RtValue::ofBool(val(0).i > val(1).i));
-        break;
-      case Opcode::ICmpSge:
-        setReg(f, &inst, RtValue::ofBool(val(0).i >= val(1).i));
-        break;
-      case Opcode::FCmpEq:
-        setReg(f, &inst, RtValue::ofBool(val(0).f == val(1).f));
-        break;
-      case Opcode::FCmpNe:
-        setReg(f, &inst, RtValue::ofBool(val(0).f != val(1).f));
-        break;
-      case Opcode::FCmpLt:
-        setReg(f, &inst, RtValue::ofBool(val(0).f < val(1).f));
-        break;
-      case Opcode::FCmpLe:
-        setReg(f, &inst, RtValue::ofBool(val(0).f <= val(1).f));
-        break;
-      case Opcode::FCmpGt:
-        setReg(f, &inst, RtValue::ofBool(val(0).f > val(1).f));
-        break;
-      case Opcode::FCmpGe:
-        setReg(f, &inst, RtValue::ofBool(val(0).f >= val(1).f));
-        break;
-      case Opcode::SiToFp:
-        setReg(f, &inst, RtValue::ofFloat(double(val(0).i)));
-        break;
-      case Opcode::FpToSi:
-        setReg(f, &inst, RtValue::ofInt(int64_t(val(0).f)));
-        break;
-      case Opcode::Zext:
-        setReg(f, &inst, RtValue::ofInt(val(0).i != 0 ? 1 : 0));
+        doStore(t, val(0), val(1), inst);
         break;
       case Opcode::Phi:
         // Phis are consumed by jumpTo(); reaching one here means entry
@@ -1646,136 +1436,24 @@ Interp::execDecoded(Thread &t, const DecodedInst &di)
         return refVal(f.regs, dfn.consts, r);
     };
 
+    if (isPureOp(di.op)) {
+        auto operand = [&](unsigned i) CONAIR_ALWAYS_INLINE
+            -> const RtValue & {
+            return refVal(f.regs, dfn.consts, i == 0 ? di.a : di.b);
+        };
+        if (const char *trap = evalPure(di.op, operand, f.regs[di.dst]))
+            fail(Outcome::Trap, trap, di.src);
+        return;
+    }
     switch (di.op) {
       case Opcode::Alloca:
         f.regs[di.dst] = RtValue::ofPtr(allocaSlot(t, di.imm, di.src));
         break;
       case Opcode::Load:
-        doLoadDecoded(t, di);
+        doLoad(t, val(di.a), di.dst, di.type, *di.src);
         break;
       case Opcode::Store:
-        doStoreDecoded(t, di);
-        break;
-      case Opcode::PtrAdd: {
-        RtValue p = val(di.a);
-        p.p.offset += val(di.b).i;
-        f.regs[di.dst] = p;
-        break;
-      }
-      case Opcode::Add:
-        f.regs[di.dst] = RtValue::ofInt(
-            int64_t(uint64_t(val(di.a).i) + uint64_t(val(di.b).i)));
-        break;
-      case Opcode::Sub:
-        f.regs[di.dst] = RtValue::ofInt(
-            int64_t(uint64_t(val(di.a).i) - uint64_t(val(di.b).i)));
-        break;
-      case Opcode::Mul:
-        f.regs[di.dst] = RtValue::ofInt(
-            int64_t(uint64_t(val(di.a).i) * uint64_t(val(di.b).i)));
-        break;
-      case Opcode::SDiv: {
-        int64_t d = val(di.b).i;
-        if (d == 0) {
-            fail(Outcome::Trap, "division by zero", di.src);
-            break;
-        }
-        int64_t a = val(di.a).i;
-        if (d == -1 && a == INT64_MIN) {
-            f.regs[di.dst] = RtValue::ofInt(INT64_MIN); // wraps
-            break;
-        }
-        f.regs[di.dst] = RtValue::ofInt(a / d);
-        break;
-      }
-      case Opcode::SRem: {
-        int64_t d = val(di.b).i;
-        if (d == 0) {
-            fail(Outcome::Trap, "remainder by zero", di.src);
-            break;
-        }
-        f.regs[di.dst] =
-            RtValue::ofInt(d == -1 ? 0 : val(di.a).i % d);
-        break;
-      }
-      case Opcode::And:
-        f.regs[di.dst] = RtValue::ofInt(val(di.a).i & val(di.b).i);
-        break;
-      case Opcode::Or:
-        f.regs[di.dst] = RtValue::ofInt(val(di.a).i | val(di.b).i);
-        break;
-      case Opcode::Xor:
-        f.regs[di.dst] = RtValue::ofInt(val(di.a).i ^ val(di.b).i);
-        break;
-      case Opcode::Shl:
-        f.regs[di.dst] = RtValue::ofInt(int64_t(
-            uint64_t(val(di.a).i) << (uint64_t(val(di.b).i) & 63)));
-        break;
-      case Opcode::Shr:
-        f.regs[di.dst] =
-            RtValue::ofInt(val(di.a).i >> (uint64_t(val(di.b).i) & 63));
-        break;
-      case Opcode::FAdd:
-        f.regs[di.dst] = RtValue::ofFloat(val(di.a).f + val(di.b).f);
-        break;
-      case Opcode::FSub:
-        f.regs[di.dst] = RtValue::ofFloat(val(di.a).f - val(di.b).f);
-        break;
-      case Opcode::FMul:
-        f.regs[di.dst] = RtValue::ofFloat(val(di.a).f * val(di.b).f);
-        break;
-      case Opcode::FDiv:
-        f.regs[di.dst] = RtValue::ofFloat(val(di.a).f / val(di.b).f);
-        break;
-      case Opcode::ICmpEq:
-      case Opcode::ICmpNe: {
-        const RtValue &a = val(di.a);
-        const RtValue &b = val(di.b);
-        bool eq = (a.kind == ir::Type::Ptr || b.kind == ir::Type::Ptr)
-                      ? a.p == b.p
-                      : a.i == b.i;
-        f.regs[di.dst] =
-            RtValue::ofBool(di.op == Opcode::ICmpEq ? eq : !eq);
-        break;
-      }
-      case Opcode::ICmpSlt:
-        f.regs[di.dst] = RtValue::ofBool(val(di.a).i < val(di.b).i);
-        break;
-      case Opcode::ICmpSle:
-        f.regs[di.dst] = RtValue::ofBool(val(di.a).i <= val(di.b).i);
-        break;
-      case Opcode::ICmpSgt:
-        f.regs[di.dst] = RtValue::ofBool(val(di.a).i > val(di.b).i);
-        break;
-      case Opcode::ICmpSge:
-        f.regs[di.dst] = RtValue::ofBool(val(di.a).i >= val(di.b).i);
-        break;
-      case Opcode::FCmpEq:
-        f.regs[di.dst] = RtValue::ofBool(val(di.a).f == val(di.b).f);
-        break;
-      case Opcode::FCmpNe:
-        f.regs[di.dst] = RtValue::ofBool(val(di.a).f != val(di.b).f);
-        break;
-      case Opcode::FCmpLt:
-        f.regs[di.dst] = RtValue::ofBool(val(di.a).f < val(di.b).f);
-        break;
-      case Opcode::FCmpLe:
-        f.regs[di.dst] = RtValue::ofBool(val(di.a).f <= val(di.b).f);
-        break;
-      case Opcode::FCmpGt:
-        f.regs[di.dst] = RtValue::ofBool(val(di.a).f > val(di.b).f);
-        break;
-      case Opcode::FCmpGe:
-        f.regs[di.dst] = RtValue::ofBool(val(di.a).f >= val(di.b).f);
-        break;
-      case Opcode::SiToFp:
-        f.regs[di.dst] = RtValue::ofFloat(double(val(di.a).i));
-        break;
-      case Opcode::FpToSi:
-        f.regs[di.dst] = RtValue::ofInt(int64_t(val(di.a).f));
-        break;
-      case Opcode::Zext:
-        f.regs[di.dst] = RtValue::ofInt(val(di.a).i != 0 ? 1 : 0);
+        doStore(t, val(di.a), val(di.b), *di.src);
         break;
       case Opcode::Phi:
         // Phi records are consumed by jumpToDecoded(); reaching one

@@ -12,9 +12,10 @@
  *    compensation / back-off) are implemented natively — the moral
  *    equivalent of the paper's setjmp/longjmp register-image library.
  *
- * Two execution engines share all of the VM's semantics (memory, locks,
- * scheduling, the ConAir runtime) and differ only in how a single
- * instruction is fetched and its operands resolved:
+ * Two execution engines share all of the VM's semantics: what each pure
+ * opcode computes (one kernel, ops.h), memory, locks, scheduling and
+ * the ConAir runtime.  They differ in how an instruction is fetched and
+ * its operands resolved, and in how control flow and accounting run:
  *  - ExecEngine::Fused (default) runs the flat arrays the module's
  *    Image decoded once (see decode.h) and bursts a single runnable
  *    thread through superinstruction records (see fuse.h);
@@ -230,7 +231,6 @@ class Interp
     // Reference engine (IR tree walk).
     void execInst(Thread &t, const ir::Instruction &inst);
     RtValue getValue(Frame &f, const ir::Value *v);
-    void setReg(Frame &f, const ir::Instruction *inst, RtValue v);
     void jumpTo(Thread &t, const ir::BasicBlock *target);
 
     // Fused engine: per-instruction handlers over the decoded arrays
@@ -238,8 +238,6 @@ class Interp
     void execDecoded(Thread &t, const DecodedInst &di);
     void execCallDecoded(Thread &t, const DecodedInst &di);
     void jumpToDecoded(Thread &t, uint32_t target);
-    void doLoadDecoded(Thread &t, const DecodedInst &di);
-    void doStoreDecoded(Thread &t, const DecodedInst &di);
 
     // Shared call/builtin plumbing: operands are pre-fetched RtValues,
     // @p dstReg is the dense result slot (valid when the instruction
@@ -260,8 +258,6 @@ class Interp
      *  register file to freeRegFiles_ and gives its bytes back to the
      *  guest memory budget. */
     void dropFrame(Thread &t);
-    void finishLoad(Frame &f, uint32_t dstReg, ir::Type type,
-                    const RtValue &cell, const ir::Instruction *site);
 
     //
     // Memory.
@@ -289,8 +285,15 @@ class Interp
     /** Charges @p bytes to the guest memory budget, or traps at
      *  @p site and charges nothing when they do not fit. */
     bool chargeGuest(uint64_t bytes, const ir::Instruction *site);
-    void doStore(Thread &t, const ir::Instruction &inst);
-    void doLoad(Thread &t, const ir::Instruction &inst);
+    /** The Load instruction of both engines: the cell @p addr names,
+     *  read as @p type into @p t's register @p dstReg.  @p site gives
+     *  the tag and the diagnostics. */
+    void doLoad(Thread &t, const RtValue &addr, uint32_t dstReg,
+                ir::Type type, const ir::Instruction &site);
+    /** The Store instruction of both engines: @p v into the cell
+     *  @p addr names. */
+    void doStore(Thread &t, const RtValue &v, const RtValue &addr,
+                 const ir::Instruction &site);
 
     //
     // Synchronisation.

@@ -19,10 +19,13 @@
 #include "obs/replay/replay_log.h"
 #include "obs/replay/replay_run.h"
 #include "obs/trace.h"
+#include "tests/support/temp_path.h"
 #include "vm/interp.h"
 
 namespace conair::explore {
 namespace {
+
+using conair::testutil::TempPath;
 
 CorpusEntry
 sampleEntry()
@@ -324,8 +327,8 @@ TEST(Corpus, StrictParserNamesTheOffendingLine)
 TEST(Corpus, SaveLoadRoundTripsAndMissingFileFails)
 {
     Corpus c = sampleCorpus();
-    std::string path =
-        ::testing::TempDir() + "guided_corpus_roundtrip.corpus";
+    TempPath tmp("guided_corpus_roundtrip.corpus");
+    const std::string &path = tmp.str();
     std::string err;
     ASSERT_TRUE(saveCorpus(path, c, err)) << err;
 
@@ -464,8 +467,8 @@ TEST_F(GuidedFixture, CampaignGuidedBlocksWorkerIndependentAndSaved)
 
     opts.workers = 4;
     CampaignReport parallel = runCampaign(targets, opts);
-    guidedStage(targets, opts, g,
-                ::testing::TempDir() + "guided_test_corpora", parallel);
+    TempPath corpora("guided_test_corpora");
+    guidedStage(targets, opts, g, corpora.str(), parallel);
 
     ASSERT_EQ(serial.targets.size(), parallel.targets.size());
     for (size_t i = 0; i < serial.targets.size(); ++i) {
@@ -529,7 +532,8 @@ TEST_F(GuidedFixture, PersistedCorpusEntriesReplayOnAllThreeEngines)
     GuidedResult gr = runGuided(t, opts, g);
     ASSERT_GT(gr.corpus.entries.size(), 0u);
 
-    std::string path = ::testing::TempDir() + "zsnes_replay.corpus";
+    TempPath tmp("zsnes_replay.corpus");
+    const std::string &path = tmp.str();
     std::string err;
     ASSERT_TRUE(saveCorpus(path, gr.corpus, err)) << err;
     Corpus corpus;

@@ -10,7 +10,7 @@
 
 #include <atomic>
 #include <cctype>
-#include <filesystem>
+#include <deque>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -21,9 +21,12 @@
 #include "fix/fix.h"
 #include "fix/validate.h"
 #include "obs/replay/replay_run.h"
+#include "tests/support/temp_path.h"
 
 namespace conair::explore {
 namespace {
+
+using conair::testutil::TempPath;
 
 std::string
 readFile(const std::string &path)
@@ -120,25 +123,23 @@ class StageFixture : public ::testing::Test
         opts_.collectCoverage = true;
     }
 
-    /** A fresh scratch directory for this test. */
-    static std::string
+    /** A fresh scratch directory for this test, removed after it. */
+    std::string
     scratchDir(const std::string &name)
     {
-        std::string dir = ::testing::TempDir() + "stages_test_" + name;
-        std::filesystem::remove_all(dir);
-        return dir;
+        return temps_.emplace_back("stages_test_" + name).str();
     }
 
     /** A regular file, so "<it>/sub" can never be created. */
-    static std::string
+    std::string
     regularFile(const std::string &name)
     {
-        std::string path = ::testing::TempDir() + "stages_test_" + name;
-        std::filesystem::remove_all(path);
+        std::string path = scratchDir(name);
         std::ofstream(path) << "not a directory\n";
         return path;
     }
 
+    std::deque<TempPath> temps_;
     std::vector<apps::CampaignApp> prepared_;
     std::vector<Target> targets_;
     CampaignOptions opts_;

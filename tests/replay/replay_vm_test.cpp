@@ -10,6 +10,7 @@
 #include "obs/replay/replay_export.h"
 #include "obs/replay/replay_run.h"
 #include "tests/replay/replay_test_util.h"
+#include "tests/support/temp_path.h"
 
 namespace conair::obs::replay {
 namespace {
@@ -150,8 +151,8 @@ TEST(ReplayVm, LogRoundTripsThroughDisk)
     RecordedFailure rf;
     ASSERT_TRUE(testutil::recordFailure("ZSNES", rf));
 
-    std::string path =
-        ::testing::TempDir() + "/conair_replay_roundtrip.log";
+    conair::testutil::TempPath tmp("conair_replay_roundtrip.log");
+    const std::string &path = tmp.str();
     std::string err;
     ASSERT_TRUE(saveReplayLog(path, rf.log, err)) << err;
     ReplayLog loaded;

@@ -1,8 +1,8 @@
 #include "support/str.h"
 
-#include <cstdio>
-
 #include <gtest/gtest.h>
+
+#include "tests/support/temp_path.h"
 
 namespace conair {
 namespace {
@@ -67,7 +67,8 @@ TEST(ParseU64, AcceptsPlainDigitsOnly)
 
 TEST(WholeFile, RoundTripsBytesAndReportsErrors)
 {
-    const std::string path = ::testing::TempDir() + "str_test_file.bin";
+    testutil::TempPath tmp("str_test_file.bin");
+    const std::string &path = tmp.str();
     const std::string bytes("a\0b\r\n", 5);
     std::string err, back;
     ASSERT_TRUE(writeFile(path, bytes, err)) << err;
@@ -79,7 +80,6 @@ TEST(WholeFile, RoundTripsBytesAndReportsErrors)
     EXPECT_EQ(err, "cannot open " + path + ".missing");
     EXPECT_FALSE(writeFile(path + "/under-a-file", "", err));
     EXPECT_EQ(err, "cannot write " + path + "/under-a-file");
-    std::remove(path.c_str());
 }
 
 TEST(StartsWith, Basics)
