@@ -162,6 +162,20 @@ main(int argc, char **argv)
     const std::string servePortFile =
         args.text("--serve-port-file");
 
+    // Parsed before any kernel is prepared: preparing one runs it.
+    const std::string policyList = args.text("--policies");
+    std::vector<std::pair<vm::SchedPolicy, uint32_t>> policies;
+    for (const std::string &p : split(policyList, ',', true)) {
+        ScheduleSpec s;
+        std::string err;
+        if (!parseScheduleToken(p + ":s1", s, err)) {
+            std::fprintf(stderr, "bad policy '%s': %s\n", p.c_str(),
+                         err.c_str());
+            return 2;
+        }
+        policies.push_back({s.policy, s.depth});
+    }
+
     std::vector<std::string> names =
         split(args.text("--apps"), ',', /*dropEmpty=*/true);
     const bool explicitApps = !names.empty();
@@ -211,18 +225,8 @@ main(int argc, char **argv)
     // strictly-verified replay log behind — the O(1) repro corpus.
     const std::string replayDir =
         args.text("--replay-dir", "replay-logs");
-    std::string policyList = args.text("--policies");
-    if (!policyList.empty()) {
-        opts.policies.clear();
-        for (const std::string &p : split(policyList, ',', true)) {
-            ScheduleSpec s;
-            if (!parseScheduleToken(p + ":s1", s)) {
-                std::fprintf(stderr, "bad policy '%s'\n", p.c_str());
-                return 2;
-            }
-            opts.policies.push_back({s.policy, s.depth});
-        }
-    }
+    if (!policyList.empty())
+        opts.policies = policies;
     if (smoke) {
         // CI cares about the oracle plumbing, not exhaustiveness.
         opts.stopAfterFailures = 1;

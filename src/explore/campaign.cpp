@@ -107,8 +107,10 @@ parseScheduleToken(const std::string &tok, ScheduleSpec &out,
         if (p[0] == 'd') {
             if (sawDepth)
                 return fail("duplicate depth field '" + p + "'");
-            if (v > UINT32_MAX)
-                return fail("depth " + p.substr(1) + " out of range");
+            if (v > kMaxScheduleDepth)
+                return fail("depth " + p.substr(1) +
+                            " exceeds the limit " +
+                            std::to_string(kMaxScheduleDepth));
             s.depth = uint32_t(v);
             sawDepth = true;
         } else {
@@ -153,12 +155,6 @@ policyLabel(vm::SchedPolicy policy, uint32_t depth)
     return name;
 }
 
-//
-// One schedule, all legs.
-//
-
-namespace {
-
 bool
 correctRun(const Target &t, const vm::RunResult &r)
 {
@@ -168,6 +164,18 @@ correctRun(const Target &t, const vm::RunResult &r)
         return true;
     return r.output == t.expectedOutput && r.exitCode == t.expectedExit;
 }
+
+bool
+isFailingSchedule(const ScheduleOutcome &o)
+{
+    return o.ran && !o.unhardenedCorrect && !o.unhardenedInconclusive;
+}
+
+//
+// One schedule, all legs.
+//
+
+namespace {
 
 /** Oracle 3: the two engines must agree on every observable of the
  *  run, down to the virtual clock tick. */
@@ -421,12 +429,6 @@ struct Job
     size_t policyIdx;     ///< index into CampaignOptions::policies
 };
 
-bool
-isFailingSchedule(const ScheduleOutcome &o)
-{
-    return o.ran && !o.unhardenedCorrect && !o.unhardenedInconclusive;
-}
-
 } // namespace
 
 CampaignReport
@@ -441,7 +443,7 @@ runCampaign(const std::vector<Target> &targets,
             const auto &[policy, depth] = opts.policies[pi];
             for (uint64_t seed = 1; seed <= opts.seedsPerPolicy; ++seed)
                 jobs.push_back(
-                    {ti, ScheduleSpec{policy, seed, depth}, seed, pi});
+                    {ti, ScheduleSpec{policy, seed, depth, {}}, seed, pi});
         }
 
     std::deque<TargetImages> images;
@@ -590,8 +592,7 @@ runCampaign(const std::vector<Target> &targets,
                 // The recovery property quantifies over schedules where
                 // the *unhardened* leg failed: there the hardened leg
                 // must either recover or surface the same failure kind.
-                if (!o.unhardenedCorrect && !o.unhardenedInconclusive &&
-                    o.hardened != o.unhardened)
+                if (isFailingSchedule(o) && o.hardened != o.unhardened)
                     ++tr.hardenedDifferentFailure;
             }
         }

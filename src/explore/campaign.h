@@ -65,6 +65,11 @@ struct Target
     /** Correct-run expectations (wrong-output detection). */
     std::string expectedOutput;
     int64_t expectedExit = 0;
+    /** When false, a run is correct iff it succeeds: correctRun ignores
+     *  both its output and its exit code.  Only the adversarial property
+     *  test (tests/property/property_test.cpp), whose generated programs
+     *  print schedule-dependent output, clears it, and it relies on
+     *  that meaning. */
     bool checkOutput = true;
 
     /** Enforce oracle 2: every hardened schedule must end correct;
@@ -499,6 +504,15 @@ CampaignReport runCampaign(const std::vector<Target> &targets,
 ScheduleOutcome runOneSchedule(const Target &t, const ScheduleSpec &s,
                                const CampaignOptions &opts,
                                const ScheduleInstruments *ins = nullptr);
+
+/** The correct-run rule, for every leg and every validation run:
+ *  @p r succeeded and, when @p t checks output, printed
+ *  t.expectedOutput and exited with t.expectedExit. */
+bool correctRun(const Target &t, const vm::RunResult &r);
+
+/** The failing-schedule rule: @p o ran and its unhardened leg ended
+ *  incorrect without exhausting its step budget. */
+bool isFailingSchedule(const ScheduleOutcome &o);
 
 /** The exact VmConfig a campaign cell runs under (no observers, no
  *  chaos).  The replay-corpus stage snapshots this same config into

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "explore/telemetry.h"
+#include "support/fnv.h"
 #include "support/str.h"
 
 namespace conair::explore {
@@ -13,13 +14,6 @@ namespace conair::explore {
 namespace {
 
 using vm::SchedPolicy;
-
-/** Same predicate the blind campaign aggregates with. */
-bool
-isFailing(const ScheduleOutcome &o)
-{
-    return o.ran && !o.unhardenedCorrect && !o.unhardenedInconclusive;
-}
 
 /** Base seed of the per-round mutation RNG streams. */
 constexpr uint64_t kMutationSeed = 1;
@@ -40,17 +34,6 @@ canonicalize(std::vector<uint64_t> &pts)
             p = 1;
     std::sort(pts.begin(), pts.end());
     pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
-}
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t
-fnvBytes(uint64_t h, const char *p, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        h = (h ^ uint8_t(p[i])) * kFnvPrime;
-    return h;
 }
 
 } // namespace
@@ -168,8 +151,8 @@ mutateSpec(const CorpusEntry &e, MutOp op, uint64_t horizon,
     }
 
     canonicalize(pts);
-    if (pts.empty())
-        return false;
+    if (pts.empty() || out.depth > kMaxScheduleDepth)
+        return false; // the token would no longer parse
     out.points = std::move(pts);
     return true;
 }
@@ -606,7 +589,7 @@ runGuided(const Target &t, const CampaignOptions &opts,
                 ++pubCorpus;
             }
 
-            if (isFailing(o) && !r.foundFailure) {
+            if (isFailingSchedule(o) && !r.foundFailure) {
                 r.foundFailure = true;
                 r.firstFailure = gen.spec;
                 r.seedsToFirstFailure = r.schedules;

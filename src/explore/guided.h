@@ -155,7 +155,8 @@ std::vector<uint64_t> derivePoints(const ScheduleSpec &s,
  * mutated spec (the mutation-determinism property test pins this).
  * Points stay canonical (strictly increasing, >= 1).  Returns false
  * when the operator is inapplicable (drop with < 2 points, depth
- * bump on a PreemptBound entry).
+ * bump on a PreemptBound entry) or would take the depth past
+ * kMaxScheduleDepth, so every mutated token parses.
  */
 bool mutateSpec(const CorpusEntry &e, MutOp op, uint64_t horizon,
                 uint64_t nudgeMax, Rng &rng, ScheduleSpec &out);

@@ -15,6 +15,13 @@
 
 namespace conair::explore {
 
+/** The largest depth a schedule token may carry.  The scheduler
+ *  samples depth - 1 (pct) or depth (pb) change points up front, eight
+ *  bytes each, so the limit caps that vector at 512 KiB; campaigns run
+ *  depths 2-3, and guided search grows a depth by one per mutation and
+ *  never past this limit. */
+inline constexpr uint32_t kMaxScheduleDepth = 65'536;
+
 /** A fully reproducible schedule: policy + seed + search depth. */
 struct ScheduleSpec
 {
@@ -54,7 +61,8 @@ struct ScheduleSpec
  * strictly: digits only (no sign, no whitespace, no trailing junk),
  * overflow is rejected rather than silently wrapped, and d/s/c fields
  * may appear at most once — so a mistyped repro token fails loudly
- * instead of quietly exploring a different schedule.  A c field
+ * instead of quietly exploring a different schedule.  A depth above
+ * kMaxScheduleDepth is rejected, on every policy.  A c field
  * (explicit change points) must be a strictly increasing,
  * comma-separated list of ticks >= 1 and is only accepted for pct/pb.
  */

@@ -30,7 +30,7 @@ CampaignTelemetry::noteSchedule(unsigned worker,
     if (worker < workerCount_)
         workers_[worker].schedules.fetch_add(
             1, std::memory_order_relaxed);
-    if (o.ran && !o.unhardenedCorrect && !o.unhardenedInconclusive)
+    if (isFailingSchedule(o))
         failures_.fetch_add(1, std::memory_order_relaxed);
 
     uint64_t novel = coverage_.insertAll(o.coverage);

@@ -7,20 +7,6 @@
 
 namespace conair::fix {
 
-namespace {
-
-bool
-meetsExpectations(const explore::Target &t, const vm::RunResult &r)
-{
-    if (r.outcome != vm::Outcome::Success)
-        return false;
-    if (t.checkOutput && r.output != t.expectedOutput)
-        return false;
-    return r.exitCode == t.expectedExit;
-}
-
-} // namespace
-
 ValidationResult
 validatePatch(const ir::Module &patched, const explore::Target &baseline,
               const obs::replay::ReplayLog *minimizedLog,
@@ -36,7 +22,7 @@ validatePatch(const ir::Module &patched, const explore::Target &baseline,
         vm::RunResult r = obs::replay::replayTolerant(
             patched, *minimizedLog, minimizedLog->switches,
             minimizedLog->engine);
-        res.replayFailureGone = meetsExpectations(baseline, r);
+        res.replayFailureGone = explore::correctRun(baseline, r);
         res.replayDetail = vm::outcomeName(r.outcome);
         if (!r.failureTag.empty())
             res.replayDetail += " (" + r.failureTag + ")";
@@ -60,7 +46,7 @@ validatePatch(const ir::Module &patched, const explore::Target &baseline,
             res.error = "baseline clean run did not succeed";
             return res;
         }
-        if (!meetsExpectations(baseline, fixed)) {
+        if (!explore::correctRun(baseline, fixed)) {
             res.overheadOk = false;
             if (res.error.empty())
                 res.error = "patched clean run did not succeed: " +

@@ -5,29 +5,13 @@
 #include <unordered_set>
 
 #include "obs/trace.h"
+#include "support/fnv.h"
 #include "support/json.h"
 #include "support/str.h"
 
 namespace conair::obs::cov {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t
-fnvByte(uint64_t h, uint8_t b)
-{
-    return (h ^ b) * kFnvPrime;
-}
-
-uint64_t
-fnvWord(uint64_t h, uint64_t w)
-{
-    for (int i = 0; i < 8; ++i)
-        h = fnvByte(h, uint8_t(w >> (i * 8)));
-    return h;
-}
 
 /**
  * A site signature identifies *where* an event happened, not when:

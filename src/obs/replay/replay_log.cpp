@@ -5,6 +5,7 @@
 #include <sstream>
 #include <tuple>
 
+#include "support/fnv.h"
 #include "support/str.h"
 
 namespace conair::obs::replay {
@@ -368,23 +369,17 @@ accessDigestOf(const FlightRecorder &rec)
     // Order-sensitive FNV-1a over the shared-access stream.  The visit
     // is seq-ordered, so the digest pins both values and their global
     // interleaving.
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xFF;
-            h *= 0x100000001b3ull;
-        }
-    };
+    uint64_t h = kFnvOffset;
     uint64_t count = 0;
     rec.visitMerged([&](const TraceEvent &ev) {
         if (ev.kind != EventKind::SharedLoad &&
             ev.kind != EventKind::SharedStore)
             return;
         ++count;
-        mix(ev.kind == EventKind::SharedStore ? 1 : 0);
-        mix(ev.tid);
-        mix(ev.a);
-        mix(ev.b);
+        h = fnvWord(h, ev.kind == EventKind::SharedStore ? 1 : 0);
+        h = fnvWord(h, ev.tid);
+        h = fnvWord(h, ev.a);
+        h = fnvWord(h, ev.b);
     });
     return {count, count ? h : 0};
 }

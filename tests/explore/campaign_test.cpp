@@ -51,6 +51,42 @@ TEST(ScheduleToken, AppliesToConfig)
     EXPECT_EQ(cfg.pctDepth, 4u);
 }
 
+TEST(Verdicts, CorrectRunChecksOutputAndExitOnlyWhenAsked)
+{
+    Target t;
+    t.expectedOutput = "42\n";
+    t.expectedExit = 0;
+    vm::RunResult r;
+    r.outcome = vm::Outcome::Success;
+    r.output = "42\n";
+    r.exitCode = 0;
+    EXPECT_TRUE(correctRun(t, r));
+    r.exitCode = 3;
+    EXPECT_FALSE(correctRun(t, r)); // checked: the exit code counts
+    r.output = "7\n";
+    EXPECT_FALSE(correctRun(t, r));
+
+    // Unchecked (schedule-dependent output): success is all that
+    // counts, whatever the run printed or exited with.
+    t.checkOutput = false;
+    EXPECT_TRUE(correctRun(t, r));
+    r.outcome = vm::Outcome::AssertFail;
+    EXPECT_FALSE(correctRun(t, r));
+}
+
+TEST(Verdicts, FailingScheduleExcludesSkippedAndInconclusiveRuns)
+{
+    ScheduleOutcome o;
+    EXPECT_FALSE(isFailingSchedule(o)); // skipped: never ran
+    o.ran = true;
+    EXPECT_TRUE(isFailingSchedule(o));
+    o.unhardenedInconclusive = true;
+    EXPECT_FALSE(isFailingSchedule(o)); // out of steps: no verdict
+    o.unhardenedInconclusive = false;
+    o.unhardenedCorrect = true;
+    EXPECT_FALSE(isFailingSchedule(o));
+}
+
 /** The legs forEachWallSpan counts for @p o under @p opts, by name. */
 std::vector<std::string>
 countedLegs(const ScheduleOutcome &o, const CampaignOptions &opts)

@@ -133,6 +133,17 @@ TEST(MutateSpec, InapplicableOperatorsReturnFalse)
     EXPECT_FALSE(
         mutateSpec(pb, MutOp::DepthBump, 2'000, 24, rng, out));
 
+    // Growing a depth past the token limit would print a token that
+    // no longer parses.
+    CorpusEntry deep = sampleEntry(); // explicit points: none sampled
+    deep.spec.depth = kMaxScheduleDepth;
+    for (MutOp op : {MutOp::Add, MutOp::DepthBump, MutOp::NearAdd})
+        EXPECT_FALSE(mutateSpec(deep, op, 2'000, 24, rng, out))
+            << mutOpName(op);
+    ASSERT_TRUE(mutateSpec(deep, MutOp::Nudge, 2'000, 24, rng, out));
+    std::string err;
+    EXPECT_TRUE(parseScheduleToken(out.token(), out, err)) << err;
+
     CorpusEntry rand;
     rand.spec = {vm::SchedPolicy::Random, 1, 0};
     for (size_t opi = 0; opi < kMutOpCount; ++opi)

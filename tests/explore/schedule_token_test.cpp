@@ -16,7 +16,8 @@ TEST(ScheduleTokenStrict, AcceptsCanonicalTokens)
 {
     const ScheduleSpec specs[] = {
         {vm::SchedPolicy::Pct, 1, 1},
-        {vm::SchedPolicy::Pct, 18446744073709551615ull, 4294967295u},
+        // The largest seed and the largest depth a token may carry.
+        {vm::SchedPolicy::Pct, 18446744073709551615ull, kMaxScheduleDepth},
         {vm::SchedPolicy::PreemptBound, 7, 2},
         {vm::SchedPolicy::Random, 0, 0},
         {vm::SchedPolicy::RoundRobin, 42, 0},
@@ -35,6 +36,9 @@ TEST(ScheduleTokenStrict, AcceptsCanonicalTokens)
     ASSERT_TRUE(parseScheduleToken("pct:s5:d2", parsed, err)) << err;
     EXPECT_EQ(parsed, (ScheduleSpec{vm::SchedPolicy::Pct, 5, 2}));
     EXPECT_TRUE(parseScheduleToken("random:d3:s1", parsed, err));
+    // The depth limit itself parses (parsing samples no points).
+    ASSERT_TRUE(parseScheduleToken("pb:d65536:s1", parsed, err)) << err;
+    EXPECT_EQ(parsed.depth, kMaxScheduleDepth);
 }
 
 TEST(ScheduleTokenStrict, RejectsMalformedWithOneLineError)
@@ -57,6 +61,8 @@ TEST(ScheduleTokenStrict, RejectsMalformedWithOneLineError)
         "pct:d3:s0x10",                      // hex
         "pct:d3:s18446744073709551616",      // u64 overflow
         "pct:d4294967296:s1",                // depth > u32
+        "pct:d65537:s1",                     // depth > kMaxScheduleDepth
+        "pb:d65537:s1",                      // depth > kMaxScheduleDepth
         "pct:d3:s1:s2",                      // duplicate seed
         "pct:d3:d2:s1",                      // duplicate depth
         "pct:d3:q1:s1",                      // unknown field
