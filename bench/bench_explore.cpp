@@ -250,42 +250,18 @@ main(int argc, char **argv)
     CampaignTelemetry telemetry(workers);
     obs::serve::HttpServer server;
     if (serve) {
-        server.route("/metrics", [&telemetry, &server] {
-            obs::serve::HttpResponse r;
-            r.contentType =
-                "text/plain; version=0.0.4; charset=utf-8";
-            // The campaign metrics plus the server's own request
-            // counters — the telemetry plane monitors itself.
-            r.body = telemetry.prometheusText() +
-                     server.prometheusCounters();
-            return r;
-        });
-        server.route("/status", [&telemetry] {
-            obs::serve::HttpResponse r;
-            r.contentType = "application/json";
-            r.body = telemetry.statusJson() + "\n";
-            return r;
-        });
-        server.route("/coverage", [&telemetry] {
-            obs::serve::HttpResponse r;
-            r.contentType = "application/json";
-            r.body = telemetry.coverageJson() + "\n";
-            return r;
-        });
-        server.route("/profile", [&telemetry] {
-            obs::serve::HttpResponse r;
-            r.contentType = "application/json";
-            r.body = telemetry.profileJson() + "\n";
-            return r;
-        });
+        const std::string paths = obs::serve::routeTelemetry(
+            server, {[&telemetry] { return telemetry.prometheusText(); },
+                     [&telemetry] { return telemetry.statusJson(); },
+                     [&telemetry] { return telemetry.coverageJson(); },
+                     [&telemetry] { return telemetry.profileJson(); }});
         std::string err;
         if (!server.start(uint16_t(servePort), err)) {
             std::fprintf(stderr, "--serve: %s\n", err.c_str());
             return 2;
         }
-        std::printf("serving telemetry on 127.0.0.1:%u "
-                    "(/metrics /status /coverage /profile)\n",
-                    unsigned(server.port()));
+        std::printf("serving telemetry on 127.0.0.1:%u (%s)\n",
+                    unsigned(server.port()), paths.c_str());
         if (!servePortFile.empty() &&
             !writeFile(servePortFile,
                        std::to_string(server.port()) + "\n", nullptr))

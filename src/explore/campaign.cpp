@@ -171,6 +171,13 @@ isFailingSchedule(const ScheduleOutcome &o)
     return o.ran && !o.unhardenedCorrect && !o.unhardenedInconclusive;
 }
 
+bool
+isUnrecovered(const Target &t, const ScheduleOutcome &o)
+{
+    return t.mustRecover && o.hardenedRan && !o.hardenedCorrect &&
+           !o.hardenedInconclusive;
+}
+
 //
 // One schedule, all legs.
 //
@@ -233,26 +240,16 @@ calibrateHorizon(const ir::Module &m, uint64_t maxSteps)
     return std::max<uint64_t>(r.stats.schedTicks, 64);
 }
 
-namespace {
-
-/** The images of a target's two builds, built once and read by every
- *  leg that runs them, from any number of workers at once. */
-struct TargetImages
+TargetImages::TargetImages(const Target &t) : plain(*t.plain)
 {
-    explicit TargetImages(const Target &t) : plain(*t.plain)
-    {
-        if (t.hardened)
-            hardened.emplace(*t.hardened);
-    }
+    if (t.hardened)
+        hardened.emplace(*t.hardened);
+}
 
-    vm::Image plain;
-    std::optional<vm::Image> hardened;
-};
-
-/** runOneSchedule on the target's shared images. */
 ScheduleOutcome
-runLegs(const Target &t, const TargetImages &images, const ScheduleSpec &s,
-        const CampaignOptions &opts, const ScheduleInstruments *ins)
+runOneSchedule(const Target &t, const TargetImages &images,
+               const ScheduleSpec &s, const CampaignOptions &opts,
+               const ScheduleInstruments *ins)
 {
     ScheduleOutcome out;
     out.spec = s;
@@ -362,14 +359,12 @@ runLegs(const Target &t, const TargetImages &images, const ScheduleSpec &s,
     return out;
 }
 
-} // namespace
-
 ScheduleOutcome
 runOneSchedule(const Target &t, const ScheduleSpec &s,
                const CampaignOptions &opts,
                const ScheduleInstruments *ins)
 {
-    return runLegs(t, TargetImages(t), s, opts, ins);
+    return runOneSchedule(t, TargetImages(t), s, opts, ins);
 }
 
 //
@@ -464,8 +459,8 @@ runCampaign(const std::vector<Target> &targets,
                 opts.stopAfterFailures) {
             results[i].spec = j.spec; // ran stays false
         } else {
-            results[i] = runLegs(targets[j.target], images[j.target],
-                                 j.spec, opts, nullptr);
+            results[i] = runOneSchedule(targets[j.target],
+                                        images[j.target], j.spec, opts);
             if (isFailingSchedule(results[i]))
                 failCount[j.target].fetch_add(1,
                                               std::memory_order_relaxed);
@@ -579,16 +574,16 @@ runCampaign(const std::vector<Target> &targets,
                 1 + (opts.differential && !o.chaos && !o.diverged);
             tr.chaosRuns += o.chaos;
             tr.chaosRollbacks += o.hardenedStats.chaosRollbacks;
+            if (isUnrecovered(targets[j.target], o)) {
+                ++tr.unrecovered;
+                if (!tr.hasUnrecovered) {
+                    tr.hasUnrecovered = true;
+                    tr.firstUnrecovered = o.spec;
+                }
+            }
             if (o.hardenedInconclusive) {
                 ++tr.hardenedInconclusive;
             } else if (!o.hardenedCorrect) {
-                if (targets[j.target].mustRecover) {
-                    ++tr.unrecovered;
-                    if (!tr.hasUnrecovered) {
-                        tr.hasUnrecovered = true;
-                        tr.firstUnrecovered = o.spec;
-                    }
-                }
                 // The recovery property quantifies over schedules where
                 // the *unhardened* leg failed: there the hardened leg
                 // must either recover or surface the same failure kind.

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,6 +40,7 @@
 #include "obs/postmortem/diagnosis.h"
 #include "obs/profile/profile.h"
 #include "obs/profile/profile_export.h"
+#include "vm/decode.h"
 #include "vm/stats.h"
 
 namespace conair::ir {
@@ -496,11 +498,27 @@ struct CampaignReport
 CampaignReport runCampaign(const std::vector<Target> &targets,
                            const CampaignOptions &opts);
 
-/** Runs a single (target, schedule) cell with all its legs — the
- *  `conair repro` path for a triple printed by a campaign.  The legs
- *  share one vm::Image per build, built for this call (runCampaign
- *  builds them once per target).  @p ins optionally attaches flight
- *  recorders to the Fused legs. */
+/** The images of a target's two builds, built once and read by every
+ *  leg that runs them, from any number of workers at once. */
+struct TargetImages
+{
+    explicit TargetImages(const Target &t);
+
+    vm::Image plain;
+    std::optional<vm::Image> hardened; ///< empty when t.hardened is null
+};
+
+/** Runs a single (target, schedule) cell with all its legs on the
+ *  target's shared @p images (runCampaign and runGuided build them
+ *  once per target).  @p ins optionally attaches flight recorders to
+ *  the Fused legs. */
+ScheduleOutcome runOneSchedule(const Target &t, const TargetImages &images,
+                               const ScheduleSpec &s,
+                               const CampaignOptions &opts,
+                               const ScheduleInstruments *ins = nullptr);
+
+/** runOneSchedule on images built for this one call — the `conair
+ *  repro` path for a triple printed by a campaign. */
 ScheduleOutcome runOneSchedule(const Target &t, const ScheduleSpec &s,
                                const CampaignOptions &opts,
                                const ScheduleInstruments *ins = nullptr);
@@ -513,6 +531,11 @@ bool correctRun(const Target &t, const vm::RunResult &r);
 /** The failing-schedule rule: @p o ran and its unhardened leg ended
  *  incorrect without exhausting its step budget. */
 bool isFailingSchedule(const ScheduleOutcome &o);
+
+/** The unrecovered rule (oracle 2): @p t must recover and @p o's
+ *  hardened leg ran and ended incorrect without exhausting its step
+ *  budget. */
+bool isUnrecovered(const Target &t, const ScheduleOutcome &o);
 
 /** The exact VmConfig a campaign cell runs under (no observers, no
  *  chaos).  The replay-corpus stage snapshots this same config into

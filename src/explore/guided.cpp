@@ -442,6 +442,7 @@ runGuided(const Target &t, const CampaignOptions &opts,
     ropts.collectCoverage = true;
     ropts.stopAfterFailures = 0;
 
+    const TargetImages images(t);
     std::set<uint64_t> covKeys; // sorted for the final digest
     std::unordered_set<std::string> tried;
 
@@ -527,7 +528,8 @@ runGuided(const Target &t, const CampaignOptions &opts,
         std::vector<ScheduleOutcome> outs(batch.size());
         runPool(batch.size(), opts.workers,
                 [&](unsigned worker, size_t i) {
-                    outs[i] = runOneSchedule(t, batch[i].spec, ropts);
+                    outs[i] =
+                        runOneSchedule(t, images, batch[i].spec, ropts);
                     if (opts.telemetry)
                         opts.telemetry->noteSchedule(worker, t.name,
                                                      outs[i], ropts);
@@ -549,9 +551,7 @@ runGuided(const Target &t, const CampaignOptions &opts,
             }
 
             r.divergences += o.diverged;
-            if (o.hardenedRan && !o.hardenedInconclusive &&
-                !o.hardenedCorrect && t.mustRecover)
-                ++r.unrecovered;
+            r.unrecovered += isUnrecovered(t, o);
 
             std::vector<uint64_t> novel;
             uint64_t novelRacy = 0;

@@ -1,29 +1,27 @@
 /**
  * @file
  * Live campaign telemetry: the shared state behind the embedded
- * `/metrics`, `/status`, and `/coverage` endpoints while a campaign
- * runs (docs/OBSERVABILITY.md, "Live telemetry endpoints").
+ * `/metrics`, `/status`, `/coverage` and `/profile` endpoints while a
+ * campaign runs (docs/OBSERVABILITY.md, "Live telemetry endpoints").
  *
- * A CampaignTelemetry is *observational only*: workers publish into
- * it after each finished schedule (atomic counters, a lock-free
- * CoverageMap merge, a short mutex-guarded metrics fold), and the
- * HTTP handlers render snapshots out of it.  Nothing a reader does
- * can perturb the campaign — the deterministic campaign report is
- * still aggregated from the results matrix in matrix order, exactly
- * as without telemetry.  The only live-vs-final caveat: the order in
- * which workers merge coverage is timing-dependent, so the *growth
- * curve* sampled here is a live view; the per-target curves in
- * BENCH_explore.json are recomputed deterministically in matrix
- * order (the final distinct-edge count and digest agree between the
- * two by set-union invariance).
+ * A CampaignTelemetry is a plain fold under one mutex: a worker takes
+ * it once per finished schedule to fold the outcome in (counters, the
+ * schedule's coverage edges, its hardened-leg metrics and profile),
+ * and the HTTP handlers take it to render.  It is *observational
+ * only*: nothing a reader does can perturb the campaign — the
+ * deterministic campaign report is still aggregated from the results
+ * matrix in matrix order, exactly as without telemetry.  The only
+ * live-vs-final caveat: workers fold in a timing-dependent order, so
+ * the *growth curve* sampled here is a live view; the per-target
+ * curves in BENCH_explore.json are recomputed deterministically in
+ * matrix order (the final distinct-edge count and digest agree
+ * between the two by set-union invariance).
  */
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -41,8 +39,8 @@ struct ScheduleOutcome;
 class CampaignTelemetry
 {
   public:
-    /** Per-worker cells for @p workers workers and the elapsed-time
-     *  origin are fixed here, once: readers never race a re-arm. */
+    /** Per-worker counters for @p workers workers and the
+     *  elapsed-time origin are fixed here, once. */
     explicit CampaignTelemetry(unsigned workers = 1);
 
     CampaignTelemetry(const CampaignTelemetry &) = delete;
@@ -73,9 +71,9 @@ class CampaignTelemetry
                    uint64_t mutationsNovel, uint64_t freshTried,
                    uint64_t freshNovel);
 
-    /** The campaign-global live coverage map. */
-    const obs::cov::CoverageMap &coverage() const { return coverage_; }
-    obs::cov::CoverageMap &coverage() { return coverage_; }
+    /** The live edge union over every schedule folded so far,
+     *  sorted by key. */
+    std::vector<obs::cov::Edge> coverageEdges() const;
 
     uint64_t schedulesDone() const;
 
@@ -97,34 +95,29 @@ class CampaignTelemetry
     std::string profileJson() const;
 
   private:
-    struct WorkerCell
-    {
-        // Padded so neighbouring workers never share a cache line.
-        alignas(64) std::atomic<uint64_t> schedules{0};
-    };
+    double elapsedSeconds() const;
 
-    std::atomic<uint64_t> total_{0};
-    std::atomic<uint64_t> done_{0};
-    std::atomic<uint64_t> failures_{0};
-    std::atomic<uint64_t> corpus_{0};
-
-    // Guided-search progress (0 in blind campaigns).
-    std::atomic<uint64_t> guidedCorpus_{0};
-    std::atomic<uint64_t> guidedMutTried_{0};
-    std::atomic<uint64_t> guidedMutNovel_{0};
-    std::atomic<uint64_t> guidedFreshTried_{0};
-    std::atomic<uint64_t> guidedFreshNovel_{0};
-    const unsigned workerCount_;
-    const std::unique_ptr<WorkerCell[]> workers_; ///< workerCount_ cells
     const std::chrono::steady_clock::time_point start_;
 
-    obs::cov::CoverageMap coverage_;
+    mutable std::mutex mutex_; ///< guards every member below
+    uint64_t total_ = 0;
+    uint64_t done_ = 0;
+    uint64_t failures_ = 0;
+    uint64_t corpus_ = 0;
 
-    mutable std::mutex mutex_; ///< guards metrics_, growth_, profiles_,
-                               ///< and wall_
+    // Guided-search progress (0 in blind campaigns).
+    uint64_t guidedCorpus_ = 0;
+    uint64_t guidedMutTried_ = 0;
+    uint64_t guidedMutNovel_ = 0;
+    uint64_t guidedFreshTried_ = 0;
+    uint64_t guidedFreshNovel_ = 0;
+
+    std::vector<uint64_t> workers_; ///< schedules finished per worker
+    /** The live edge union, keyed (so sorted) by edge key. */
+    std::map<uint64_t, obs::cov::Edge> edges_;
     obs::MetricsRegistry metrics_;
-    /** (schedule#, distinctEdges) samples, appended whenever a merge
-     *  grew the map; thinned to stay bounded. */
+    /** (schedule#, distinctEdges) samples, appended whenever a fold
+     *  grew the edge union; thinned to stay bounded. */
     std::vector<std::pair<uint64_t, uint64_t>> growth_;
     /** Live phase profile per "kernel/policy" group (sorted map =
      *  deterministic group order in /profile). */

@@ -35,7 +35,7 @@ edgeKey(EdgeKind kind, uint64_t from, uint64_t to)
     uint64_t h = fnvByte(kFnvOffset, uint8_t(kind));
     h = fnvWord(h, from);
     h = fnvWord(h, to);
-    return h ? h : 1; // 0 is the CoverageMap empty-slot sentinel
+    return h ? h : 1; // Edge::key is never 0
 }
 
 bool
@@ -233,106 +233,6 @@ annotateRecorder(FlightRecorder &rec, const std::vector<Edge> &novel,
                    e.key, uint64_t(e.kind));
     rec.record(0, EventKind::CoverageSnapshot, endClock, endStep,
                distinctAfter, novel.size());
-}
-
-//
-// CoverageMap.
-//
-
-namespace {
-
-/** Probe-length cap: far beyond any sane load factor, small enough
- *  that a pathologically full table degrades to counted drops instead
- *  of full-table scans. */
-constexpr size_t kMaxProbe = 256;
-
-size_t
-roundUpPow2(size_t n)
-{
-    size_t p = 1024;
-    while (p < n)
-        p <<= 1;
-    return p;
-}
-
-} // namespace
-
-CoverageMap::CoverageMap(size_t capacity)
-{
-    size_t n = roundUpPow2(capacity);
-    slots_ = std::make_unique<Slot[]>(n);
-    mask_ = n - 1;
-}
-
-bool
-CoverageMap::insert(const Edge &e)
-{
-    size_t idx = size_t(e.key) & mask_;
-    size_t maxProbe = std::min(kMaxProbe, mask_ + 1);
-    for (size_t probe = 0; probe < maxProbe;
-         ++probe, idx = (idx + 1) & mask_) {
-        Slot &s = slots_[idx];
-        uint64_t k = s.key.load(std::memory_order_acquire);
-        if (k == e.key)
-            return false;
-        if (k != 0)
-            continue;
-        uint64_t expected = 0;
-        if (s.key.compare_exchange_strong(expected, e.key,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-            s.from.store(e.from, std::memory_order_relaxed);
-            s.to.store(e.to, std::memory_order_relaxed);
-            // The ready word publishes the payload (and doubles as
-            // the kind): snapshot() acquire-loads it before trusting
-            // from/to.
-            s.ready.store(uint64_t(e.kind) + 1,
-                          std::memory_order_release);
-            distinct_.fetch_add(1, std::memory_order_acq_rel);
-            return true;
-        }
-        if (expected == e.key)
-            return false; // another worker won the same edge
-        // A different key claimed the slot under us; keep probing.
-    }
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-}
-
-uint64_t
-CoverageMap::insertAll(const std::vector<Edge> &edges)
-{
-    uint64_t novel = 0;
-    for (const Edge &e : edges)
-        novel += insert(e);
-    return novel;
-}
-
-std::vector<Edge>
-CoverageMap::snapshot() const
-{
-    std::vector<Edge> out;
-    for (size_t i = 0; i <= mask_; ++i) {
-        const Slot &s = slots_[i];
-        uint64_t ready = s.ready.load(std::memory_order_acquire);
-        if (ready == 0)
-            continue; // empty or claimed-but-unpublished
-        Edge e;
-        e.key = s.key.load(std::memory_order_relaxed);
-        e.from = s.from.load(std::memory_order_relaxed);
-        e.to = s.to.load(std::memory_order_relaxed);
-        e.kind = EdgeKind(ready - 1);
-        out.push_back(e);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const Edge &x, const Edge &y) { return x.key < y.key; });
-    return out;
-}
-
-uint64_t
-CoverageMap::digest() const
-{
-    return coverageDigest(snapshot());
 }
 
 } // namespace conair::obs::cov

@@ -38,18 +38,16 @@
  * workers produces the same digest (pinned by
  * tests/explore/campaign_test.cpp).
  *
- * CoverageMap is the campaign-global accumulator: a fixed-size
- * open-addressing hash table of atomic slots that workers insert into
- * lock-free (release-CAS publish, acquire reads), with a monotonic
- * distinctEdges() counter and an overflow counter instead of silent
- * drops.  Per-schedule *novelty* (did this run add any edge?) falls
- * out of insert()'s return value.
+ * Consumers keep the union of folds as a key-sorted set: the campaign
+ * aggregation and the guided search per target, in matrix / batch
+ * order, and the live telemetry (src/explore/telemetry.h) over the
+ * whole campaign under its one mutex.  Per-schedule *novelty* (did
+ * this run add any edge?) is whether its fold grew that set.
  */
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace conair {
@@ -133,68 +131,5 @@ void writeEdgesJson(JsonWriter &w, const std::vector<Edge> &sortedEdges);
 void annotateRecorder(FlightRecorder &rec,
                       const std::vector<Edge> &novel,
                       uint64_t distinctAfter);
-
-/**
- * The campaign-global interleaving coverage map.
- *
- * Lock-free open-addressing table: insert() linearly probes the
- * fixed power-of-two slot array, claims an empty slot with a CAS on
- * the key word, then publishes the payload with a release store on
- * the ready word; readers acquire-load the ready word before trusting
- * the payload.  distinctEdges() is monotonic.  A probe sequence that
- * finds no slot (table effectively full) bumps dropped() instead of
- * silently losing the edge.
- */
-class CoverageMap
-{
-  public:
-    /** @p capacity is rounded up to a power of two (>= 1024). */
-    explicit CoverageMap(size_t capacity = 1 << 16);
-
-    /** Inserts one edge; returns true iff it was new (the novelty
-     *  bit).  Thread-safe and lock-free. */
-    bool insert(const Edge &e);
-
-    /** Inserts a whole fold; returns how many edges were novel. */
-    uint64_t insertAll(const std::vector<Edge> &edges);
-
-    /** Distinct edges inserted so far (monotonic). */
-    uint64_t distinctEdges() const
-    {
-        return distinct_.load(std::memory_order_acquire);
-    }
-
-    /** Edges lost to table overflow (0 in any healthy campaign). */
-    uint64_t dropped() const
-    {
-        return dropped_.load(std::memory_order_relaxed);
-    }
-
-    size_t capacity() const { return slots_ ? mask_ + 1 : 0; }
-
-    /** A consistent point-in-time edge dump, sorted by key.  Safe to
-     *  call concurrently with inserts (in-flight, unpublished slots
-     *  are skipped). */
-    std::vector<Edge> snapshot() const;
-
-    /** FNV-1a digest over the sorted keys of snapshot(): equal to the
-     *  digest of the union of all inserted folds, independent of
-     *  insertion order and worker count. */
-    uint64_t digest() const;
-
-  private:
-    struct Slot
-    {
-        std::atomic<uint64_t> key{0};
-        std::atomic<uint64_t> from{0};
-        std::atomic<uint64_t> to{0};
-        std::atomic<uint64_t> ready{0}; ///< EdgeKind + 1 once published
-    };
-
-    std::unique_ptr<Slot[]> slots_;
-    size_t mask_ = 0;
-    std::atomic<uint64_t> distinct_{0};
-    std::atomic<uint64_t> dropped_{0};
-};
 
 } // namespace conair::obs::cov

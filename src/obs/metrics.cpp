@@ -6,6 +6,7 @@
 
 #include "support/diag.h"
 #include "support/json.h"
+#include "support/prom.h"
 #include "support/str.h"
 #include "vm/stats.h"
 
@@ -204,26 +205,6 @@ promLabelValue(const std::string &v)
     return out;
 }
 
-/** HELP text escapes backslash and newline (exposition format 0.0.4
- *  leaves double quotes alone outside label values). */
-std::string
-promHelpText(const std::string &v)
-{
-    std::string out;
-    for (char c : v) {
-        if (c == '\\') {
-            out += "\\\\";
-            continue;
-        }
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
 /** Stable HELP strings for the stock instruments; unknown families
  *  get a generic line so every exposed family carries one. */
 std::string
@@ -292,9 +273,7 @@ MetricsRegistry::toPrometheusText() const
         size_t slash = name.find('/');
         std::string family = promName(name.substr(0, slash));
         if (family != lastFamily) {
-            out += strfmt("# HELP %s %s\n", family.c_str(),
-                          promHelpText(helpFor(family)).c_str());
-            out += strfmt("# TYPE %s counter\n", family.c_str());
+            promFamily(out, family, "counter", helpFor(family));
             lastFamily = family;
         }
         if (slash == std::string::npos)
@@ -311,9 +290,7 @@ MetricsRegistry::toPrometheusText() const
     // histogram_quantile() themselves.
     for (const auto &[name, h] : hists_) {
         std::string family = promName(name);
-        out += strfmt("# HELP %s %s\n", family.c_str(),
-                      promHelpText(helpFor(family)).c_str());
-        out += strfmt("# TYPE %s histogram\n", family.c_str());
+        promFamily(out, family, "histogram", helpFor(family));
         uint64_t cum = 0;
         for (size_t i = 0; i < h.bounds.size(); ++i) {
             cum += h.counts[i];
@@ -334,14 +311,11 @@ MetricsRegistry::toPrometheusText() const
             double q;
         } quantiles[] = {{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}};
         for (const auto &qd : quantiles) {
-            out += strfmt("# HELP %s_%s Estimated %g-quantile of "
-                          "%s.\n",
-                          family.c_str(), qd.suffix, qd.q,
-                          family.c_str());
-            out += strfmt("# TYPE %s_%s gauge\n", family.c_str(),
-                          qd.suffix);
-            out += strfmt("%s_%s %.3f\n", family.c_str(), qd.suffix,
-                          h.quantile(qd.q));
+            std::string gauge = family + "_" + qd.suffix;
+            promFamily(out, gauge, "gauge",
+                       strfmt("Estimated %g-quantile of %s.", qd.q,
+                              family.c_str()));
+            out += strfmt("%s %.3f\n", gauge.c_str(), h.quantile(qd.q));
         }
     }
     return out;

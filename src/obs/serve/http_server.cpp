@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "support/prom.h"
 #include "support/str.h"
 
 namespace conair::obs::serve {
@@ -276,23 +277,47 @@ std::string
 HttpServer::prometheusCounters() const
 {
     std::string out;
-    auto counter = [&out](const char *name, const char *help,
-                          uint64_t v) {
-        out += strfmt("# HELP %s %s\n# TYPE %s counter\n%s %llu\n",
-                      name, help, name, name, (unsigned long long)v);
-    };
-    counter("conair_http_requests_served",
-            "HTTP requests answered with 200.", requestsServed());
-    counter("conair_http_bad_requests",
-            "HTTP requests answered with 400 (malformed/oversized).",
-            badRequests());
-    counter("conair_http_not_found",
-            "HTTP requests answered with 404 (unknown path).",
-            notFound());
-    counter("conair_http_method_not_allowed",
-            "HTTP requests answered with 405 (non-GET method).",
-            methodNotAllowed());
+    promFamily(out, "conair_http_requests_served", "counter",
+               "HTTP requests answered with 200.", requestsServed());
+    promFamily(out, "conair_http_bad_requests", "counter",
+               "HTTP requests answered with 400 (malformed/oversized).",
+               badRequests());
+    promFamily(out, "conair_http_not_found", "counter",
+               "HTTP requests answered with 404 (unknown path).",
+               notFound());
+    promFamily(out, "conair_http_method_not_allowed", "counter",
+               "HTTP requests answered with 405 (non-GET method).",
+               methodNotAllowed());
     return out;
+}
+
+std::string
+routeTelemetry(HttpServer &server, TelemetryBodies bodies)
+{
+    server.route("/metrics", [&server, body = std::move(bodies.metrics)] {
+        HttpResponse r;
+        r.contentType = "text/plain; version=0.0.4; charset=utf-8";
+        // The server's own request counters ride along: the telemetry
+        // plane monitors itself.
+        r.body = body() + server.prometheusCounters();
+        return r;
+    });
+    std::string paths = "/metrics";
+    auto json = [&](const char *path, TelemetryBodies::Body body) {
+        if (!body)
+            return;
+        server.route(path, [body = std::move(body)] {
+            HttpResponse r;
+            r.contentType = "application/json";
+            r.body = body() + "\n";
+            return r;
+        });
+        paths += std::string(" ") + path;
+    };
+    json("/status", std::move(bodies.status));
+    json("/coverage", std::move(bodies.coverage));
+    json("/profile", std::move(bodies.profile));
+    return paths;
 }
 
 bool

@@ -3,8 +3,9 @@
  * A minimal embedded HTTP/1.1 server for live telemetry exposition —
  * no external dependencies, POSIX sockets only.  Built for exactly
  * one job: letting Prometheus scrapers and curl hit `GET /metrics`,
- * `GET /status`, and `GET /coverage` on a running campaign
- * (docs/OBSERVABILITY.md, "Live telemetry endpoints").
+ * `GET /status`, `GET /coverage` and `GET /profile` on a running
+ * campaign or a finished run (routeTelemetry() below;
+ * docs/OBSERVABILITY.md, "Live telemetry endpoints").
  *
  * Shape: one accept thread polls the listening socket (so stop() can
  * interrupt it without tricks), pushing accepted connections onto a
@@ -103,8 +104,8 @@ class HttpServer
     }
 
     /** The four request counters in Prometheus text exposition
-     *  (conair_http_* counters) — appended to /metrics bodies so the
-     *  telemetry plane monitors itself. */
+     *  (conair_http_* counters); routeTelemetry() appends them to
+     *  /metrics so the telemetry plane monitors itself. */
     std::string prometheusCounters() const;
 
   private:
@@ -129,6 +130,30 @@ class HttpServer
     std::atomic<uint64_t> notFound_{0};
     std::atomic<uint64_t> methodNotAllowed_{0};
 };
+
+/** What a telemetry server serves: the Prometheus text of /metrics
+ *  and the JSON documents of the other endpoints.  An empty profile
+ *  leaves /profile out. */
+struct TelemetryBodies
+{
+    using Body = std::function<std::string()>;
+    Body metrics;
+    Body status;
+    Body coverage;
+    Body profile;
+};
+
+/**
+ * The telemetry endpoint table, written once for every server that
+ * exposes one (`bench_explore --serve`, `conair run --serve`).  Routes
+ * on @p server, before start():
+ *  - GET /metrics, `text/plain; version=0.0.4`: @p bodies.metrics,
+ *    then @p server's own conair_http_* counters;
+ *  - GET /status, /coverage and (when set) /profile,
+ *    `application/json`: each body plus a trailing newline.
+ * Returns the routed paths, space-separated, for the caller's banner.
+ */
+std::string routeTelemetry(HttpServer &server, TelemetryBodies bodies);
 
 /**
  * A tiny blocking HTTP GET against 127.0.0.1:@p port — the client

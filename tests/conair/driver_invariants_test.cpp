@@ -54,9 +54,10 @@ TEST_P(DriverInvariants, SiteReportsCoverEveryIdentifiedSite)
     unsigned interproc = 0;
     for (const SiteReport &s : p.report.sites) {
         interproc += s.interproc;
-        if (s.interproc)
+        if (s.interproc) {
             EXPECT_TRUE(s.recoverable)
                 << s.tag << ": promoted sites are never optimized away";
+        }
     }
     EXPECT_EQ(interproc, p.report.interprocSites);
 }

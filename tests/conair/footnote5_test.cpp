@@ -78,10 +78,12 @@ TEST(Footnote5, EntryPointRemovedSiblingRidesAlong)
             for (auto &inst : bb->insts())
                 ckpts += inst->opcode() == ir::Opcode::Call &&
                          inst->builtin() == Builtin::CaCheckpoint;
-        if (f->name() == "foo")
+        if (f->name() == "foo") {
             EXPECT_EQ(ckpts, 0u) << "entry checkpoint must be removed";
-        if (f->name() == "main")
+        }
+        if (f->name() == "main") {
             EXPECT_GE(ckpts, 1u);
+        }
     }
 }
 

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "apps/harness.h"
 #include "explore/campaign.h"
 #include "explore/telemetry.h"
@@ -16,11 +18,11 @@ namespace {
 TEST(ScheduleToken, RoundTrips)
 {
     const ScheduleSpec specs[] = {
-        {vm::SchedPolicy::Pct, 17, 3},
-        {vm::SchedPolicy::Pct, 1, 2},
-        {vm::SchedPolicy::PreemptBound, 5, 2},
-        {vm::SchedPolicy::Random, 9, 0},
-        {vm::SchedPolicy::RoundRobin, 2, 0},
+        {vm::SchedPolicy::Pct, 17, 3, {}},
+        {vm::SchedPolicy::Pct, 1, 2, {}},
+        {vm::SchedPolicy::PreemptBound, 5, 2, {}},
+        {vm::SchedPolicy::Random, 9, 0, {}},
+        {vm::SchedPolicy::RoundRobin, 2, 0, {}},
     };
     for (const ScheduleSpec &s : specs) {
         ScheduleSpec parsed;
@@ -43,7 +45,7 @@ TEST(ScheduleToken, RejectsMalformedTokens)
 
 TEST(ScheduleToken, AppliesToConfig)
 {
-    ScheduleSpec s{vm::SchedPolicy::Pct, 41, 4};
+    ScheduleSpec s{vm::SchedPolicy::Pct, 41, 4, {}};
     vm::VmConfig cfg;
     s.applyTo(cfg);
     EXPECT_EQ(cfg.policy, vm::SchedPolicy::Pct);
@@ -250,14 +252,34 @@ TEST_F(CampaignFixture, CoverageIsIndependentOfWorkerCount)
             << a.name;
     }
 
-    // The live map accumulates the union over all targets; its digest
-    // must agree between the two runs too.
-    EXPECT_GT(serialTel.coverage().distinctEdges(), 0u);
-    EXPECT_EQ(serialTel.coverage().digest(),
-              parallelTel.coverage().digest());
-    EXPECT_EQ(serialTel.coverage().distinctEdges(),
-              parallelTel.coverage().distinctEdges());
+    // The live union accumulates over all targets; its digest must
+    // agree between the two runs too, whatever order four workers
+    // folded in.
+    std::vector<obs::cov::Edge> serialLive = serialTel.coverageEdges();
+    std::vector<obs::cov::Edge> parallelLive =
+        parallelTel.coverageEdges();
+    EXPECT_GT(serialLive.size(), 0u);
+    EXPECT_EQ(obs::cov::coverageDigest(serialLive),
+              obs::cov::coverageDigest(parallelLive));
+    EXPECT_EQ(serialLive.size(), parallelLive.size());
     EXPECT_EQ(serialTel.schedulesDone(), parallel.schedules);
+
+    // With one target, the live union is that target's matrix-order
+    // union, and the newest /status growth sample reaches its size.
+    CampaignTelemetry oneTel(4);
+    opts.telemetry = &oneTel;
+    CampaignReport one = runCampaign({targets[0]}, opts);
+    std::vector<obs::cov::Edge> oneLive = oneTel.coverageEdges();
+    EXPECT_EQ(oneLive.size(), one.targets[0].coverageDistinctEdges);
+    EXPECT_EQ(obs::cov::coverageDigest(oneLive),
+              one.targets[0].coverageDigest);
+    std::string oneStatus = oneTel.statusJson();
+    // The growth curve is the body's last array, so the last '[' opens
+    // its newest [schedule, edges] sample.
+    char *next = nullptr;
+    std::strtoull(oneStatus.c_str() + oneStatus.rfind('[') + 1, &next, 10);
+    EXPECT_EQ(std::strtoull(next + 1, nullptr, 10), oneLive.size())
+        << oneStatus;
 
     // The telemetry renderers produce the documented shapes.
     std::string status = parallelTel.statusJson();
@@ -385,8 +407,9 @@ TEST_F(CampaignFixture, StopAfterFailuresSkipsWork)
     opts.stopAfterFailures = 1;
     CampaignReport rep = runCampaign(targets, opts);
     const TargetReport &tr = rep.targets[0];
-    if (tr.foundFailure)
+    if (tr.foundFailure) {
         EXPECT_GT(tr.skipped, 0u);
+    }
     EXPECT_EQ(tr.schedules + tr.skipped,
               opts.policies.size() * opts.seedsPerPolicy);
 }

@@ -31,7 +31,7 @@ CorpusEntry
 sampleEntry()
 {
     CorpusEntry e;
-    e.spec = {vm::SchedPolicy::Pct, 17, 3};
+    e.spec = {vm::SchedPolicy::Pct, 17, 3, {}};
     e.spec.points = {120, 340};
     e.novelEdges = {3, 9, 11};
     e.ordinal = 1;
@@ -65,9 +65,10 @@ TEST(MutateSpec, SameEntryAndRngSeedSameMutatedToken)
             bool okA = mutateSpec(e, MutOp(opi), 2'000, 24, r1, a);
             bool okB = mutateSpec(e, MutOp(opi), 2'000, 24, r2, b);
             ASSERT_EQ(okA, okB) << mutOpName(MutOp(opi));
-            if (okA)
+            if (okA) {
                 EXPECT_EQ(a.token(), b.token())
                     << mutOpName(MutOp(opi)) << " seed " << seed;
+            }
         }
     }
     // Different RNG seeds must be able to produce different nudges;
@@ -106,9 +107,10 @@ TEST(MutateSpec, OutputsStayCanonical)
         ASSERT_GE(out.depth, 1u) << mutOpName(op);
         for (size_t i = 0; i < out.points.size(); ++i) {
             ASSERT_GE(out.points[i], 1u) << mutOpName(op);
-            if (i > 0)
+            if (i > 0) {
                 ASSERT_GT(out.points[i], out.points[i - 1])
                     << mutOpName(op);
+            }
         }
         ScheduleSpec parsed;
         std::string err;
@@ -145,7 +147,7 @@ TEST(MutateSpec, InapplicableOperatorsReturnFalse)
     EXPECT_TRUE(parseScheduleToken(out.token(), out, err)) << err;
 
     CorpusEntry rand;
-    rand.spec = {vm::SchedPolicy::Random, 1, 0};
+    rand.spec = {vm::SchedPolicy::Random, 1, 0, {}};
     for (size_t opi = 0; opi < kMutOpCount; ++opi)
         EXPECT_FALSE(mutateSpec(rand, MutOp(opi), 2'000, 24, rng, out))
             << mutOpName(MutOp(opi));
@@ -219,7 +221,7 @@ sampleCorpus()
     c.entries.push_back(fresh);
 
     CorpusEntry mut;
-    mut.spec = {vm::SchedPolicy::PreemptBound, 17, 2};
+    mut.spec = {vm::SchedPolicy::PreemptBound, 17, 2, {}};
     mut.spec.points = {120, 364};
     mut.novelEdges = {0x10, 0xfedcba9876543210ull};
     mut.racy = 2;
@@ -388,7 +390,7 @@ TEST_F(GuidedFixture, DerivedPointsReproduceTheSampledSchedule)
     opts.collectCoverage = true;
 
     for (uint64_t seed = 1; seed <= 6; ++seed) {
-        ScheduleSpec sampled{vm::SchedPolicy::Pct, seed, 3};
+        ScheduleSpec sampled{vm::SchedPolicy::Pct, seed, 3, {}};
         ScheduleOutcome a = runOneSchedule(t, sampled, opts);
 
         ScheduleSpec pinned = sampled;
@@ -605,7 +607,7 @@ TEST_F(GuidedFixture, GuidedFindsRelay3WhereBlindPctD2Cannot)
     // easy.
     for (uint64_t seed = 1; seed <= 60; ++seed) {
         ScheduleOutcome o = runOneSchedule(
-            t, ScheduleSpec{vm::SchedPolicy::Pct, seed, 2}, opts);
+            t, ScheduleSpec{vm::SchedPolicy::Pct, seed, 2, {}}, opts);
         EXPECT_TRUE(o.unhardenedCorrect || o.unhardenedInconclusive)
             << "blind pct:d2 s" << seed << " failed Relay3";
         EXPECT_FALSE(o.diverged) << o.divergenceMsg;

@@ -15,12 +15,13 @@ namespace {
 TEST(ScheduleTokenStrict, AcceptsCanonicalTokens)
 {
     const ScheduleSpec specs[] = {
-        {vm::SchedPolicy::Pct, 1, 1},
+        {vm::SchedPolicy::Pct, 1, 1, {}},
         // The largest seed and the largest depth a token may carry.
-        {vm::SchedPolicy::Pct, 18446744073709551615ull, kMaxScheduleDepth},
-        {vm::SchedPolicy::PreemptBound, 7, 2},
-        {vm::SchedPolicy::Random, 0, 0},
-        {vm::SchedPolicy::RoundRobin, 42, 0},
+        {vm::SchedPolicy::Pct, 18446744073709551615ull, kMaxScheduleDepth,
+         {}},
+        {vm::SchedPolicy::PreemptBound, 7, 2, {}},
+        {vm::SchedPolicy::Random, 0, 0, {}},
+        {vm::SchedPolicy::RoundRobin, 42, 0, {}},
     };
     for (const ScheduleSpec &s : specs) {
         ScheduleSpec parsed;
@@ -34,7 +35,7 @@ TEST(ScheduleTokenStrict, AcceptsCanonicalTokens)
     ScheduleSpec parsed;
     std::string err;
     ASSERT_TRUE(parseScheduleToken("pct:s5:d2", parsed, err)) << err;
-    EXPECT_EQ(parsed, (ScheduleSpec{vm::SchedPolicy::Pct, 5, 2}));
+    EXPECT_EQ(parsed, (ScheduleSpec{vm::SchedPolicy::Pct, 5, 2, {}}));
     EXPECT_TRUE(parseScheduleToken("random:d3:s1", parsed, err));
     // The depth limit itself parses (parsing samples no points).
     ASSERT_TRUE(parseScheduleToken("pb:d65536:s1", parsed, err)) << err;
@@ -84,7 +85,7 @@ TEST(ScheduleTokenStrict, PointsFieldRoundTripsOnSystematicPolicies)
 {
     // The c field pins explicit change points (VmConfig::schedPoints):
     // strictly increasing ticks >= 1, pct/pb only, at most once.
-    ScheduleSpec s{vm::SchedPolicy::Pct, 17, 3};
+    ScheduleSpec s{vm::SchedPolicy::Pct, 17, 3, {}};
     s.points = {120, 340};
     EXPECT_EQ(s.token(), "pct:d3:s17:c120,340");
 
@@ -93,7 +94,7 @@ TEST(ScheduleTokenStrict, PointsFieldRoundTripsOnSystematicPolicies)
     ASSERT_TRUE(parseScheduleToken(s.token(), parsed, err)) << err;
     EXPECT_EQ(parsed, s);
 
-    ScheduleSpec pb{vm::SchedPolicy::PreemptBound, 5, 2};
+    ScheduleSpec pb{vm::SchedPolicy::PreemptBound, 5, 2, {}};
     pb.points = {1};
     ASSERT_TRUE(parseScheduleToken("pb:d2:s5:c1", parsed, err)) << err;
     EXPECT_EQ(parsed, pb);
@@ -160,7 +161,7 @@ TEST(ScheduleTokenStrict, FuzzedTokensParseOrFailCleanly)
             break;
           case 1: { // mutated valid token
             ScheduleSpec s{vm::SchedPolicy::Pct, next() % 1000,
-                           uint32_t(1 + next() % 5)};
+                           uint32_t(1 + next() % 5), {}};
             tok = s.token();
             size_t pos = next() % tok.size();
             tok[pos] = alphabet[next() % alphabet.size()];
@@ -169,7 +170,7 @@ TEST(ScheduleTokenStrict, FuzzedTokensParseOrFailCleanly)
           default: { // structurally valid
             ScheduleSpec s{next() % 2 == 0 ? vm::SchedPolicy::Pct
                                            : vm::SchedPolicy::Random,
-                           next(), uint32_t(1 + next() % 9)};
+                           next(), uint32_t(1 + next() % 9), {}};
             tok = s.token();
             break;
           }

@@ -290,7 +290,7 @@ TEST_F(StageFixture, ArtifactDirectoryUnderAFileIsReported)
     EXPECT_TRUE(brep.targets[0].abortArtifacts.empty());
 }
 
-/** The "schedules_done"/"schedules_total" counters of a /status body. */
+/** The integer member @p key of a /status or /coverage body. */
 uint64_t
 statusField(const std::string &status, const std::string &key)
 {
@@ -309,14 +309,18 @@ TEST_F(StageFixture, TelemetryCountersNeverDecreaseAcrossCampaigns)
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> polls{0}, decreases{0};
     std::thread poller([&] {
-        uint64_t lastDone = 0, lastTotal = 0;
+        uint64_t lastDone = 0, lastTotal = 0, lastEdges = 0;
         while (!stop.load()) {
             std::string status = tel.statusJson();
             uint64_t done = statusField(status, "schedules_done");
             uint64_t total = statusField(status, "schedules_total");
-            decreases += done < lastDone || total < lastTotal;
+            uint64_t edges =
+                statusField(tel.coverageJson(), "distinct_edges");
+            decreases += done < lastDone || total < lastTotal ||
+                         edges < lastEdges;
             lastDone = done;
             lastTotal = total;
+            lastEdges = edges;
             ++polls;
         }
     });
@@ -331,6 +335,7 @@ TEST_F(StageFixture, TelemetryCountersNeverDecreaseAcrossCampaigns)
     std::string status = tel.statusJson();
     EXPECT_EQ(statusField(status, "schedules_total"),
               first.schedules + second.schedules);
+    EXPECT_GT(statusField(tel.coverageJson(), "distinct_edges"), 0u);
 }
 
 } // namespace

@@ -115,8 +115,9 @@ TEST_P(FixSynthesis, SynthesizesTheVerdictMatchedPatch)
         *plan.patched, sf.log, sf.log.switches, sf.log.engine);
     EXPECT_EQ(r.outcome, vm::Outcome::Success)
         << vm::outcomeName(r.outcome) << " @ " << r.failureTag;
-    if (sf.target.checkOutput)
+    if (sf.target.checkOutput) {
         EXPECT_EQ(r.output, sf.target.expectedOutput);
+    }
     EXPECT_EQ(r.exitCode, sf.target.expectedExit);
 
     // And the patch report names the essentials.

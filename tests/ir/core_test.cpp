@@ -113,8 +113,9 @@ TEST(Instruction, SuccessorsFollowTerminator)
             ASSERT_EQ(p.size(), 1u);
             EXPECT_EQ(p[0], a);
         }
-        if (bb == a)
+        if (bb == a) {
             EXPECT_TRUE(p.empty());
+        }
     }
 }
 

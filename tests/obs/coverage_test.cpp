@@ -1,6 +1,6 @@
 /**
  * @file
- * Interleaving-coverage tests (src/obs/coverage/).  Four properties
+ * Interleaving-coverage tests (src/obs/coverage/).  Three properties
  * are pinned:
  *
  *  1. *Fold semantics.*  Each EdgeKind fires exactly when its
@@ -11,22 +11,17 @@
  *     produce edges.
  *
  *  2. *Determinism.*  Same trace, same fold, same digest — and the
- *     digest is a set-union invariant (insertion order into the
- *     CoverageMap does not matter).
+ *     digest is a set-union invariant (the order edges are discovered
+ *     in does not matter).  The live campaign union is pinned on the
+ *     telemetry in tests/explore/campaign_test.cpp.
  *
- *  3. *CoverageMap.*  Lock-free inserts return the novelty bit
- *     correctly, concurrent inserts from many threads converge on the
- *     set union, and overflow is counted instead of silently dropped.
- *
- *  4. *Passivity.*  A run with coverage-grade recording attached
+ *  3. *Passivity.*  A run with coverage-grade recording attached
  *     (recorder + diagnosis mode) is tick-for-tick identical to the
  *     bare run on all three engine variants — including memDigest.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
-#include <thread>
 #include <vector>
 
 #include "apps/harness.h"
@@ -253,88 +248,6 @@ TEST(CoverageAnnotate, EventsReachTimelineAndChromeTrace)
     std::string chrome = obs::chromeTraceJson(rec, "annotated");
     EXPECT_NE(chrome.find("coverage-novel"), std::string::npos);
     EXPECT_NE(chrome.find("coverage-snapshot"), std::string::npos);
-}
-
-TEST(CoverageMap, NoveltyBitAndSnapshotDigest)
-{
-    FlightRecorder rec(256);
-    rec.record(0, EventKind::LockAcquire, 10, 1, 7, 0, "a");
-    rec.record(1, EventKind::LockAcquire, 12, 2, 8, 0, "b");
-    rec.record(0, EventKind::SharedStore, 14, 3, 5, 0, "w");
-    rec.record(1, EventKind::SharedLoad, 16, 4, 5, 0, "r");
-    CoverageFold fold = foldCoverage(rec);
-    ASSERT_GE(fold.edges.size(), 2u);
-
-    CoverageMap map;
-    EXPECT_TRUE(map.insert(fold.edges[0]));
-    EXPECT_FALSE(map.insert(fold.edges[0])) << "second insert not novel";
-    EXPECT_EQ(map.distinctEdges(), 1u);
-
-    // insertAll counts only what was new.
-    EXPECT_EQ(map.insertAll(fold.edges), fold.edges.size() - 1);
-    EXPECT_EQ(map.insertAll(fold.edges), 0u);
-    EXPECT_EQ(map.distinctEdges(), fold.edges.size());
-    EXPECT_EQ(map.dropped(), 0u);
-
-    // snapshot() returns the sorted set; its digest matches the fold's.
-    std::vector<Edge> snap = map.snapshot();
-    ASSERT_EQ(snap.size(), fold.edges.size());
-    EXPECT_EQ(map.digest(), coverageDigest(fold.edges));
-}
-
-TEST(CoverageMap, ConcurrentInsertsConvergeOnSetUnion)
-{
-    // 16 synthetic folds with heavy overlap, hammered by 8 threads.
-    std::vector<std::vector<Edge>> folds(16);
-    std::set<uint64_t> unionKeys;
-    for (size_t f = 0; f < folds.size(); ++f) {
-        for (uint64_t i = 0; i < 200; ++i) {
-            Edge e;
-            e.key = 1 + (f * 97 + i * 13) % 512; // collides across folds
-            e.from = e.key * 3;
-            e.to = e.key * 5;
-            e.kind = EdgeKind(e.key % kEdgeKindCount);
-            folds[f].push_back(e);
-            unionKeys.insert(e.key);
-        }
-    }
-
-    CoverageMap map(1 << 12);
-    std::atomic<uint64_t> novelTotal{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 8; ++t)
-        threads.emplace_back([&, t] {
-            for (size_t f = t % folds.size(), n = 0; n < folds.size();
-                 ++n, f = (f + 1) % folds.size())
-                novelTotal += map.insertAll(folds[f]);
-        });
-    for (std::thread &t : threads)
-        t.join();
-
-    EXPECT_EQ(map.distinctEdges(), unionKeys.size());
-    EXPECT_EQ(novelTotal.load(), unionKeys.size())
-        << "each edge must be novel exactly once across all threads";
-    EXPECT_EQ(map.dropped(), 0u);
-
-    std::vector<uint64_t> sorted(unionKeys.begin(), unionKeys.end());
-    EXPECT_EQ(map.digest(), coverageDigest(sorted));
-}
-
-TEST(CoverageMap, OverflowIsCountedNotSilent)
-{
-    CoverageMap tiny(8); // rounds up to the 1024 floor
-    ASSERT_EQ(tiny.capacity(), 1024u);
-    uint64_t inserted = 0;
-    for (uint64_t i = 1; i <= 4096; ++i) {
-        Edge e;
-        e.key = (i << 1) | 1; // distinct, never the 0 sentinel
-        e.kind = EdgeKind::SyncSync;
-        inserted += tiny.insert(e);
-    }
-    EXPECT_LE(tiny.distinctEdges(), tiny.capacity());
-    EXPECT_GT(tiny.dropped(), 0u);
-    EXPECT_EQ(tiny.distinctEdges() + tiny.dropped(), 4096u);
-    EXPECT_EQ(tiny.distinctEdges(), inserted);
 }
 
 /** Coverage-grade recording (recorder + diagnosis mode) must be pure

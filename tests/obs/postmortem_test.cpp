@@ -103,9 +103,10 @@ TEST(Postmortem, DiagnosesEveryKernelsDocumentedBug)
         EXPECT_TRUE(ep->failingAccess.valid) << spec.name;
         EXPECT_TRUE(ep->racingAccess.valid) << spec.name;
         // The pair is a genuine cross-thread conflict.
-        if (ep->failingAccess.valid && ep->racingAccess.valid)
+        if (ep->failingAccess.valid && ep->racingAccess.valid) {
             EXPECT_NE(ep->failingAccess.tid, ep->racingAccess.tid)
                 << spec.name;
+        }
     }
 }
 

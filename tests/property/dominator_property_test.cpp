@@ -96,9 +96,10 @@ TEST_P(DomProperty, IdomIsTheUniqueClosestStrictDominator)
             for (const auto &c : f->blocks()) {
                 if (!dt.isReachable(c.get()))
                     continue;
-                if (dt.strictlyDominates(c.get(), b.get()))
+                if (dt.strictlyDominates(c.get(), b.get())) {
                     EXPECT_TRUE(dt.dominates(c.get(), idom))
                         << c->name() << " vs idom " << idom->name();
+                }
             }
         }
     }

@@ -45,8 +45,8 @@
  *       differential oracle and print its detail; exit 1 on an engine
  *       divergence or a failed cross-check.
  *         --trace FILE          Chrome trace of both legs; the trace's
- *                               per-kind totals and coverage fold are
- *                               cross-checked against the run
+ *                               per-kind totals are cross-checked
+ *                               against the run
  *         --metrics FILE        the hardened leg's metrics registry
  *                               JSON, plus Prometheus text next to it
  *                               (.prom)
@@ -114,6 +114,7 @@
 #include "obs/trace_export.h"
 #include "support/args.h"
 #include "support/json.h"
+#include "support/prom.h"
 #include "support/str.h"
 #include "vm/interp.h"
 
@@ -227,17 +228,13 @@ serveRunTelemetry(unsigned port, unsigned seconds,
     obs::cov::CoverageFold cov = obs::cov::foldCoverage(recorder);
 
     std::string prom = metrics.toPrometheusText();
-    auto gauge = [&prom](const char *n, const char *help, uint64_t v) {
-        prom += strfmt("# HELP %s %s\n# TYPE %s gauge\n%s %llu\n", n,
-                       help, n, n, (unsigned long long)v);
-    };
-    gauge("conair_run_steps", "Instructions the run executed.",
-          run.stats.steps);
-    gauge("conair_run_rollbacks", "ConAir rollbacks during the run.",
-          run.stats.rollbacks);
-    gauge("conair_coverage_distinct_edges",
-          "Distinct interleaving-coverage edges in the run's trace.",
-          cov.edges.size());
+    promFamily(prom, "conair_run_steps", "gauge",
+               "Instructions the run executed.", run.stats.steps);
+    promFamily(prom, "conair_run_rollbacks", "gauge",
+               "ConAir rollbacks during the run.", run.stats.rollbacks);
+    promFamily(prom, "conair_coverage_distinct_edges", "gauge",
+               "Distinct interleaving-coverage edges in the run's trace.",
+               cov.edges.size());
 
     JsonWriter sw(2);
     sw.beginObject();
@@ -259,48 +256,26 @@ serveRunTelemetry(unsigned port, unsigned seconds,
     sw.endObject();
     sw.endObject();
     sw.endObject();
-    std::string status = sw.str() + "\n";
+    std::string status = sw.str();
 
     JsonWriter cw(2);
     cw.beginObject();
     cw.key("distinct_edges").value(uint64_t(cov.edges.size()));
     obs::cov::writeEdgesJson(cw, cov.edges);
     cw.endObject();
-    std::string coverage = cw.str() + "\n";
+    std::string coverage = cw.str();
 
     obs::serve::HttpServer server;
-    server.route("/metrics", [prom, &server] {
-        obs::serve::HttpResponse r;
-        r.contentType = "text/plain; version=0.0.4; charset=utf-8";
-        // The run's metrics plus the server's own request counters —
-        // the telemetry plane monitors itself.
-        r.body = prom + server.prometheusCounters();
-        return r;
-    });
-    server.route("/status", [status] {
-        obs::serve::HttpResponse r;
-        r.contentType = "application/json";
-        r.body = status;
-        return r;
-    });
-    server.route("/coverage", [coverage] {
-        obs::serve::HttpResponse r;
-        r.contentType = "application/json";
-        r.body = coverage;
-        return r;
-    });
-    std::string routes = "/metrics /status /coverage";
+    obs::serve::TelemetryBodies bodies{[prom] { return prom; },
+                                       [status] { return status; },
+                                       [coverage] { return coverage; },
+                                       {}};
     if (profile) {
-        std::string body =
-            obs::prof::speedscopeJson(*profile, name) + "\n";
-        server.route("/profile", [body] {
-            obs::serve::HttpResponse r;
-            r.contentType = "application/json";
-            r.body = body;
-            return r;
-        });
-        routes += " /profile";
+        std::string doc = obs::prof::speedscopeJson(*profile, name);
+        bodies.profile = [doc] { return doc; };
     }
+    const std::string routes =
+        obs::serve::routeTelemetry(server, std::move(bodies));
     std::string err;
     if (!server.start(uint16_t(port), err)) {
         std::fprintf(stderr, "conair run: --serve: %s\n", err.c_str());
@@ -463,8 +438,8 @@ traceSchedule(const Target &target, const ScheduleSpec &s,
 {
     // Diagnosis-grade recording (shared accesses on): the coverage
     // fold below needs the access sites, and the campaign's coverage
-    // legs record the same way — so the cross-checked edge set here is
-    // the edge set the campaign counted.  Grown capacity to match.
+    // legs record the same way — so the edge set annotated here is the
+    // edge set the campaign counted.  Grown capacity to match.
     obs::FlightRecorder unhardenedRec(65536);
     obs::FlightRecorder hardenedRec(65536);
     ScheduleInstruments ins{&unhardenedRec, &hardenedRec};
@@ -548,36 +523,6 @@ traceSchedule(const Target &target, const ScheduleSpec &s,
                     (unsigned long long)st.rollbacks,
                     (unsigned long long)st.checkpointsExecuted,
                     st.recoveries.size());
-
-    // Coverage cross-check, same spirit: re-fold the trace
-    // independently (annotation events are skipped by the folder, so
-    // the annotated recorder re-folds to the same set) and feed a
-    // fresh CoverageMap — the map's novel-insert delta and digest must
-    // both equal the fold's, and a mismatch names which one diverged.
-    obs::cov::CoverageFold refold =
-        obs::cov::foldCoverage(unhardenedRec);
-    obs::cov::CoverageMap covMap(1024);
-    uint64_t mapDelta = covMap.insertAll(refold.edges);
-    if (mapDelta != refold.edges.size()) {
-        std::printf("coverage cross-check: coverage-edges DIVERGED "
-                    "(map delta %llu, trace fold %zu)\n",
-                    (unsigned long long)mapDelta, refold.edges.size());
-        ok = false;
-    }
-    if (covMap.digest() != obs::cov::coverageDigest(refold.edges)) {
-        std::printf("coverage cross-check: coverage-digest DIVERGED "
-                    "(map %016llx, trace fold %016llx)\n",
-                    (unsigned long long)covMap.digest(),
-                    (unsigned long long)obs::cov::coverageDigest(
-                        refold.edges));
-        ok = false;
-    }
-    if (mapDelta == refold.edges.size() &&
-        covMap.digest() == obs::cov::coverageDigest(refold.edges))
-        std::printf("coverage cross-check: trace fold == map delta "
-                    "(%zu distinct edges, digest %016llx)\n",
-                    refold.edges.size(),
-                    (unsigned long long)covMap.digest());
     return ok;
 }
 
